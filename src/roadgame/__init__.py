@@ -20,7 +20,7 @@ from .routing import (DEFENSE_STRATEGIES, RoutePlan, inverse_centrality_scores,
 from .simulate import (JobCard, RoundMetrics, Stop, TourResult,
                        apply_window_multiplier, metrics_from_tours,
                        reclassify_with_multiplier, run_round,
-                       run_round_details, run_tour)
+                       run_round_details, run_rounds, run_tour)
 from .synth import (TraceTolerance, generate_city, make_fleet, parse_jobcards,
                     synthesize_traces, write_jobcards, write_leg_audit)
 

@@ -15,10 +15,11 @@ from pathlib import Path
 from .analysis import agglomerative_modularity, flow_partition, mixing_partition, spectral_bisect
 from .attacks import ATTACK_STRATEGIES, select_attack_edges, write_attack_plan
 from .errors import RoadGameError
-from .experiment import (ExperimentConfig, emit_reports, run_matrix, run_round,
-                         run_sweep, ROUND_HEADER, _fmt)
+from .experiment import (ExperimentConfig, emit_reports, run_matrix, run_sweep,
+                         ROUND_HEADER, _fmt)
 from .network import load_network, save_network
 from .routing import DEFENSE_STRATEGIES
+from .simulate import run_round
 from .synth import (TraceTolerance, parse_jobcards, synthesize_traces,
                     write_jobcards, write_leg_audit)
 

@@ -2,16 +2,19 @@
 
 Configs are flat ``key = value`` text (lists comma-separated) so a run is
 fully described by bytes that hash stably; every output is a pure
-function of (config, seeds).  Cells and sweep points are independent
-simulations and may be dispatched to a process pool -- results are
-collected in task order, so worker count never changes any output byte.
+function of (config, seeds).  Work is scheduled per (defense, seed): a
+route depends on neither the attack nor k, so each task plans every
+courier's route once and scores every attack and k against it.  Tasks
+are independent and may be dispatched to a process pool; their rows are
+regrouped by (attack, defense, seed) and emitted in attack-major order,
+so worker count never changes any output byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,7 @@ from .game import Equilibrium, PayoffMatrix, find_pure_nash, solve_zero_sum
 from .network import RoadNetwork, load_network
 from .routing import DEFENSE_STRATEGIES
 from .simulate import (JobCard, RoundMetrics, reclassify_with_multiplier,
-                       run_round, run_round_details)
+                       run_rounds)
 from .synth import generate_city, make_fleet, parse_jobcards
 
 DEFAULT_DEFENSES = ("shortest", "inverse", "mixnet")
@@ -33,6 +36,10 @@ ROUND_HEADER = ("attack,defense,k,M,window_mult,late_frac,crit_frac_of_late,"
                 "mean_tour_s,p95_tour_s,ambushes")
 SWEEP_HEADER = ("attack,defense,k,M,window_mult,seed,late_frac,crit_frac_of_late,"
                 "mean_tour_s,p95_tour_s,ambushes")
+
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
 
 
 def _fmt(x: float) -> str:
@@ -97,6 +104,13 @@ class ExperimentConfig:
             raise ValidationError("attacker counts must be >= 1")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        # results are keyed by (attack, defense, seed), so a repeated entry
+        # would silently double-count or overwrite a cell
+        for key in ("attacks", "defenses", "seeds", "window_multipliers", "attacker_counts"):
+            values = getattr(self, key)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValidationError(f"{key} lists {value!r} more than once")
 
     # -- serialisation --------------------------------------------------
 
@@ -129,34 +143,38 @@ class ExperimentConfig:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_mapping(cls, raw: dict[str, str]) -> "ExperimentConfig":
-        kwargs = {}
+    def _parse_value(cls, key: str, text: str):
+        """The typed value of one config entry; ParseError when it does not parse."""
         defaults = cls()
-        for key, text in raw.items():
-            if not hasattr(defaults, key):
-                raise ParseError(f"unknown config key {key!r}")
-            current = getattr(defaults, key)
+        if not hasattr(defaults, key):
+            raise ParseError(f"unknown config key {key!r}")
+        current = getattr(defaults, key)
+        text = text.strip()
+        try:
             if isinstance(current, bool):
-                kwargs[key] = text.strip().lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int):
-                kwargs[key] = int(text)
-            elif isinstance(current, float):
-                kwargs[key] = float(text)
-            elif isinstance(current, tuple):
+                return _BOOLEANS[text.lower()]
+            if isinstance(current, int):
+                return int(text)
+            if isinstance(current, float):
+                return float(text)
+            if isinstance(current, tuple):
                 items = [part.strip() for part in text.split(",") if part.strip()]
                 if current and isinstance(current[0], float):
-                    kwargs[key] = tuple(float(v) for v in items)
-                elif current and isinstance(current[0], int):
-                    kwargs[key] = tuple(int(v) for v in items)
-                else:
-                    kwargs[key] = tuple(items)
-            else:
-                kwargs[key] = text.strip()
-        return cls(**kwargs)
+                    return tuple(float(v) for v in items)
+                if current and isinstance(current[0], int):
+                    return tuple(int(v) for v in items)
+                return tuple(items)
+        except (KeyError, ValueError):
+            raise ParseError(f"invalid value for {key}: {text!r}") from None
+        return text
+
+    @classmethod
+    def from_mapping(cls, raw: dict[str, str]) -> "ExperimentConfig":
+        return cls(**{key: cls._parse_value(key, text) for key, text in raw.items()})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        raw: dict[str, str] = {}
+        kwargs = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -165,8 +183,11 @@ class ExperimentConfig:
                 if "=" not in line:
                     raise ParseError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
-        return cls.from_mapping(raw)
+                try:
+                    kwargs[key.strip()] = cls._parse_value(key.strip(), value)
+                except ParseError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+        return cls(**kwargs)
 
     # -- scenario building ------------------------------------------------
 
@@ -206,65 +227,39 @@ class ExperimentConfig:
 
 # -- per-process scenario cache (worker pools rebuild once per process) -------
 
-_SCENARIO_CACHE: dict[tuple[str, ...], tuple[RoadNetwork, list[JobCard]]] = {}
+_SCENARIO_CACHE: dict[ExperimentConfig, tuple[RoadNetwork, list[JobCard]]] = {}
 
 
-def _scenario(cfg_lines: tuple[str, ...]) -> tuple[RoadNetwork, list[JobCard]]:
-    cached = _SCENARIO_CACHE.get(cfg_lines)
+def _scenario(cfg: ExperimentConfig) -> tuple[RoadNetwork, list[JobCard]]:
+    cached = _SCENARIO_CACHE.get(cfg)
     if cached is None:
-        cfg = ExperimentConfig.from_mapping(
-            {k.strip(): v.strip() for k, v in
-             (line.partition("=")[::2] for line in cfg_lines)})
         net = cfg.build_network()
         cached = (net, cfg.build_fleet(net))
         _SCENARIO_CACHE.clear()  # keep at most one scenario per process
-        _SCENARIO_CACHE[cfg_lines] = cached
+        _SCENARIO_CACHE[cfg] = cached
     return cached
 
 
-def _metrics_tuple(m: RoundMetrics) -> tuple:
-    return (m.late_fraction, m.critical_fraction_of_late, m.mean_tour_time_s,
-            m.p95_tour_time_s, m.total_deliveries, m.total_ambushes)
+def _rounds_task(args) -> list[tuple[str, int, float, RoundMetrics]]:
+    """Every round of one (defense, seed) as (attack, k, window_mult, metrics) rows.
 
-
-def _matrix_cell_task(args) -> tuple:
-    cfg_lines, attack, defense, seed = args
-    cfg = _config_from_lines(cfg_lines)
-    net, fleet = _scenario(cfg_lines)
-    metrics = run_round(net, fleet, attack, defense, cfg.k, cfg.ambush_delay_s,
+    ``axis`` is ``matrix`` (k = cfg.k), ``window`` (k = cfg.k, each round
+    reclassified per window multiplier) or ``attackers`` (every attacker
+    count).  Rows come in attack-major order, then k, then multiplier.
+    """
+    cfg, axis, defense, seed = args
+    net, fleet = _scenario(cfg)
+    ks = cfg.attacker_counts if axis == "attackers" else (cfg.k,)
+    rounds = run_rounds(net, fleet, cfg.attacks, defense, ks, cfg.ambush_delay_s,
                         seed, cfg.nested_plans)
-    return (attack, defense, seed) + _metrics_tuple(metrics)
-
-
-def _window_sweep_task(args) -> list[tuple]:
-    cfg_lines, attack, defense, seed = args
-    cfg = _config_from_lines(cfg_lines)
-    net, fleet = _scenario(cfg_lines)
-    details = run_round_details(net, fleet, attack, defense, cfg.k,
-                                cfg.ambush_delay_s, seed, cfg.nested_plans)
     rows = []
-    for mult in cfg.window_multipliers:
-        metrics = reclassify_with_multiplier(fleet, details, mult)
-        rows.append((attack, defense, cfg.k, mult, seed) + _metrics_tuple(metrics))
+    for (attack, k), details in rounds.items():
+        if axis == "window":
+            rows.extend((attack, k, mult, reclassify_with_multiplier(fleet, details, mult))
+                        for mult in cfg.window_multipliers)
+        else:
+            rows.append((attack, k, 1.0, details.metrics))
     return rows
-
-
-def _attacker_sweep_task(args) -> list[tuple]:
-    cfg_lines, attack, defense, seed = args
-    cfg = _config_from_lines(cfg_lines)
-    net, fleet = _scenario(cfg_lines)
-    rows = []
-    for k in cfg.attacker_counts:
-        metrics = run_round(net, fleet, attack, defense, k, cfg.ambush_delay_s,
-                            seed, cfg.nested_plans)
-        rows.append((attack, defense, k, 1.0, seed) + _metrics_tuple(metrics))
-    return rows
-
-
-def _config_from_lines(cfg_lines: tuple[str, ...]) -> ExperimentConfig:
-    return ExperimentConfig.from_mapping(
-        {key.strip(): value.strip() for key, _, value in
-         (line.partition("=") for line in cfg_lines)})
 
 
 def _map_tasks(fn, tasks, workers: int):
@@ -272,6 +267,20 @@ def _map_tasks(fn, tasks, workers: int):
         return [fn(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
+
+
+def _run_cells(cfg: ExperimentConfig, axis: str) -> dict[tuple[str, str, int], list[tuple]]:
+    """(k, window_mult, metrics) rows per (attack, defense, seed) cell.
+
+    Work is dispatched per (defense, seed); the rows are regrouped by cell
+    so callers can emit them in attack-major order whatever the workers.
+    """
+    tasks = [(cfg, axis, defense, seed) for defense in cfg.defenses for seed in cfg.seeds]
+    cells: dict[tuple[str, str, int], list[tuple]] = {}
+    for (_, _, defense, seed), rows in zip(tasks, _map_tasks(_rounds_task, tasks, cfg.workers)):
+        for attack, k, mult, metrics in rows:
+            cells.setdefault((attack, defense, seed), []).append((k, mult, metrics))
+    return cells
 
 
 # -- matrix -------------------------------------------------------------------
@@ -288,23 +297,15 @@ class MatrixResult:
 
 def run_matrix(cfg: ExperimentConfig) -> MatrixResult:
     """Full attack x defense payoff matrix plus its equilibria."""
-    lines = cfg.resolved_lines()
-    tasks = [(lines, attack, defense, seed)
-             for attack in cfg.attacks
-             for defense in cfg.defenses
-             for seed in cfg.seeds]
-    results = _map_tasks(_matrix_cell_task, tasks, cfg.workers)
-
+    cells = _run_cells(cfg, "matrix")
     cell_metrics: dict[tuple[str, str, int], RoundMetrics] = {}
     per_seed = np.zeros((len(cfg.attacks), len(cfg.defenses), len(cfg.seeds)))
-    for row in results:
-        attack, defense, seed = row[0], row[1], row[2]
-        metrics = RoundMetrics(*row[3:])
-        cell_metrics[(attack, defense, seed)] = metrics
-        i = cfg.attacks.index(attack)
-        j = cfg.defenses.index(defense)
-        s = cfg.seeds.index(seed)
-        per_seed[i, j, s] = metrics.late_fraction
+    for i, attack in enumerate(cfg.attacks):
+        for j, defense in enumerate(cfg.defenses):
+            for s, seed in enumerate(cfg.seeds):
+                [(_, _, metrics)] = cells[(attack, defense, seed)]
+                cell_metrics[(attack, defense, seed)] = metrics
+                per_seed[i, j, s] = metrics.late_fraction
 
     payoff = PayoffMatrix(cfg.attacks, cfg.defenses, per_seed.mean(axis=2),
                           per_seed, cfg.seeds)
@@ -317,14 +318,12 @@ def run_sweep(cfg: ExperimentConfig, axis: str) -> list[tuple]:
     """Sweep rows (attack, defense, k, window_mult, seed, metrics...)."""
     if axis not in ("window", "attackers"):
         raise DomainError(f"unknown sweep axis {axis!r}")
-    lines = cfg.resolved_lines()
-    tasks = [(lines, attack, defense, seed)
-             for attack in cfg.attacks
-             for defense in cfg.defenses
-             for seed in cfg.seeds]
-    fn = _window_sweep_task if axis == "window" else _attacker_sweep_task
-    nested = _map_tasks(fn, tasks, cfg.workers)
-    return [row for group in nested for row in group]
+    cells = _run_cells(cfg, axis)
+    return [(attack, defense, k, mult, seed) + astuple(metrics)
+            for attack in cfg.attacks
+            for defense in cfg.defenses
+            for seed in cfg.seeds
+            for k, mult, metrics in cells[(attack, defense, seed)]]
 
 
 # -- report emission -----------------------------------------------------------

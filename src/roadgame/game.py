@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError, SolverError
-from .simulate import JobCard, run_round
+from .simulate import JobCard, run_rounds
 from .network import RoadNetwork
 
 PURE = "pure"
@@ -65,18 +64,22 @@ def build_payoff_matrix(net: RoadNetwork, fleet: Sequence[JobCard],
                         attack_list: Sequence[str], defense_list: Sequence[str],
                         k: int, ambush_delay_s: float, seeds: Sequence[int],
                         nested_plans: bool = False) -> PayoffMatrix:
-    """Simulate every (attack, defense, seed) round; cell = mean late fraction."""
+    """Simulate every (attack, defense, seed) round; cell = mean late fraction.
+
+    Rounds are run per (defense, seed), so each route is planned once and
+    scored against every attack.
+    """
     if not attack_list or not defense_list:
         raise DomainError("strategy lists must be nonempty")
     if not seeds:
         raise DomainError("at least one seed is required")
     per_seed = np.zeros((len(attack_list), len(defense_list), len(seeds)))
-    for i, attack in enumerate(attack_list):
-        for j, defense in enumerate(defense_list):
-            for s, seed in enumerate(seeds):
-                metrics = run_round(net, fleet, attack, defense, k,
-                                    ambush_delay_s, seed, nested_plans)
-                per_seed[i, j, s] = metrics.late_fraction
+    for j, defense in enumerate(defense_list):
+        for s, seed in enumerate(seeds):
+            rounds = run_rounds(net, fleet, attack_list, defense, (k,),
+                                ambush_delay_s, seed, nested_plans)
+            for i, attack in enumerate(attack_list):
+                per_seed[i, j, s] = rounds[(attack, k)].metrics.late_fraction
     return PayoffMatrix(tuple(attack_list), tuple(defense_list),
                         per_seed.mean(axis=2), per_seed, tuple(seeds))
 
@@ -96,6 +99,7 @@ def find_pure_nash(matrix) -> list[tuple[int, int]]:
 
 def _solve_maximin(a: np.ndarray) -> np.ndarray:
     """LP for the row player's maximin mixed strategy of matrix ``a``."""
+    from scipy.optimize import linprog  # loading it costs most of the CLI's import time
     m, n = a.shape
     # variables: x_0..x_{m-1}, v ; maximise v s.t. A^T x >= v, sum x = 1
     c = np.zeros(m + 1)

@@ -100,16 +100,31 @@ def apply_window_multiplier(fleet: Sequence[JobCard], multiplier: float) -> list
     return scaled
 
 
-def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
-             attack: AttackPlan, ambush_delay_s: float = DEFAULT_AMBUSH_DELAY_S) -> TourResult:
-    """Execute one tour under an attack plan.
+def _edge_index(net: RoadNetwork) -> dict[str, int]:
+    """Position of each edge id in ``net.edge_ids``."""
+    cached = net._cache.get("edge_index")
+    if cached is None:
+        cached = {eid: i for i, eid in enumerate(net.edge_ids)}
+        net._cache["edge_index"] = cached
+    return cached
 
-    Raises DomainError when the route does not structurally match the
-    card.  A plan whose walk failed marks all remaining deliveries as
-    critically late with infinite arrival.
+
+def _travel_time_vector(net: RoadNetwork) -> np.ndarray:
+    """Travel time of each edge, in ``net.edge_ids`` order."""
+    cached = net._cache.get("travel_time_vector")
+    if cached is None:
+        cached = np.array([net.edges[eid].travel_time_s for eid in net.edge_ids])
+        net._cache["travel_time_vector"] = cached
+    return cached
+
+
+def _compile_route(net: RoadNetwork, plan: RoutePlan, card: JobCard) -> tuple[np.ndarray, ...]:
+    """Check that the route structurally matches the card; per-leg edge indices.
+
+    The checks are the leg count (or, for a failed walk, no legs beyond
+    the failure), every edge continuing from the current node, and every
+    leg ending at its stop.  Raises DomainError on the first violation.
     """
-    if not ambush_delay_s > 0:
-        raise DomainError("ambush delay must be > 0")
     points = [card.warehouse] + [s.node_id for s in card.stops] + [card.warehouse]
     expected_legs = len(points) - 1
     if plan.failed_leg is None:
@@ -119,26 +134,47 @@ def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
     elif len(plan.legs) != plan.failed_leg:
         raise DomainError("failed route carries legs beyond the failure point")
 
-    attacked = attack.edges
-    clock = card.day_start_s
-    ambushes = 0
-    arrivals: list[float] = []
-    statuses: list[str] = []
+    index = _edge_index(net)
     node = card.warehouse
-    tour_time = math.inf
-
+    compiled = []
     for i, leg in enumerate(plan.legs):
         for eid in leg:
             edge = net.edges.get(eid)
             if edge is None or node not in (edge.u, edge.v):
                 raise DomainError(f"leg {i} does not continue from {node!r}")
-            clock += edge.travel_time_s
-            if eid in attacked:
-                clock += ambush_delay_s
-                ambushes += 1
             node = edge.other(node)
         if node != points[i + 1]:
             raise DomainError(f"leg {i} ends at {node!r}, card expects {points[i + 1]!r}")
+        compiled.append(np.array([index[eid] for eid in leg], dtype=np.intp))
+    return tuple(compiled)
+
+
+def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
+             attack: AttackPlan, ambush_delay_s: float = DEFAULT_AMBUSH_DELAY_S) -> TourResult:
+    """Execute one tour under an attack plan, edge by edge.
+
+    Raises DomainError when the route does not structurally match the
+    card.  A plan whose walk failed marks all remaining deliveries as
+    critically late with infinite arrival.  This is the reference that
+    the batched evaluation in ``run_rounds`` reproduces bit for bit.
+    """
+    if not ambush_delay_s > 0:
+        raise DomainError("ambush delay must be > 0")
+    _compile_route(net, plan, card)
+
+    attacked = attack.edges
+    clock = card.day_start_s
+    ambushes = 0
+    arrivals: list[float] = []
+    statuses: list[str] = []
+    tour_time = math.inf
+
+    for i, leg in enumerate(plan.legs):
+        for eid in leg:
+            clock += net.edges[eid].travel_time_s
+            if eid in attacked:
+                clock += ambush_delay_s
+                ambushes += 1
         if i < len(card.stops):
             stop = card.stops[i]
             arrival = max(clock, stop.window_start_s)
@@ -158,6 +194,68 @@ def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
                       ambushes, tour_time)
 
 
+def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
+                  ambush_delay_s: float) -> np.ndarray:
+    """Plans x edges: the ambush delay on each plan's edges, 0.0 elsewhere."""
+    index = _edge_index(net)
+    delays = np.zeros((len(plans), net.num_edges))
+    for row, plan in enumerate(plans):
+        delays[row, [index[eid] for eid in plan.edges.ids]] = ambush_delay_s
+    return delays
+
+
+def _evaluate_tours(card: JobCard, legs: tuple[np.ndarray, ...], travel: np.ndarray,
+                    delays: np.ndarray) -> list[TourResult]:
+    """One courier's tour under every row of ``delays`` (plans x edges).
+
+    Each leg adds, in ``run_tour``'s order, every edge's travel time and
+    then its delay (0.0 off the plan, which is exact) to the clock:
+    ``np.add.accumulate`` over ``[clock, t1, d1, t2, d2, ...]`` performs
+    those IEEE additions one after another, unlike a pairwise sum.
+    """
+    plans = delays.shape[0]
+    clock = np.full(plans, card.day_start_s, dtype=float)
+    ambushes = np.zeros(plans, dtype=np.int64)
+    arrivals = []
+    tour_time = np.full(plans, math.inf)
+    for i, idx in enumerate(legs):
+        leg_delays = delays[:, idx]
+        steps = np.empty((plans, 2 * len(idx) + 1))
+        steps[:, 0] = clock
+        steps[:, 1::2] = travel[idx]
+        steps[:, 2::2] = leg_delays
+        clock = np.add.accumulate(steps, axis=1)[:, -1]
+        ambushes += np.count_nonzero(leg_delays, axis=1)
+        if i < len(card.stops):
+            start = card.stops[i].window_start_s
+            clock = np.where(start > clock, start, clock)  # max(clock, start)
+            arrivals.append(clock)
+        else:
+            tour_time = clock - card.day_start_s
+
+    missing = [math.inf] * (len(card.stops) - len(arrivals))
+    by_plan = np.array(arrivals).T.tolist() if arrivals else [[] for _ in range(plans)]
+    tours = []
+    for row, times in enumerate(by_plan):
+        times = tuple(times + missing)
+        statuses = tuple(classify_arrival(t, stop) for t, stop in zip(times, card.stops))
+        tours.append(TourResult(card.courier_id, times, statuses,
+                                int(ambushes[row]), float(tour_time[row])))
+    return tours
+
+
+def _p95(times: np.ndarray) -> float:
+    """95th percentile (linear interpolation); inf when a neighbouring order
+    statistic is inf, where interpolating would give NaN."""
+    if not len(times):
+        return 0.0
+    ordered = np.sort(times)
+    position = 0.95 * (len(ordered) - 1)
+    if math.isinf(ordered[math.floor(position)]) or math.isinf(ordered[math.ceil(position)]):
+        return math.inf
+    return float(np.percentile(times, 95))
+
+
 def metrics_from_tours(tours: Iterable[TourResult]) -> RoundMetrics:
     tours = list(tours)
     total = sum(len(t.statuses) for t in tours)
@@ -168,7 +266,7 @@ def metrics_from_tours(tours: Iterable[TourResult]) -> RoundMetrics:
         late_fraction=late / total if total else 0.0,
         critical_fraction_of_late=critical / late if late else 0.0,
         mean_tour_time_s=float(times.mean()) if len(times) else 0.0,
-        p95_tour_time_s=float(np.percentile(times, 95)) if len(times) else 0.0,
+        p95_tour_time_s=_p95(times),
         total_deliveries=total,
         total_ambushes=sum(t.ambush_count for t in tours),
     )
@@ -184,12 +282,14 @@ class RoundDetails:
     metrics: RoundMetrics
 
 
-def run_round_details(net: RoadNetwork, fleet: Sequence[JobCard], attack_strategy: str,
-                      defense_strategy: str, k: int,
-                      ambush_delay_s: float = DEFAULT_AMBUSH_DELAY_S,
-                      seed: int = 0, nested_plans: bool = False) -> RoundDetails:
-    """One full round: attack phase, then defense routing, then all tours.
+def run_rounds(net: RoadNetwork, fleet: Sequence[JobCard], attacks: Sequence[str],
+               defense: str, ks: Sequence[int],
+               ambush_delay_s: float = DEFAULT_AMBUSH_DELAY_S, seed: int = 0,
+               nested_plans: bool = False) -> dict[tuple[str, int], RoundDetails]:
+    """Every (attack, k) round of one (defense, seed), keyed by (attack, k).
 
+    A courier's route depends on neither the attack nor k, so each one is
+    planned and checked once and every attack plan is scored against it.
     Bit-reproducible given the seed: attack and per-courier route RNG are
     independent substreams keyed by purpose and courier id, so results do
     not depend on execution order.  With ``nested_plans`` the per-seed
@@ -201,22 +301,39 @@ def run_round_details(net: RoadNetwork, fleet: Sequence[JobCard], attack_strateg
     ids = [card.courier_id for card in fleet]
     if len(set(ids)) != len(ids):
         raise DomainError("duplicate courier ids in fleet")
+    if not ambush_delay_s > 0:
+        raise DomainError("ambush delay must be > 0")
 
-    if nested_plans:
-        attack_seed = derive_seed(seed, "attack")
-    else:
-        attack_seed = derive_seed(seed, "attack", k)
-    attack = select_attack_edges(net, attack_strategy, k, seed=attack_seed)
-
+    cards = sorted(fleet, key=lambda c: c.courier_id)
     routes: dict[str, RoutePlan] = {}
-    tours: dict[str, TourResult] = {}
-    for card in sorted(fleet, key=lambda c: c.courier_id):
+    for card in cards:
         route_seed = derive_seed(seed, "route", card.courier_id)
-        route = plan_route(net, card, defense_strategy, seed=route_seed)
-        routes[card.courier_id] = route
-        tours[card.courier_id] = run_tour(net, route, card, attack, ambush_delay_s)
+        routes[card.courier_id] = plan_route(net, card, defense, seed=route_seed)
+    compiled = [_compile_route(net, routes[card.courier_id], card) for card in cards]
 
-    return RoundDetails(attack, routes, tours, metrics_from_tours(tours.values()))
+    attack_seeds = {k: derive_seed(seed, "attack") if nested_plans
+                    else derive_seed(seed, "attack", k) for k in dict.fromkeys(ks)}
+    keys = list(dict.fromkeys((attack, k) for attack in attacks for k in ks))
+    plans = [select_attack_edges(net, attack, k, seed=attack_seeds[k]) for attack, k in keys]
+    delays = _delay_matrix(net, plans, ambush_delay_s)
+    travel = _travel_time_vector(net)
+    per_card = [_evaluate_tours(card, legs, travel, delays)
+                for card, legs in zip(cards, compiled)]
+    rounds = {}
+    for row, (key, plan) in enumerate(zip(keys, plans)):
+        tours = {card.courier_id: results[row] for card, results in zip(cards, per_card)}
+        rounds[key] = RoundDetails(plan, routes, tours, metrics_from_tours(tours.values()))
+    return rounds
+
+
+def run_round_details(net: RoadNetwork, fleet: Sequence[JobCard], attack_strategy: str,
+                      defense_strategy: str, k: int,
+                      ambush_delay_s: float = DEFAULT_AMBUSH_DELAY_S,
+                      seed: int = 0, nested_plans: bool = False) -> RoundDetails:
+    """One full round: attack phase, then defense routing, then all tours."""
+    rounds = run_rounds(net, fleet, (attack_strategy,), defense_strategy, (k,),
+                        ambush_delay_s, seed, nested_plans)
+    return rounds[(attack_strategy, k)]
 
 
 def run_round(net: RoadNetwork, fleet: Sequence[JobCard], attack_strategy: str,

@@ -1,8 +1,10 @@
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+import roadgame.simulate as simulate
 from roadgame.attacks import ATTACK_STRATEGIES
 from roadgame.errors import ParseError, ValidationError
 from roadgame.experiment import (DEFAULT_ATTACKER_COUNTS, DEFAULT_SEEDS,
@@ -79,6 +81,47 @@ class TestConfig:
         pooled = ExperimentConfig(workers=4)
         assert pooled.config_hash() == base.config_hash()
 
+    @pytest.mark.parametrize("key, values", [
+        ("attacks", ("random", "degree", "random")),
+        ("defenses", ("shortest", "shortest")),
+        ("seeds", (0, 0)),
+        ("window_multipliers", (1.0, 1.5, 1.0)),
+        ("attacker_counts", (5, 1, 5)),
+    ])
+    def test_duplicate_list_entries_rejected(self, key, values):
+        with pytest.raises(ValidationError, match=f"{key} lists {values[0]!r}"):
+            ExperimentConfig(**{key: values})
+
+    @pytest.mark.parametrize("line, key", [("seeds = 0,0", "seeds"),
+                                           ("attacks = random,random", "attacks")])
+    def test_duplicate_entries_exit_1_without_traceback(self, tmp_path, line, key):
+        # seeds = 0,0 used to halve the cell mean; attacks = random,random
+        # used to add an all-zero row that fed the LP
+        path = tmp_path / "dup.txt"
+        path.write_text(SMALL_CFG + line + "\n")
+        result = run_cli(["--config", str(path), "--out", str(tmp_path / "o"), "matrix"])
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert f"error: {key} lists" in result.stderr
+
+    def test_non_numeric_value_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("attacks = random\nk = thirty\n")
+        with pytest.raises(ParseError) as exc:
+            ExperimentConfig.from_file(path)
+        assert str(exc.value) == f"{path}:2: invalid value for k: 'thirty'"
+        result = run_cli(["--config", str(path), "gen-city"])
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+
+    def test_boolean_typo_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("nested_plans = flase\n")
+        with pytest.raises(ParseError, match=r":1: invalid value for nested_plans: 'flase'"):
+            ExperimentConfig.from_file(path)
+        for text, value in (("true", True), ("OFF", False), ("1", True), ("no", False)):
+            assert ExperimentConfig.from_mapping({"nested_plans": text}).nested_plans is value
+
     def test_roundtrip_through_lines(self):
         cfg = ExperimentConfig(attacks=("random", "degree"), seeds=(3, 4, 5),
                                fleet_stop_prefixes=("b", "a"))
@@ -142,14 +185,34 @@ class TestRunMatrix:
         manifest = (out / "manifest.txt").read_text()
         assert f"config_hash = {cfg.config_hash()}" in manifest
 
+    def test_routes_planned_once_per_defense_seed_courier(self, small_cfg_file,
+                                                          monkeypatch):
+        calls = []
+        original = simulate.plan_route
+
+        def counting(net, card, strategy, seed=0):
+            calls.append((strategy, card.courier_id, seed))
+            return original(net, card, strategy, seed=seed)
+
+        monkeypatch.setattr(simulate, "plan_route", counting)
+        cfg = ExperimentConfig.from_file(small_cfg_file)
+        run_matrix(cfg)
+        # 2 defenses x 2 seeds x 5 couriers, each planned exactly once
+        assert len(calls) == 2 * 2 * 5
+        assert Counter(calls).most_common(1)[0][1] == 1
+        assert Counter(strategy for strategy, _, _ in calls) == {"shortest": 10, "mixnet": 10}
+
 
 class TestCliCommands:
-    def test_matrix_determinism_across_workers(self, small_cfg_file, tmp_path):
+    @pytest.mark.parametrize("command", [
+        ("matrix",), ("sweep", "--axis", "attackers"), ("sweep", "--axis", "window")],
+        ids=["matrix", "sweep-attackers", "sweep-window"])
+    def test_matrix_determinism_across_workers(self, small_cfg_file, tmp_path, command):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         r1 = run_cli(["--config", str(small_cfg_file), "--out", str(out1),
-                      "--workers", "1", "matrix"])
+                      "--workers", "1", *command])
         r2 = run_cli(["--config", str(small_cfg_file), "--out", str(out2),
-                      "--workers", "2", "matrix"])
+                      "--workers", "2", *command])
         assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
         for name in ("payoff_matrix.csv", "equilibria.csv", "critical_delays.csv",
                      "sweep_window.csv", "sweep_attackers.csv", "manifest.txt"):
@@ -248,3 +311,10 @@ class TestCliCommands:
                           "gen-city"])
         assert result.returncode == 1
         assert "error" in result.stderr
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, roadgame.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

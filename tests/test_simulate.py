@@ -1,17 +1,21 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import roadgame.routing as routing
+import roadgame.simulate as simulate
 from conftest import build_net
 from roadgame.attacks import AttackPlan, empty_attack_plan, select_attack_edges
 from roadgame.errors import DomainError, ValidationError
 from roadgame.network import EdgeSet
-from roadgame.routing import plan_route
+from roadgame.routing import DEFENSE_STRATEGIES, RoutePlan, plan_route
+from roadgame.rng import derive_seed
 from roadgame.simulate import (CRITICALLY_LATE, LATE, ON_TIME, JobCard,
-                               Stop, apply_window_multiplier,
+                               Stop, TourResult, apply_window_multiplier,
                                metrics_from_tours, reclassify_with_multiplier,
-                               run_round, run_round_details, run_tour)
+                               run_round, run_round_details, run_rounds, run_tour)
 
 
 def manual_attack(net, edge_ids):
@@ -222,3 +226,116 @@ class TestMetrics:
         from roadgame.simulate import TourResult
         metrics = metrics_from_tours([TourResult("c0", (5.0,), (ON_TIME,), 0, 50.0)])
         assert metrics.critical_fraction_of_late == 0.0
+
+    def test_p95_of_failed_tour_is_inf_not_nan(self, planted32, monkeypatch):
+        # nine 1.0 s tours and one failed walk: np.percentile alone gives NaN
+        monkeypatch.setattr(routing, "WALK_STEP_CAP_FACTOR", 0)
+        card = JobCard("c9", "a00x00", (Stop("b03x03", 0.0, 1000.0),))
+        plan = plan_route(planted32, card, "random_walk", seed=1)
+        assert plan.failed_leg == 0
+        failed = run_tour(planted32, plan, card, empty_attack_plan(planted32))
+        tours = [TourResult(f"c{i}", (1.0,), (ON_TIME,), 0, 1.0) for i in range(9)]
+        metrics = metrics_from_tours(tours + [failed])
+        assert metrics.p95_tour_time_s == math.inf
+        assert metrics.mean_tour_time_s == math.inf
+
+    def test_p95_without_inf_neighbours_is_numpy_percentile(self):
+        # 40 tours put the 95th percentile between the 38th and 39th values,
+        # so one failed tour above them leaves it finite
+        times = [float(t) for t in range(39)] + [math.inf]
+        tours = [TourResult(f"c{i:02d}", (), (), 0, t) for i, t in enumerate(times)]
+        p95 = metrics_from_tours(tours).p95_tour_time_s
+        assert p95 == float(np.percentile(times, 95))
+        assert p95 == pytest.approx(37.05)
+
+
+# -- batched round engine against the edge-by-edge reference -------------------
+
+
+@st.composite
+def tour_cases(draw):
+    """A small grid with random travel times, a card, a route from one
+    defense (possibly cut short or given an out-and-back detour) and a
+    handful of attack plans."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    triples = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                triples.append((f"h{r}{c}", f"n{r}{c}", f"n{r}{c + 1}"))
+            if r + 1 < rows:
+                triples.append((f"v{r}{c}", f"n{r}{c}", f"n{r + 1}{c}"))
+    seconds = st.floats(0.1, 1000.0, allow_nan=False, allow_infinity=False)
+    net = build_net(triples, times={eid: draw(seconds) for eid, _, _ in triples})
+    nodes = st.sampled_from(net.node_ids)
+
+    day_start = draw(st.floats(-1e4, 1e5, allow_nan=False, allow_infinity=False))
+    stops = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = day_start + draw(st.floats(0.0, 5000.0))
+        stops.append(Stop(draw(nodes), start, start + draw(st.floats(1.0, 5000.0))))
+    # stops may repeat the warehouse or the previous stop: empty legs
+    card = JobCard("c0", draw(nodes), tuple(stops), day_start)
+
+    plan = plan_route(net, card, draw(st.sampled_from(DEFENSE_STRATEGIES)),
+                      seed=draw(st.integers(0, 1000)))
+    legs = list(plan.legs)
+    detour = None
+    if draw(st.booleans()):
+        # go out and back over one edge at the start of a leg
+        i = draw(st.integers(0, len(legs) - 1))
+        start_node = card.warehouse if i == 0 else card.stops[i - 1].node_id
+        detour = draw(st.sampled_from([eid for eid, _ in net.adjacency[start_node]]))
+        legs[i] = (detour, detour) + legs[i]
+    failed_leg = draw(st.none() | st.integers(0, len(legs) - 1))
+    if failed_leg is not None:
+        legs = legs[:failed_leg]
+    plan = RoutePlan(plan.strategy, tuple(legs), plan.seed, failed_leg)
+
+    edge_sets = st.sets(st.sampled_from(net.edge_ids), max_size=net.num_edges)
+    attacks = []
+    for edges in draw(st.lists(edge_sets, min_size=1, max_size=4)):
+        if detour is not None and draw(st.booleans()):
+            edges = edges | {detour}
+        attacks.append(AttackPlan("random", EdgeSet.for_network(net, edges), seed=0))
+    delay = draw(st.floats(0.5, 5000.0, allow_nan=False, allow_infinity=False))
+    return net, card, plan, attacks, delay
+
+
+class TestRoundEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(tour_cases())
+    def test_batched_tours_equal_run_tour(self, case):
+        net, card, plan, attacks, delay = case
+        legs = simulate._compile_route(net, plan, card)
+        batched = simulate._evaluate_tours(
+            card, legs, simulate._travel_time_vector(net),
+            simulate._delay_matrix(net, attacks, delay))
+        reference = [run_tour(net, plan, card, attack, delay) for attack in attacks]
+        assert batched == reference
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_rounds_match_reference_per_attack_and_k(self, planted32, nested):
+        from roadgame.synth import make_fleet
+        fleet = make_fleet(planted32, 4, 3, 500.0, seed=6)
+        attacks, ks = ("random", "betweenness", "degree"), (1, 4, 9)
+        rounds = run_rounds(planted32, fleet, attacks, "mixnet", ks, 450.0, 3, nested)
+        assert list(rounds) == [(a, k) for a in attacks for k in ks]
+        for (attack, k), details in rounds.items():
+            attack_seed = (derive_seed(3, "attack") if nested
+                           else derive_seed(3, "attack", k))
+            plan = select_attack_edges(planted32, attack, k, seed=attack_seed)
+            assert details.attack == plan
+            tours = [run_tour(planted32, details.routes[c.courier_id], c, plan, 450.0)
+                     for c in sorted(fleet, key=lambda c: c.courier_id)]
+            assert list(details.tours.values()) == tours
+            assert details.metrics == metrics_from_tours(tours)
+
+    def test_structural_mismatch_raises_like_run_tour(self, p3):
+        card_ab = JobCard("c0", "A", (Stop("B", 0.0, 100.0),))
+        card_ac = JobCard("c0", "A", (Stop("C", 0.0, 100.0),))
+        plan = plan_route(p3, card_ab, "shortest", 0)
+        with pytest.raises(DomainError, match="leg 0 ends at 'B'"):
+            simulate._compile_route(p3, plan, card_ac)
+        with pytest.raises(DomainError, match="leg 0 ends at 'B'"):
+            run_tour(p3, plan, card_ac, empty_attack_plan(p3))
