@@ -8,7 +8,6 @@ smallest node id, so identical structures compare equal.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
-from .network import EdgeSet, RoadNetwork, conductance
+from .network import EdgeSet, RoadNetwork, _dijkstra, conductance
 from .rng import substream
 
 CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
@@ -110,48 +109,25 @@ def _eigenvector_scores(net: RoadNetwork) -> dict[str, float]:
         f"iterations (residual {residual:.3e})", residual=residual)
 
 
-def _shortest_path_dag(net: RoadNetwork, source: str, tt: Mapping[str, float]):
-    """Dijkstra from source with path counts and predecessor edges.
-
-    Returns (order, sigma, preds): nodes in nondecreasing-distance order,
-    exact path counts, and per-node predecessor (node, edge) pairs.
-    """
-    dist: dict[str, float] = {source: 0.0}
-    sigma: dict[str, int] = {source: 1}
-    preds: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    done: set[str] = set()
-    order: list[str] = []
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        order.append(u)
-        for eid, v in net.adjacency[u]:
-            nd = d + tt[eid]
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                sigma[v] = sigma[u]
-                preds[v] = [(u, eid)]
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and v not in done:
-                sigma[v] += sigma[u]
-                preds[v].append((u, eid))
-    return order, sigma, preds
-
-
 def _betweenness_scores(net: RoadNetwork) -> tuple[dict[str, float], dict[str, float]]:
     """Node and edge betweenness over travel-time shortest paths.
 
     Equal-cost paths split evenly; dependency accumulation uses exact
     rational arithmetic so results match brute-force path enumeration.
+    A predecessor of ``w`` is a neighbour ``v`` settled before it with
+    ``dist[v] + tt[e] == dist[w]``.
     """
     tt = net.travel_times()
     node_acc: dict[str, Fraction] = {v: Fraction(0) for v in net.node_ids}
     edge_acc: dict[str, Fraction] = {e: Fraction(0) for e in net.edge_ids}
     for s in net.node_ids:
-        order, sigma, preds = _shortest_path_dag(net, s, tt)
+        order, dist = _dijkstra(net, s, tt)
+        sigma: dict[str, int] = {s: 1}
+        preds: dict[str, list[tuple[str, str]]] = {s: []}
+        for w in order[1:]:
+            preds[w] = [(v, eid) for eid, v in net.adjacency[w]
+                        if v in sigma and dist[v] + tt[eid] == dist[w]]
+            sigma[w] = sum(sigma[v] for v, _ in preds[w])
         delta: dict[str, Fraction] = {v: Fraction(0) for v in order}
         for w in reversed(order):
             coeff = (1 + delta[w]) / sigma[w]

@@ -22,17 +22,9 @@ from .rng import substream
 
 logger = logging.getLogger(__name__)
 
-ATTACK_STRATEGIES = (
-    "random",
-    "degree",
-    "eigen_c",
-    "betweenness",
-    "infomap",
-    "botgrep",
-    "greedy_mod",
-    "hierarchical_mod",
-    "eigen_mod",
-)
+# strategies that cut the edges between the communities of a partition
+PARTITION_STRATEGIES = ("infomap", "botgrep", "greedy_mod", "hierarchical_mod", "eigen_mod")
+ATTACK_STRATEGIES = ("random", "degree", "eigen_c", "betweenness") + PARTITION_STRATEGIES
 
 # Graph-derived plans must not change between rounds, so the randomised
 # partition detectors run on a fixed internal seed; the caller's seed
@@ -56,11 +48,11 @@ def _betweenness_ranked(net: RoadNetwork, ids) -> list[str]:
     return sorted(ids, key=lambda eid: (-scores[eid], eid))
 
 
-def _partition_for(net: RoadNetwork, strategy: str, partition_seed: int) -> Partition:
+def _partition_for(net: RoadNetwork, strategy: str) -> Partition:
     if strategy == "botgrep":
-        return mixing_partition(net, seed=partition_seed)
+        return mixing_partition(net, seed=PARTITION_WALK_SEED)
     if strategy == "infomap":
-        return flow_partition(net, seed=partition_seed)
+        return flow_partition(net, seed=PARTITION_WALK_SEED)
     if strategy == "greedy_mod":
         return agglomerative_modularity(net, "greedy")
     if strategy == "hierarchical_mod":
@@ -70,8 +62,7 @@ def _partition_for(net: RoadNetwork, strategy: str, partition_seed: int) -> Part
     raise DomainError(f"{strategy!r} is not a partition-based strategy")
 
 
-def strategy_edge_ranking(net: RoadNetwork, strategy: str, seed: int = 0,
-                          partition_seed: int = PARTITION_WALK_SEED) -> list[str]:
+def strategy_edge_ranking(net: RoadNetwork, strategy: str, seed: int = 0) -> list[str]:
     """Full priority order over the network's edges for one strategy."""
     if strategy not in ATTACK_STRATEGIES:
         raise DomainError(f"unknown attack strategy {strategy!r}")
@@ -81,7 +72,7 @@ def strategy_edge_ranking(net: RoadNetwork, strategy: str, seed: int = 0,
         ids = list(net.edge_ids)
         return [ids[i] for i in rng.permutation(len(ids))]
 
-    cache_key = ("attack-ranking", strategy, partition_seed)
+    cache_key = ("attack-ranking", strategy)
     cached = net._cache.get(cache_key)
     if cached is not None:
         return list(cached)
@@ -104,7 +95,7 @@ def strategy_edge_ranking(net: RoadNetwork, strategy: str, seed: int = 0,
     elif strategy == "betweenness":
         ranking = _betweenness_ranked(net, net.edge_ids)
     else:
-        part = _partition_for(net, strategy, partition_seed)
+        part = _partition_for(net, strategy)
         cutset = set(partition_cutset(net, part).ids)
         if not cutset:
             logger.warning("strategy %s found no cutset; plan degenerates to "
@@ -117,8 +108,7 @@ def strategy_edge_ranking(net: RoadNetwork, strategy: str, seed: int = 0,
     return ranking
 
 
-def select_attack_edges(net: RoadNetwork, strategy: str, k: int, seed: int = 0,
-                        partition_seed: int = PARTITION_WALK_SEED) -> AttackPlan:
+def select_attack_edges(net: RoadNetwork, strategy: str, k: int, seed: int = 0) -> AttackPlan:
     """Plan of exactly k edges for the strategy, deterministic per seed.
 
     Partition strategies take their cutset first (highest betweenness
@@ -127,14 +117,14 @@ def select_attack_edges(net: RoadNetwork, strategy: str, k: int, seed: int = 0,
     """
     if not 1 <= k <= net.num_edges:
         raise DomainError(f"k must be in [1, {net.num_edges}], got {k}")
-    ranking = strategy_edge_ranking(net, strategy, seed=seed, partition_seed=partition_seed)
+    ranking = strategy_edge_ranking(net, strategy, seed=seed)
     plan_edges = EdgeSet.for_network(net, ranking[:k])
     return AttackPlan(strategy=strategy, edges=plan_edges, seed=seed)
 
 
 def empty_attack_plan(net: RoadNetwork) -> AttackPlan:
     """A no-op plan (zero occupied edges), useful as a clean baseline."""
-    return AttackPlan(strategy="random", edges=EdgeSet.for_network(net, ()), seed=0)
+    return AttackPlan(strategy="none", edges=EdgeSet.for_network(net, ()), seed=0)
 
 
 def write_attack_plan(plan: AttackPlan, path) -> None:

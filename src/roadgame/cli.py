@@ -12,8 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import agglomerative_modularity, flow_partition, mixing_partition, spectral_bisect
-from .attacks import ATTACK_STRATEGIES, select_attack_edges, write_attack_plan
+from .attacks import (ATTACK_STRATEGIES, PARTITION_STRATEGIES, _partition_for,
+                      select_attack_edges, write_attack_plan)
 from .errors import RoadGameError
 from .experiment import (ExperimentConfig, emit_reports, run_matrix, run_sweep,
                          ROUND_HEADER, _fmt)
@@ -23,7 +23,8 @@ from .simulate import run_round
 from .synth import (TraceTolerance, parse_jobcards, synthesize_traces,
                     write_jobcards, write_leg_audit)
 
-ANALYZE_METHODS = ("eigen_mod", "greedy_mod", "hierarchical_mod", "botgrep", "infomap")
+# analyze writes the partition whose cutset the same-named attack takes
+ANALYZE_METHODS = PARTITION_STRATEGIES
 
 
 def _config_key_epilog() -> str:
@@ -148,16 +149,7 @@ def _cmd_attack(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_analyze(cfg: ExperimentConfig, args) -> int:
     net = cfg.build_network()
-    if args.method == "eigen_mod":
-        part = spectral_bisect(net)
-    elif args.method == "greedy_mod":
-        part = agglomerative_modularity(net, "greedy")
-    elif args.method == "hierarchical_mod":
-        part = agglomerative_modularity(net, "hierarchical")
-    elif args.method == "botgrep":
-        part = mixing_partition(net, seed=cfg.seeds[0])
-    else:
-        part = flow_partition(net, seed=cfg.seeds[0])
+    part = _partition_for(net, args.method)
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"partition_{args.method}.csv"

@@ -46,6 +46,12 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _fmt_exact(x: float) -> str:
+    """``_fmt`` when it parses back to ``x``, else the shortest exact form."""
+    text = _fmt(x)
+    return text if float(text) == x else repr(x)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     # network source
@@ -118,19 +124,20 @@ class ExperimentConfig:
         """Canonical ``key = value`` lines covering every experiment field.
 
         ``workers`` is excluded: it only dispatches work and never changes
-        an output byte, so it must not perturb the config hash.
+        an output byte, so it must not perturb the config hash.  Floats
+        render exactly, so distinct configs never share lines or a hash.
         """
         lines = []
         for key, value in sorted(vars(self).items()):
             if key == "workers":
                 continue
             if isinstance(value, tuple):
-                rendered = ",".join(_fmt(v) if isinstance(v, float) else str(v)
+                rendered = ",".join(_fmt_exact(v) if isinstance(v, float) else str(v)
                                     for v in value)
             elif isinstance(value, bool):
                 rendered = "true" if value else "false"
             elif isinstance(value, float):
-                rendered = _fmt(value)
+                rendered = _fmt_exact(value)
             else:
                 rendered = str(value)
             lines.append(f"{key} = {rendered}")

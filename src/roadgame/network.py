@@ -263,8 +263,15 @@ def _check_weights(net: RoadNetwork, weights: Mapping[str, float] | None) -> Map
     return weights
 
 
-def _dijkstra(net: RoadNetwork, source: str, weights: Mapping[str, float]) -> dict[str, float]:
+def _dijkstra(net: RoadNetwork, source: str, weights: Mapping[str, float],
+              floor: float = 0.0) -> tuple[list[str], dict[str, float]]:
+    """Single-source shortest paths as (settled order, distance map).
+
+    Each edge costs its weight raised to at least ``floor``; the order
+    lists nodes by nondecreasing distance.
+    """
     dist = {source: 0.0}
+    order: list[str] = []
     done: set[str] = set()
     heap: list[tuple[float, str]] = [(0.0, source)]
     while heap:
@@ -272,12 +279,14 @@ def _dijkstra(net: RoadNetwork, source: str, weights: Mapping[str, float]) -> di
         if u in done:
             continue
         done.add(u)
+        order.append(u)
         for eid, v in net.adjacency[u]:
-            nd = d + weights[eid]
+            w = weights[eid]
+            nd = d + (w if w > floor else floor)
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist
+    return order, dist
 
 
 def shortest_path(net: RoadNetwork, src: str, dst: str,
@@ -294,8 +303,7 @@ def shortest_path(net: RoadNetwork, src: str, dst: str,
     if src == dst:
         return [], 0.0
 
-    floored = {eid: max(float(weights[eid]), _WEIGHT_FLOOR) for eid in net.edge_ids}
-    dist_to_dst = _dijkstra(net, dst, floored)
+    _, dist_to_dst = _dijkstra(net, dst, weights, _WEIGHT_FLOOR)
     if src not in dist_to_dst:
         raise DomainError(f"no path between {src!r} and {dst!r}")
 
@@ -305,7 +313,8 @@ def shortest_path(net: RoadNetwork, src: str, dst: str,
     while u != dst:
         best: tuple[float, str, str] | None = None
         for eid, v in net.adjacency[u]:
-            cand = (floored[eid] + dist_to_dst[v], eid, v)
+            w = weights[eid]
+            cand = ((w if w > _WEIGHT_FLOOR else _WEIGHT_FLOOR) + dist_to_dst[v], eid, v)
             if best is None or cand < best:
                 best = cand
         assert best is not None

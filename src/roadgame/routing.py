@@ -101,21 +101,15 @@ def plan_route(net: RoadNetwork, card: "JobCard", strategy: str, seed: int = 0) 
     legs: list[tuple[str, ...]] = []
     failed_leg: int | None = None
 
-    if strategy == "mixnet":
-        rng = substream(seed, "mixnet-scores")
-        draws = rng.random(net.num_edges)
-        weights = {eid: float(draws[i]) for i, eid in enumerate(net.edge_ids)}
+    if strategy in ("shortest", "inverse", "mixnet"):
+        weights = None
+        if strategy == "inverse":
+            weights = inverse_centrality_scores(net)
+        elif strategy == "mixnet":
+            draws = substream(seed, "mixnet-scores").random(net.num_edges)
+            weights = dict(zip(net.edge_ids, draws.tolist()))
         for a, b in zip(points, points[1:]):
             path, _ = shortest_path(net, a, b, weights)
-            legs.append(tuple(path))
-    elif strategy == "inverse":
-        weights = inverse_centrality_scores(net)
-        for a, b in zip(points, points[1:]):
-            path, _ = shortest_path(net, a, b, weights)
-            legs.append(tuple(path))
-    elif strategy == "shortest":
-        for a, b in zip(points, points[1:]):
-            path, _ = shortest_path(net, a, b)
             legs.append(tuple(path))
     elif strategy == "disjoint":
         rng = substream(seed, "disjoint-choice")

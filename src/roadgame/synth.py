@@ -151,7 +151,7 @@ def synthesize_traces(base_cards: Sequence[JobCard], base_net: RoadNetwork,
 
         synth_points = [target_nodes[int(rng.integers(len(target_nodes)))]]
         for seq, base_time in enumerate(base_leg_times, start=1):
-            dist = _dijkstra(target_net, synth_points[-1], times)
+            _, dist = _dijkstra(target_net, synth_points[-1], times)
             tol_used = tol.relative_tolerance
             candidates: list[str] = []
             for _ in range(_MAX_TOLERANCE_DOUBLINGS + 1):
@@ -304,7 +304,7 @@ def central_node(net: RoadNetwork) -> str:
     times = net.travel_times()
     best: tuple[float, str] | None = None
     for v in net.node_ids:
-        total = sum(_dijkstra(net, v, times).values())
+        total = sum(_dijkstra(net, v, times)[1].values())
         if best is None or (total, v) < best:
             best = (total, v)
     assert best is not None

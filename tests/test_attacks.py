@@ -94,6 +94,7 @@ class TestPlanPlumbing:
     def test_empty_plan(self, p3):
         plan = empty_attack_plan(p3)
         assert plan.k == 0 and len(plan.edges) == 0
+        assert plan.strategy == "none"
 
     def test_export_format(self, planted32, tmp_path):
         plan = select_attack_edges(planted32, "betweenness", 3, seed=0)

@@ -1,15 +1,19 @@
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import roadgame.simulate as simulate
 from roadgame.attacks import ATTACK_STRATEGIES
+from roadgame.cli import ANALYZE_METHODS, main as cli_main
 from roadgame.errors import ParseError, ValidationError
 from roadgame.experiment import (DEFAULT_ATTACKER_COUNTS, DEFAULT_SEEDS,
                                  DEFAULT_WINDOW_MULTIPLIERS, ExperimentConfig,
                                  emit_reports, run_matrix, run_sweep)
+from roadgame.routing import DEFENSE_STRATEGIES
 
 SMALL_CFG = """\
 network_kind = two_cluster
@@ -31,6 +35,41 @@ seeds = 0,1
 def run_cli(args, cwd=None):
     return subprocess.run([sys.executable, "-m", "roadgame.cli", *args],
                           capture_output=True, text=True, cwd=cwd)
+
+
+_TEXT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-", max_size=8)
+
+
+def _field_values(name: str, default):
+    """Values of one config field that pass ExperimentConfig validation."""
+    if name in ("attacks", "defenses"):
+        choices = ATTACK_STRATEGIES if name == "attacks" else DEFENSE_STRATEGIES
+        return st.lists(st.sampled_from(choices), min_size=1, unique=True).map(tuple)
+    if name == "seeds":
+        return st.lists(st.integers(), min_size=1, unique=True).map(tuple)
+    if name == "window_multipliers":
+        return st.lists(st.floats(min_value=1.0), unique=True).map(tuple)
+    if name == "attacker_counts":
+        return st.lists(st.integers(min_value=1), unique=True).map(tuple)
+    if name == "fleet_stop_prefixes":
+        return st.lists(_TEXT.filter(bool)).map(tuple)
+    if name == "k":
+        return st.integers(min_value=1)
+    if name == "workers":  # not part of the resolved lines
+        return st.just(default)
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers()
+    if isinstance(default, float):
+        return st.floats(allow_nan=False)
+    return _TEXT
+
+
+def _configs():
+    return st.fixed_dictionaries(
+        {f.name: _field_values(f.name, f.default) for f in fields(ExperimentConfig)}
+    ).map(lambda kwargs: ExperimentConfig(**kwargs))
 
 
 @pytest.fixture()
@@ -122,13 +161,29 @@ class TestConfig:
         for text, value in (("true", True), ("OFF", False), ("1", True), ("no", False)):
             assert ExperimentConfig.from_mapping({"nested_plans": text}).nested_plans is value
 
-    def test_roundtrip_through_lines(self):
-        cfg = ExperimentConfig(attacks=("random", "degree"), seeds=(3, 4, 5),
-                               fleet_stop_prefixes=("b", "a"))
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=_configs())
+    @example(cfg=ExperimentConfig(attacks=("random", "degree"), seeds=(3, 4, 5),
+                                  fleet_stop_prefixes=("b", "a")))
+    @example(cfg=ExperimentConfig(edge_time_s=60.123456789012))
+    @example(cfg=ExperimentConfig(window_multipliers=(1.0, 1.0000000001)))
+    def test_roundtrip_through_lines(self, cfg):
         raw = {key.strip(): value.strip() for key, _, value in
                (line.partition("=") for line in cfg.resolved_lines())}
         again = ExperimentConfig.from_mapping(raw)
         assert again == cfg
+        assert again.config_hash() == cfg.config_hash()
+
+    def test_floats_beyond_nine_digits_change_the_hash(self):
+        # nine significant digits alone would render both as 60.1234568
+        a = ExperimentConfig(edge_time_s=60.123456789012)
+        b = ExperimentConfig(edge_time_s=60.1234567891)
+        assert a.config_hash() != b.config_hash()
+        assert "edge_time_s = 60.123456789012" in a.resolved_lines()
+        # nine significant digits stay the rendering whenever they are exact
+        assert "edge_time_s = 60" in ExperimentConfig().resolved_lines()
+        assert "window_multipliers = 1,1.25,1.5,1.75,2,2.25,2.5,2.75,3,3.25,3.5" in (
+            ExperimentConfig().resolved_lines())
 
 
 class TestRunMatrix:
@@ -236,6 +291,22 @@ class TestCliCommands:
         assert len(lines) == 33
         labels = {line.split(",")[0]: line.split(",")[1] for line in lines[1:]}
         assert len(set(labels.values())) == 2
+
+    @pytest.mark.parametrize("method", ANALYZE_METHODS)
+    def test_analyze_writes_the_partition_the_attack_cuts(self, tmp_path, method):
+        # the randomised detectors (botgrep, infomap) must use the attack's
+        # fixed walk seed here too, not a round seed
+        net = ExperimentConfig().build_network()
+        assert cli_main(["--out", str(tmp_path), "analyze", "--method", method]) == 0
+        rows = (tmp_path / f"partition_{method}.csv").read_text().splitlines()[1:]
+        label = dict(row.split(",") for row in rows)
+        cut = {eid for eid in net.edge_ids
+               if label[net.edges[eid].u] != label[net.edges[eid].v]}
+        assert cut
+        assert cli_main(["--out", str(tmp_path), "attack", "--strategy", method,
+                         "--k", str(len(cut))]) == 0
+        attacked = (tmp_path / f"attack_{method}.csv").read_text().splitlines()[1:]
+        assert set(attacked) == cut
 
     def test_gen_city_and_files_network(self, small_cfg_file, tmp_path):
         out = tmp_path / "city"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from oracles import brute_min_edge_cut
 from roadgame.errors import DomainError, ParseError, ValidationError
 from roadgame.network import (EdgeSet, conductance, edge_disjoint_paths,
                               load_network, save_network, shortest_path)
+from roadgame.synth import generate_city
 
 
 def write_files(tmp_path, nodes_text, edges_text):
@@ -133,6 +136,20 @@ class TestShortestPath:
             p1, _ = shortest_path(planted32, src, dst)
             p2, _ = shortest_path(planted32, src, dst, scaled)
             assert p1 == p2
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_zero_weights_pick_the_unit_weight_path(self, square, zero):
+        # the selection floor keeps zero-cost cycles from trapping the search
+        # or the reconstruction; the reported weight stays the caller's 0.0
+        grid4 = generate_city("grid", rows=4, cols=4, edge_time_s=60.0)
+        for net in (square, grid4):
+            zeros = {eid: zero for eid in net.edge_ids}
+            ones = {eid: 1.0 for eid in net.edge_ids}
+            for src in net.node_ids:
+                for dst in net.node_ids:
+                    path, weight = shortest_path(net, src, dst, zeros)
+                    assert path == shortest_path(net, src, dst, ones)[0]
+                    assert weight == 0.0 and math.copysign(1.0, weight) == 1.0
 
 
 class TestEdgeDisjointPaths:
