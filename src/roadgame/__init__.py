@@ -1,10 +1,9 @@
 """Ambush-interdiction games on road networks: attacks, defenses, simulation."""
 
 from .analysis import (CentralityScores, Partition, agglomerative_modularity,
-                       centrality, estimate_visit_frequencies, flow_partition,
-                       map_equation_codelength, mixing_partition,
-                       mixing_transition_matrix, modularity, partition_cutset,
-                       spectral_bisect)
+                       centrality, flow_partition, map_equation_codelength,
+                       mixing_partition, mixing_transition_matrix, modularity,
+                       partition_cutset, spectral_bisect)
 from .attacks import (ATTACK_STRATEGIES, AttackPlan, empty_attack_plan,
                       select_attack_edges, strategy_edge_ranking)
 from .errors import (ConvergenceError, DomainError, ParseError, RoadGameError,

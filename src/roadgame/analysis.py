@@ -449,34 +449,18 @@ def default_short_walk_len(net: RoadNetwork) -> int:
     return int(math.ceil(math.log2(max(net.num_nodes, 2)))) + 2
 
 
-def mixing_partition(net: RoadNetwork, walk_len: int | None = None,
-                     walks_per_node: int = 100, seed: int = 0) -> Partition:
+def mixing_partition(net: RoadNetwork, seed: int = 0) -> Partition:
     """Partition by clustering short-walk endpoint distributions.
 
     Short walks under the min-degree kernel stay inside well-mixed
     regions, so endpoint distributions separate across sparse cuts.
-    Candidate clusterings for 2..8 communities are scored by their worst
+    Row i of P^t is the exact endpoint distribution of a t-step walk from
+    node i; ``seed`` drives only the k-means initialisation.  Candidate
+    clusterings for 2..8 communities are scored by their worst
     per-community conductance and the best candidate wins.
     """
-    if walk_len is None:
-        walk_len = default_short_walk_len(net)
-    if walk_len < 1:
-        raise DomainError("walk_len must be >= 1")
-    if walks_per_node < 1:
-        raise DomainError("walks_per_node must be >= 1")
-
-    kernel = mixing_transition_matrix(net)
-    cum = np.cumsum(kernel, axis=1)
+    features = np.linalg.matrix_power(mixing_transition_matrix(net), default_short_walk_len(net))
     n = net.num_nodes
-    features = np.zeros((n, n))
-    for i, node in enumerate(net.node_ids):
-        rng = substream(seed, "mixing-walk", node)
-        positions = np.full(walks_per_node, i)
-        for _ in range(walk_len):
-            u = rng.random(walks_per_node)
-            rows = cum[positions]
-            positions = np.minimum((rows < u[:, None]).sum(axis=1), n - 1)
-        features[i] = np.bincount(positions, minlength=n) / walks_per_node
 
     best: tuple[float, int, Partition] | None = None
     for num_clusters in range(2, min(8, n - 1) + 1):
@@ -495,35 +479,6 @@ def mixing_partition(net: RoadNetwork, walk_len: int | None = None,
 
 
 # -- visit-frequency flow partition (map-equation greedy merge) --------------
-
-
-def default_long_walk_len(net: RoadNetwork) -> int:
-    return 100 * net.num_nodes
-
-
-def estimate_visit_frequencies(net: RoadNetwork, num_walks: int = 8,
-                               walk_len: int | None = None, seed: int = 0) -> dict[str, float]:
-    """Node visit frequencies from long uniform random walks (sums to 1)."""
-    if walk_len is None:
-        walk_len = default_long_walk_len(net)
-    if num_walks < 1:
-        raise DomainError("num_walks must be >= 1")
-    neighbor_idx: list[list[int]] = []
-    index = {v: i for i, v in enumerate(net.node_ids)}
-    for v in net.node_ids:
-        neighbor_idx.append([index[w] for _, w in net.adjacency[v]])
-    counts = np.zeros(net.num_nodes)
-    for w in range(num_walks):
-        rng = substream(seed, "flow-walk", w)
-        pos = w % net.num_nodes
-        counts[pos] += 1
-        draws = rng.random(walk_len)
-        for t in range(walk_len):
-            nbrs = neighbor_idx[pos]
-            pos = nbrs[int(draws[t] * len(nbrs))]
-            counts[pos] += 1
-    freq = counts / counts.sum()
-    return {v: float(freq[i]) for i, v in enumerate(net.node_ids)}
 
 
 def _xlogx(value: float) -> float:
@@ -664,15 +619,18 @@ class _MapEquationState:
         del self.members[b], self.exit[b], self.p_sum[b]
 
 
-def flow_partition(net: RoadNetwork, num_walks: int = 8,
-                   walk_len: int | None = None, seed: int = 0) -> Partition:
+def flow_partition(net: RoadNetwork) -> Partition:
     """Partition minimising the two-level description length of walk flow.
 
-    Visit frequencies come from long random walks; the deterministic
-    greedy search alternates single-node moves (until stable) with the
-    best whole-community merge, stopping when neither shortens the code.
+    Visit rates are the exact stationary rates deg/2m of the uniform
+    walk; the deterministic greedy search alternates single-node moves
+    (until stable) with the best whole-community merge, stopping when
+    neither shortens the code.
     """
-    freq = estimate_visit_frequencies(net, num_walks=num_walks, walk_len=walk_len, seed=seed)
+    if net.num_edges == 0:  # a connected network without edges is one node
+        return Partition.from_assignment({v: 0 for v in net.node_ids})
+    two_m = 2 * net.num_edges
+    freq = {v: net.degree(v) / two_m for v in net.node_ids}
     state = _MapEquationState(net, freq)
 
     while True:

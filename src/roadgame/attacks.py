@@ -26,10 +26,10 @@ logger = logging.getLogger(__name__)
 PARTITION_STRATEGIES = ("infomap", "botgrep", "greedy_mod", "hierarchical_mod", "eigen_mod")
 ATTACK_STRATEGIES = ("random", "degree", "eigen_c", "betweenness") + PARTITION_STRATEGIES
 
-# Graph-derived plans must not change between rounds, so the randomised
-# partition detectors run on a fixed internal seed; the caller's seed
-# drives only the `random` baseline.
-PARTITION_WALK_SEED = 2718
+# Graph-derived plans must not change between rounds, so botgrep's k-means
+# initialisation runs on a fixed internal seed; the caller's seed drives
+# only the `random` baseline.
+PARTITION_KMEANS_SEED = 2718
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,9 @@ def _betweenness_ranked(net: RoadNetwork, ids) -> list[str]:
 
 def _partition_for(net: RoadNetwork, strategy: str) -> Partition:
     if strategy == "botgrep":
-        return mixing_partition(net, seed=PARTITION_WALK_SEED)
+        return mixing_partition(net, seed=PARTITION_KMEANS_SEED)
     if strategy == "infomap":
-        return flow_partition(net, seed=PARTITION_WALK_SEED)
+        return flow_partition(net)
     if strategy == "greedy_mod":
         return agglomerative_modularity(net, "greedy")
     if strategy == "hierarchical_mod":

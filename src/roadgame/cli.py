@@ -102,14 +102,15 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
     lines = [ROUND_HEADER]
+    late = []
     for seed in cfg.seeds:
         m = run_round(net, fleet, args.attack, args.defense, cfg.k,
                       cfg.ambush_delay_s, seed, cfg.nested_plans)
+        late.append(m.late_fraction)
         lines.append(f"{args.attack},{args.defense},{cfg.k},{_fmt(cfg.ambush_delay_s)},1,"
                      f"{_fmt(m.late_fraction)},{_fmt(m.critical_fraction_of_late)},"
                      f"{_fmt(m.mean_tour_time_s)},{_fmt(m.p95_tour_time_s)},{m.total_ambushes}")
     (out / "round_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    late = [float(line.split(",")[5]) for line in lines[1:]]
     print(f"{args.attack} vs {args.defense}: mean late fraction "
           f"{sum(late) / len(late):.3f} over {len(late)} seeds")
     return 0

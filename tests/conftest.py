@@ -88,6 +88,12 @@ def planted32():
 
 
 @pytest.fixture(scope="session")
+def planted64():
+    """Two 32-node grid blocks joined by exactly two bridges."""
+    return generate_city("two_cluster", size_a=32, size_b=32, bridges=2, edge_time_s=20.0)
+
+
+@pytest.fixture(scope="session")
 def bypass_city():
     """Two-cluster city with slow bypass crossings outside the bridge rows."""
     return generate_city("two_cluster", size_a=64, size_b=64, bridges=2,
