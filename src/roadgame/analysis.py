@@ -1,9 +1,10 @@
 """Centrality measures and partition/cut detection over road networks.
 
-Betweenness is computed exactly (rational accumulation) over travel-time
-shortest paths with even splitting among equal-cost paths.  Partition
-labels are canonical: communities are numbered 0..k-1 in order of their
-smallest node id, so identical structures compare equal.
+Betweenness is computed exactly (integer numerators over one common
+denominator) over travel-time shortest paths with even splitting among
+equal-cost paths.  Partition labels are canonical: communities are
+numbered 0..k-1 in order of their smallest node id, so identical
+structures compare equal.
 """
 
 from __future__ import annotations
@@ -112,34 +113,52 @@ def _eigenvector_scores(net: RoadNetwork) -> dict[str, float]:
 def _betweenness_scores(net: RoadNetwork) -> tuple[dict[str, float], dict[str, float]]:
     """Node and edge betweenness over travel-time shortest paths.
 
-    Equal-cost paths split evenly; dependency accumulation uses exact
-    rational arithmetic so results match brute-force path enumeration.
-    A predecessor of ``w`` is a neighbour ``v`` settled before it with
-    ``dist[v] + tt[e] == dist[w]``.
+    Equal-cost paths split evenly and the sums are exact, so results
+    match brute-force path enumeration.  A predecessor of ``w`` is a
+    neighbour ``v`` settled before it with ``dist[v] + tt[e] == dist[w]``.
+
+    Brandes' dependency is ``delta(v) = sigma(v) * c(v) - 1`` with
+    ``c(v) = 1/sigma(v) + sum of c(w) over successors w``, and edge
+    (v, w) carries ``sigma(v) * c(w)``.  Scaling c by ``L = lcm(sigma)``
+    makes every per-source term an integer ``C``; the totals are kept as
+    integer numerators over one running denominator ``D``, and each is
+    rounded to float once, at the end.
     """
     tt = net.travel_times()
-    node_acc: dict[str, Fraction] = {v: Fraction(0) for v in net.node_ids}
-    edge_acc: dict[str, Fraction] = {e: Fraction(0) for e in net.edge_ids}
+    adjacency = net.adjacency
+    node_num: dict[str, int] = {v: 0 for v in net.node_ids}
+    edge_num: dict[str, int] = {e: 0 for e in net.edge_ids}
+    denom = 1
     for s in net.node_ids:
         order, dist = _dijkstra(net, s, tt)
         sigma: dict[str, int] = {s: 1}
         preds: dict[str, list[tuple[str, str]]] = {s: []}
         for w in order[1:]:
-            preds[w] = [(v, eid) for eid, v in net.adjacency[w]
-                        if v in sigma and dist[v] + tt[eid] == dist[w]]
+            dw = dist[w]
+            preds[w] = [(v, eid) for eid, v in adjacency[w]
+                        if v in sigma and dist[v] + tt[eid] == dw]
             sigma[w] = sum(sigma[v] for v, _ in preds[w])
-        delta: dict[str, Fraction] = {v: Fraction(0) for v in order}
+        scale = math.lcm(*sigma.values())
+        if denom % scale:
+            grow = math.lcm(denom, scale) // denom
+            denom *= grow
+            for v in node_num:
+                node_num[v] *= grow
+            for e in edge_num:
+                edge_num[e] *= grow
+        lift = denom // scale
+        c: dict[str, int] = {v: scale // sigma[v] for v in order}
         for w in reversed(order):
-            coeff = (1 + delta[w]) / sigma[w]
+            cw = c[w]
+            lifted = lift * cw
             for v, eid in preds[w]:
-                contrib = sigma[v] * coeff
-                delta[v] += contrib
-                edge_acc[eid] += contrib
+                c[v] += cw
+                edge_num[eid] += sigma[v] * lifted
             if w != s:
-                node_acc[w] += delta[w]
+                node_num[w] += sigma[w] * lifted - denom
     # each unordered pair was counted from both endpoints
-    nodes = {v: float(x / 2) for v, x in node_acc.items()}
-    edges = {e: float(x / 2) for e, x in edge_acc.items()}
+    nodes = {v: float(Fraction(x, 2 * denom)) for v, x in node_num.items()}
+    edges = {e: float(Fraction(x, 2 * denom)) for e, x in edge_num.items()}
     return nodes, edges
 
 
@@ -428,7 +447,7 @@ def _kmeans(features: np.ndarray, num_clusters: int, rng) -> np.ndarray:
     centroids = features[np.sort(centroid_rows)].copy()
     labels = np.zeros(n, dtype=int)
     for _ in range(100):
-        dist = np.linalg.norm(features[:, None, :] - centroids[None, :, :], axis=2)
+        dist = np.stack([np.linalg.norm(features - c, axis=1) for c in centroids], axis=1)
         new_labels = np.argmin(dist, axis=1)
         for c in range(num_clusters):
             mask = new_labels == c

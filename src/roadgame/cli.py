@@ -203,6 +203,10 @@ def main(argv: list[str] | None = None) -> int:
     except RoadGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # a missing or unreadable input, or an output path that cannot be made
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import numpy as np
 from .attacks import ATTACK_STRATEGIES
 from .errors import DomainError, ParseError, ValidationError
 from .game import Equilibrium, PayoffMatrix, find_pure_nash, solve_zero_sum
-from .network import RoadNetwork, load_network
+from .network import RoadNetwork, _read_utf8, load_network
 from .routing import DEFENSE_STRATEGIES
 from .simulate import (JobCard, RoundMetrics, reclassify_with_multiplier,
                        run_rounds)
@@ -182,18 +182,17 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         kwargs = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                try:
-                    kwargs[key.strip()] = cls._parse_value(key.strip(), value)
-                except ParseError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+        for lineno, line in enumerate(_read_utf8(path), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            try:
+                kwargs[key.strip()] = cls._parse_value(key.strip(), value)
+            except ParseError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
         return cls(**kwargs)
 
     # -- scenario building ------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -86,10 +87,10 @@ class RoadNetwork:
                 raise ValidationError(
                     f"edges {seen_pairs[pair]!r} and {edge.edge_id!r} duplicate pair {pair}")
             seen_pairs[pair] = edge.edge_id
-            if not (edge.length_m > 0 and math.isfinite(edge.length_m)):
-                raise ValidationError(f"edge {edge.edge_id!r} has non-positive length")
-            if not (edge.speed_mps > 0 and math.isfinite(edge.speed_mps)):
-                raise ValidationError(f"edge {edge.edge_id!r} has non-positive speed")
+            for name, value in (("length_m", edge.length_m), ("speed_mps", edge.speed_mps)):
+                if not (value > 0 and math.isfinite(value)):
+                    raise ValidationError(
+                        f"edge {edge.edge_id!r} {name} must be finite and > 0, got {value!r}")
             edge_map[edge.edge_id] = edge
 
         self.nodes: dict[str, Node] = node_map
@@ -179,21 +180,36 @@ class EdgeSet:
 # -- file ingestion ------------------------------------------------------
 
 
+def _read_utf8(path, newline: str | None = None) -> io.StringIO:
+    """The file's text, readable like ``open(path, newline=newline)``.
+
+    The bytes are decoded up front, so a file that is not UTF-8 raises a
+    ``ParseError`` naming the file and line instead of failing mid-read.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"{path}:{lineno}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+
+
 def _read_rows(path, expected_header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(expected_header):
+    reader = csv.reader(_read_utf8(path, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != list(expected_header):
+        raise ParseError(
+            f"{path}:1: expected header {','.join(expected_header)!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(expected_header):
             raise ParseError(
-                f"{path}:1: expected header {','.join(expected_header)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(expected_header)} fields, got {len(row)}")
-            rows.append((lineno, [field.strip() for field in row]))
+                f"{path}:{lineno}: expected {len(expected_header)} fields, got {len(row)}")
+        rows.append((lineno, [field.strip() for field in row]))
     return rows
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, ParseError, ValidationError
-from .network import Edge, Node, RoadNetwork, _dijkstra, shortest_path
+from .network import Edge, Node, RoadNetwork, _dijkstra, _read_rows, shortest_path
 from .rng import substream
 from .simulate import JobCard, Stop
 
@@ -60,23 +60,13 @@ def parse_jobcards(path) -> list[JobCard]:
     they meet a network.
     """
     rows_by_courier: dict[str, list[tuple[int, int, str, str, str]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(JOBCARDS_HEADER):
-            raise ParseError(f"{path}:1: expected header {','.join(JOBCARDS_HEADER)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(JOBCARDS_HEADER):
-                raise ParseError(f"{path}:{lineno}: expected {len(JOBCARDS_HEADER)} fields")
-            courier, seq_raw, node_id, ws_raw, we_raw = (field.strip() for field in row)
-            try:
-                seq = int(seq_raw)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: invalid seq {seq_raw!r}") from None
-            rows_by_courier.setdefault(courier, []).append(
-                (seq, lineno, node_id, ws_raw, we_raw))
+    for lineno, (courier, seq_raw, node_id, ws_raw, we_raw) in _read_rows(path, JOBCARDS_HEADER):
+        try:
+            seq = int(seq_raw)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: invalid seq {seq_raw!r}") from None
+        rows_by_courier.setdefault(courier, []).append(
+            (seq, lineno, node_id, ws_raw, we_raw))
 
     cards = []
     for courier in sorted(rows_by_courier):
@@ -86,8 +76,12 @@ def parse_jobcards(path) -> list[JobCard]:
             raise ValidationError(f"courier {courier!r}: missing warehouse row (seq 0)")
         if len(set(seqs)) != len(seqs):
             raise ValidationError(f"courier {courier!r}: duplicate seq numbers")
-        _, _, warehouse, day_start_raw, _ = rows[0]
-        day_start = float(day_start_raw) if day_start_raw else 0.0
+        _, warehouse_lineno, warehouse, day_start_raw, _ = rows[0]
+        try:
+            day_start = float(day_start_raw) if day_start_raw else 0.0
+        except ValueError:
+            raise ParseError(
+                f"{path}:{warehouse_lineno}: invalid day start {day_start_raw!r}") from None
         stops = []
         for seq, lineno, node_id, ws_raw, we_raw in rows[1:]:
             try:

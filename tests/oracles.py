@@ -1,14 +1,18 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately naive (enumeration, exhaustive search,
-exact rational arithmetic) and shares no code paths with the library
-implementations it checks.
+exact rational arithmetic).  The brute-force oracles share no code paths
+with the library implementations they check; the reference
+implementations at the end are the slower forms that faster library
+code replaced, kept so the fast forms can be checked for equal output.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from roadgame.network import RoadNetwork
+import numpy as np
+
+from roadgame.network import RoadNetwork, _dijkstra
 
 
 def enumerate_simple_paths(net: RoadNetwork, src: str, dst: str):
@@ -121,3 +125,55 @@ def brute_min_conductance_bipartition(net: RoadNetwork) -> float:
 def closed_form_2x2_value(a: float, b: float, c: float, d: float) -> float:
     """Game value of [[a, b], [c, d]] without a saddle point."""
     return (a * d - b * c) / (a + d - b - c)
+
+
+# -- reference implementations replaced by faster library code ---------------
+
+
+def fraction_betweenness(net: RoadNetwork):
+    """Brandes node and edge betweenness with a ``Fraction`` per dependency."""
+    tt = net.travel_times()
+    node_acc = {v: Fraction(0) for v in net.node_ids}
+    edge_acc = {e: Fraction(0) for e in net.edge_ids}
+    for s in net.node_ids:
+        order, dist = _dijkstra(net, s, tt)
+        sigma = {s: 1}
+        preds = {s: []}
+        for w in order[1:]:
+            preds[w] = [(v, eid) for eid, v in net.adjacency[w]
+                        if v in sigma and dist[v] + tt[eid] == dist[w]]
+            sigma[w] = sum(sigma[v] for v, _ in preds[w])
+        delta = {v: Fraction(0) for v in order}
+        for w in reversed(order):
+            coeff = (1 + delta[w]) / sigma[w]
+            for v, eid in preds[w]:
+                contrib = sigma[v] * coeff
+                delta[v] += contrib
+                edge_acc[eid] += contrib
+            if w != s:
+                node_acc[w] += delta[w]
+    return ({v: float(x / 2) for v, x in node_acc.items()},
+            {e: float(x / 2) for e, x in edge_acc.items()})
+
+
+def tensor_kmeans(features: np.ndarray, num_clusters: int, rng) -> np.ndarray:
+    """k-means taking all distances from one n x k x d difference tensor."""
+    n = features.shape[0]
+    centroid_rows = rng.choice(n, size=num_clusters, replace=False)
+    centroids = features[np.sort(centroid_rows)].copy()
+    labels = np.zeros(n, dtype=int)
+    for _ in range(100):
+        dist = np.linalg.norm(features[:, None, :] - centroids[None, :, :], axis=2)
+        new_labels = np.argmin(dist, axis=1)
+        for c in range(num_clusters):
+            mask = new_labels == c
+            if mask.any():
+                centroids[c] = features[mask].mean(axis=0)
+            else:
+                farthest = int(np.argmax(dist[np.arange(n), new_labels]))
+                new_labels[farthest] = c
+                centroids[c] = features[farthest]
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels

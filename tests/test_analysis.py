@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_net, clique_edges
 from oracles import (brute_best_bipartition, brute_betweenness,
-                     brute_modularity)
-from roadgame.analysis import (Partition, agglomerative_modularity, centrality,
-                               flow_partition, map_equation_codelength,
-                               mixing_partition, mixing_transition_matrix,
-                               modularity, partition_cutset, spectral_bisect)
+                     brute_modularity, fraction_betweenness, tensor_kmeans)
+from roadgame.analysis import (Partition, _betweenness_scores, _kmeans,
+                               agglomerative_modularity, centrality,
+                               default_short_walk_len, flow_partition,
+                               map_equation_codelength, mixing_partition,
+                               mixing_transition_matrix, modularity,
+                               partition_cutset, spectral_bisect)
 from roadgame.errors import DomainError
 from roadgame.network import Node, RoadNetwork
 from roadgame.rng import substream
+from roadgame.synth import generate_city
 
 
 def random_connected_net(seed, n=10, p=0.35, max_weight=5):
@@ -65,6 +69,29 @@ class TestCentrality:
             nodes, edges = brute_betweenness(net)
             assert scores.node_scores == nodes
             assert scores.edge_scores == edges
+
+    @pytest.mark.parametrize("graph", ["grid16", "planted64", "bypass_city"])
+    def test_betweenness_equals_fraction_reference(self, request, graph):
+        # many equal-cost paths: per-source denominators differ and grow large
+        if graph == "grid16":
+            net = generate_city("grid", rows=16, cols=16, edge_time_s=60.0)
+        else:
+            net = request.getfixturevalue(graph)
+        assert _betweenness_scores(net) == fraction_betweenness(net)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 5), st.data())
+    def test_betweenness_equals_fraction_reference_on_tied_grids(self, rows, cols, data):
+        edges = []
+        for r in range(rows):
+            for c in range(cols):
+                if c + 1 < cols:
+                    edges.append((f"h{r}{c}", f"n{r}{c}", f"n{r}{c + 1}"))
+                if r + 1 < rows:
+                    edges.append((f"v{r}{c}", f"n{r}{c}", f"n{r + 1}{c}"))
+        times = {eid: float(data.draw(st.integers(1, 2), label=eid)) for eid, _, _ in edges}
+        net = build_net(edges, times=times)
+        assert _betweenness_scores(net) == fraction_betweenness(net)
 
     def test_betweenness_leaf_of_tree_is_zero(self):
         net = build_net([("e0", "r", "a"), ("e1", "r", "b"), ("e2", "a", "c")])
@@ -212,6 +239,32 @@ class TestMixingPartition:
         for seed in range(20):
             cut = partition_cutset(net, mixing_partition(net, seed=seed))
             assert sorted(cut.ids) == bridges, f"seed {seed}"
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["uniform", "offset", "repeated"])
+    def test_kmeans_equals_tensor_reference_on_random_features(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            features = rng.random((60, 10))
+        elif kind == "offset":
+            # a large common offset punishes any reordering of the arithmetic
+            features = 1e6 + rng.random((60, 10))
+        else:
+            # small integer features repeat rows, which empties clusters
+            features = rng.integers(0, 3, size=(40, 4)).astype(float)
+        for k in range(2, 7):
+            labels = _kmeans(features, k, substream(seed, "kmeans-test", k))
+            expected = tensor_kmeans(features, k, substream(seed, "kmeans-test", k))
+            assert np.array_equal(labels, expected), k
+
+    def test_kmeans_equals_tensor_reference_on_walk_features(self, bypass_city):
+        features = np.linalg.matrix_power(mixing_transition_matrix(bypass_city),
+                                          default_short_walk_len(bypass_city))
+        for k in range(2, 9):
+            labels = _kmeans(features, k, substream(2718, "mixing-kmeans", k))
+            expected = tensor_kmeans(features, k, substream(2718, "mixing-kmeans", k))
+            assert np.array_equal(labels, expected), k
 
 
 class TestFlowPartition:

@@ -14,7 +14,9 @@ from roadgame.errors import ParseError, ValidationError
 from roadgame.experiment import (DEFAULT_ATTACKER_COUNTS, DEFAULT_SEEDS,
                                  DEFAULT_WINDOW_MULTIPLIERS, ExperimentConfig,
                                  emit_reports, run_matrix, run_sweep)
+from roadgame.network import save_network
 from roadgame.routing import DEFENSE_STRATEGIES
+from roadgame.synth import generate_city
 
 SMALL_CFG = """\
 network_kind = two_cluster
@@ -161,6 +163,12 @@ class TestConfig:
             ExperimentConfig.from_file(path)
         for text, value in (("true", True), ("OFF", False), ("1", True), ("no", False)):
             assert ExperimentConfig.from_mapping({"nested_plans": text}).nested_plans is value
+
+    def test_non_utf8_config_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# caf\xc3\xa9\nnetwork_kind = gr\xe9d\n")
+        with pytest.raises(ParseError, match=r"latin1\.txt:2: not UTF-8 text \(byte 0xe9\)"):
+            ExperimentConfig.from_file(path)
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=_configs())
@@ -383,6 +391,32 @@ class TestCliCommands:
                           "gen-city"])
         assert result.returncode == 1
         assert "error" in result.stderr
+
+
+@pytest.mark.parametrize("case", ["config", "nodes_file", "edges_file", "jobcards_file",
+                                  "out_under_file", "out_is_file"])
+def test_file_errors_exit_1_naming_the_path(tmp_path, capsys, case):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    cfg = tmp_path / "cfg.txt"
+    save_network(generate_city("grid", rows=2, cols=2, edge_time_s=60.0),
+                 tmp_path / "nodes.csv", tmp_path / "edges.csv")
+    files = {"nodes_file": tmp_path / "nodes.csv", "edges_file": tmp_path / "edges.csv"}
+    missing = tmp_path / "missing.csv"
+    if case in files:
+        files[case] = missing
+    lines = ["network_kind = files", f"nodes_file = {files['nodes_file']}",
+             f"edges_file = {files['edges_file']}"]
+    command = ["gen-city"]
+    if case == "jobcards_file":
+        lines += ["fleet_kind = file", f"jobcards_file = {missing}"]
+        command = ["simulate", "--attack", "random", "--defense", "shortest"]
+    cfg.write_text("\n".join(lines) + "\n")
+    out = {"out_under_file": afile / "sub", "out_is_file": afile}.get(case, tmp_path / "o")
+    config = tmp_path / "nope.txt" if case == "config" else cfg
+    assert cli_main(["--config", str(config), "--out", str(out), *command]) == 1
+    path = {"config": config, "out_under_file": out, "out_is_file": out}.get(case, missing)
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize("method", ["botgrep", "infomap"])

@@ -73,6 +73,28 @@ class TestLoadNetwork:
         with pytest.raises(ValidationError, match="length"):
             load_network(nodes, edges)
 
+    @pytest.mark.parametrize("field, raw, shown", [
+        ("length_m", "nan", "nan"), ("length_m", "inf", "inf"), ("length_m", "1e400", "inf"),
+        ("length_m", "0", "0.0"), ("speed_mps", "-2", "-2.0"), ("speed_mps", "nan", "nan")])
+    def test_bad_length_or_speed_names_the_value(self, tmp_path, field, raw, shown):
+        length, speed = (raw, "1") if field == "length_m" else ("10", raw)
+        nodes, edges = write_files(
+            tmp_path,
+            "node_id,x,y\nA,0,0\nB,1,0\n",
+            f"edge_id,u,v,length_m,speed_mps\ne0,A,B,{length},{speed}\n")
+        with pytest.raises(ValidationError) as exc:
+            load_network(nodes, edges)
+        assert str(exc.value) == f"edge 'e0' {field} must be finite and > 0, got {shown}"
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        nodes, edges = write_files(
+            tmp_path,
+            "node_id,x,y\nA,0,0\nB,1,0\n",
+            "edge_id,u,v,length_m,speed_mps\ne0,A,B,10,1\n")
+        nodes.write_bytes(b"node_id,x,y\nA,0,0\n\xe9,1,0\n")
+        with pytest.raises(ParseError, match=r"nodes\.csv:3: not UTF-8 text \(byte 0xe9\)"):
+            load_network(nodes, edges)
+
     def test_load_is_pure_function_of_bytes(self, tmp_path):
         args = write_files(
             tmp_path,

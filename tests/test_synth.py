@@ -48,6 +48,22 @@ class TestJobcardFiles:
         with pytest.raises(ValidationError, match="stops"):
             parse_jobcards(path)
 
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "cards.csv"
+        path.write_bytes(b"courier_id,seq,node_id,window_start_s,window_end_s\n"
+                         b"c0,0,W,,\nc0,1,caf\xe9,0,100\n")
+        with pytest.raises(ParseError, match=r"cards\.csv:3: not UTF-8 text \(byte 0xe9\)"):
+            parse_jobcards(path)
+
+    def test_bad_day_start_is_parse_error(self, tmp_path):
+        path = tmp_path / "cards.csv"
+        path.write_text(
+            "courier_id,seq,node_id,window_start_s,window_end_s\n"
+            "c0,1,A,0,100\n"
+            "c0,0,W,soon,\n")
+        with pytest.raises(ParseError, match=r"cards\.csv:3: invalid day start 'soon'"):
+            parse_jobcards(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "cards.csv"
         path.write_text("courier,stop\n")
