@@ -9,17 +9,16 @@ from .attacks import (ATTACK_STRATEGIES, AttackPlan, empty_attack_plan,
 from .errors import (ConvergenceError, DomainError, ParseError, RoadGameError,
                      SolverError, ValidationError)
 from .experiment import ExperimentConfig, emit_reports, run_matrix, run_sweep
-from .game import (Equilibrium, PayoffMatrix, best_response_cycle,
-                   build_payoff_matrix, find_pure_nash, solve_zero_sum)
+from .game import Equilibrium, PayoffMatrix, find_pure_nash, solve_zero_sum
 from .network import (Edge, EdgeSet, Node, RoadNetwork, conductance,
                       edge_disjoint_paths, load_network, save_network,
                       shortest_path)
 from .routing import (DEFENSE_STRATEGIES, RoutePlan, inverse_centrality_scores,
-                      leg_node_sequence, plan_route)
+                      plan_route)
 from .simulate import (JobCard, RoundMetrics, Stop, TourResult,
                        apply_window_multiplier, metrics_from_tours,
-                       reclassify_with_multiplier, run_round,
-                       run_round_details, run_rounds, run_tour)
+                       reclassify_with_multiplier, run_round_details, run_rounds,
+                       run_tour)
 from .synth import (TraceTolerance, generate_city, make_fleet, parse_jobcards,
                     synthesize_traces, write_jobcards, write_leg_audit)
 

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
-from .network import EdgeSet, RoadNetwork, _dijkstra, conductance
+from .network import EdgeSet, RoadNetwork, _dijkstra, conductance, memoised
 from .rng import substream
 
 CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
@@ -76,18 +76,15 @@ def _check_partition(net: RoadNetwork, part: Partition) -> None:
 # -- centrality ------------------------------------------------------------
 
 
+@memoised
 def _adjacency_matrix(net: RoadNetwork) -> np.ndarray:
-    cached = net._cache.get("adj_matrix")
-    if cached is None:
-        index = {v: i for i, v in enumerate(net.node_ids)}
-        a = np.zeros((net.num_nodes, net.num_nodes))
-        for e in net.edges.values():
-            i, j = index[e.u], index[e.v]
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        cached = a
-        net._cache["adj_matrix"] = cached
-    return cached
+    index = {v: i for i, v in enumerate(net.node_ids)}
+    a = np.zeros((net.num_nodes, net.num_nodes))
+    for e in net.edges.values():
+        i, j = index[e.u], index[e.v]
+        a[i, j] = 1.0
+        a[j, i] = 1.0
+    return a
 
 
 def _eigenvector_scores(net: RoadNetwork) -> dict[str, float]:
@@ -162,6 +159,7 @@ def _betweenness_scores(net: RoadNetwork) -> tuple[dict[str, float], dict[str, f
     return nodes, edges
 
 
+@memoised
 def centrality(net: RoadNetwork, kind: str) -> CentralityScores:
     """Deterministic node and edge centrality scores of the given kind.
 
@@ -171,10 +169,6 @@ def centrality(net: RoadNetwork, kind: str) -> CentralityScores:
     """
     if kind not in CENTRALITY_KINDS:
         raise DomainError(f"unknown centrality kind {kind!r}")
-    cached = net._cache.get(("centrality", kind))
-    if cached is not None:
-        return cached
-
     if kind == "degree":
         node_scores = {v: float(net.degree(v)) for v in net.node_ids}
         edge_scores = {eid: float(min(net.degree(net.edges[eid].u),
@@ -187,10 +181,7 @@ def centrality(net: RoadNetwork, kind: str) -> CentralityScores:
                        for eid in net.edge_ids}
     else:
         node_scores, edge_scores = _betweenness_scores(net)
-
-    scores = CentralityScores(kind, node_scores, edge_scores)
-    net._cache[("centrality", kind)] = scores
-    return scores
+    return CentralityScores(kind, node_scores, edge_scores)
 
 
 # -- modularity ------------------------------------------------------------
@@ -417,15 +408,13 @@ def partition_cutset(net: RoadNetwork, part: Partition) -> EdgeSet:
 # -- random-walk mixing partition (slow-mixing cut detection) ----------------
 
 
+@memoised
 def mixing_transition_matrix(net: RoadNetwork) -> np.ndarray:
     """Walk kernel with P[i, j] = min(1/d_i, 1/d_j) for adjacent i, j.
 
     A self-loop absorbs the residual probability so every row sums to 1.
     Rows/columns follow sorted node-id order.
     """
-    cached = net._cache.get("mixing_kernel")
-    if cached is not None:
-        return cached
     index = {v: i for i, v in enumerate(net.node_ids)}
     n = net.num_nodes
     p = np.zeros((n, n))
@@ -436,7 +425,6 @@ def mixing_transition_matrix(net: RoadNetwork) -> np.ndarray:
         p[j, i] = prob
     for i in range(n):
         p[i, i] = 1.0 - p[i].sum()
-    net._cache["mixing_kernel"] = p
     return p
 
 
@@ -575,31 +563,58 @@ class _MapEquationState:
     def _term(self, exit_c: float, p_sum_c: float) -> float:
         return _xlogx(exit_c + p_sum_c) - _xlogx(exit_c)
 
-    def _move_updates(self, i: int, target: int) -> list[tuple[int, float, float]]:
+    def _flows_by_community(self, i: int) -> dict[int, float]:
+        """Flow from node i to each neighbouring community, summed in edge order."""
+        flows: dict[int, float] = {}
+        for j, f in self.node_flow[i]:
+            flows[self.comm[j]] = flows.get(self.comm[j], 0) + f
+        return flows
+
+    def _move_updates(self, i: int, target: int,
+                      flows: dict[int, float]) -> list[tuple[int, float, float]]:
         source = self.comm[i]
-        new_src_exit = self.exit[source] - self.p[i] + self._flow_to(i, source)
-        new_tgt_exit = self.exit[target] + self.p[i] - self._flow_to(i, target)
         return [
-            (source, new_src_exit, self.p_sum[source] - self.p[i]),
-            (target, new_tgt_exit, self.p_sum[target] + self.p[i]),
+            (source, self.exit[source] - self.p[i] + flows.get(source, 0),
+             self.p_sum[source] - self.p[i]),
+            (target, self.exit[target] + self.p[i] - flows[target],
+             self.p_sum[target] + self.p[i]),
         ]
 
-    def move_delta(self, i: int, target: int) -> float:
-        if self.comm[i] == target:
-            return 0.0
-        s1, s2, modules = self.s1, self.s2, self.modules
-        for c, new_exit, new_p in self._move_updates(i, target):
-            s1 += new_exit - self.exit[c]
-            s2 += _xlogx(new_exit) - _xlogx(self.exit[c])
-            modules += self._term(new_exit, new_p) - self._term(self.exit[c], self.p_sum[c])
-        return (_xlogx(s1) - 2 * s2 + modules + self.const) - self.codelength()
+    def _moved(self, totals: tuple[float, float, float], c: int, new_exit: float,
+               new_p: float) -> tuple[float, float, float]:
+        """(s1, s2, modules) from ``totals`` once community c takes these totals."""
+        s1, s2, modules = totals
+        return (s1 + (new_exit - self.exit[c]),
+                s2 + (_xlogx(new_exit) - _xlogx(self.exit[c])),
+                modules + (self._term(new_exit, new_p) - self._term(self.exit[c], self.p_sum[c])))
+
+    def best_move(self, i: int) -> tuple[float, int] | None:
+        """(delta, target) of node i's most code-shortening move, or None.
+
+        One pass over i's edges gives its flow to every neighbouring
+        community; the source-side terms and the current codelength are
+        computed once and shared by every target.
+        """
+        flows = self._flows_by_community(i)
+        targets = sorted(c for c in flows if c != self.comm[i])
+        if not targets:
+            return None
+        updates = [self._move_updates(i, target, flows) for target in targets]
+        left = self._moved((self.s1, self.s2, self.modules), *updates[0][0])
+        baseline = self.codelength()
+        best: tuple[float, int] | None = None
+        for target, (_, join) in zip(targets, updates):
+            s1, s2, modules = self._moved(left, *join)
+            delta = (_xlogx(s1) - 2 * s2 + modules + self.const) - baseline
+            if delta < -1e-12 and (best is None or (delta, target) < best):
+                best = (delta, target)
+        return best
 
     def apply_move(self, i: int, target: int) -> None:
         source = self.comm[i]
-        for c, new_exit, new_p in self._move_updates(i, target):
-            self.s1 += new_exit - self.exit[c]
-            self.s2 += _xlogx(new_exit) - _xlogx(self.exit[c])
-            self.modules += self._term(new_exit, new_p) - self._term(self.exit[c], self.p_sum[c])
+        for c, new_exit, new_p in self._move_updates(i, target, self._flows_by_community(i)):
+            self.s1, self.s2, self.modules = self._moved((self.s1, self.s2, self.modules),
+                                                         c, new_exit, new_p)
             self.exit[c] = new_exit
             self.p_sum[c] = new_p
         self.members[source].discard(i)
@@ -657,13 +672,7 @@ def flow_partition(net: RoadNetwork) -> Partition:
         while improving:
             improving = False
             for i in range(state.n):
-                targets = sorted({state.comm[j] for j, _ in state.node_flow[i]}
-                                 - {state.comm[i]})
-                best: tuple[float, int] | None = None
-                for target in targets:
-                    delta = state.move_delta(i, target)
-                    if delta < -1e-12 and (best is None or (delta, target) < best):
-                        best = (delta, target)
+                best = state.best_move(i)
                 if best is not None:
                     state.apply_move(i, best[1])
                     improving = True

@@ -17,7 +17,7 @@ from .analysis import (Partition, agglomerative_modularity, centrality,
                        flow_partition, mixing_partition, partition_cutset,
                        spectral_bisect)
 from .errors import DomainError
-from .network import EdgeSet, RoadNetwork
+from .network import EdgeSet, RoadNetwork, memoised
 from .rng import substream
 
 logger = logging.getLogger(__name__)
@@ -71,12 +71,12 @@ def strategy_edge_ranking(net: RoadNetwork, strategy: str, seed: int = 0) -> lis
         rng = substream(seed, "attack-random")
         ids = list(net.edge_ids)
         return [ids[i] for i in rng.permutation(len(ids))]
+    return list(_graph_ranking(net, strategy))
 
-    cache_key = ("attack-ranking", strategy)
-    cached = net._cache.get(cache_key)
-    if cached is not None:
-        return list(cached)
 
+@memoised
+def _graph_ranking(net: RoadNetwork, strategy: str) -> tuple[str, ...]:
+    """Ranking of a graph-derived strategy: a function of the topology alone."""
     if strategy == "degree":
         # edges of the highest-degree nodes, nodes in descending degree
         # (node-id order across equal degrees), each node's edges by id
@@ -103,9 +103,7 @@ def strategy_edge_ranking(net: RoadNetwork, strategy: str, seed: int = 0) -> lis
         inside = _betweenness_ranked(net, sorted(cutset))
         outside = _betweenness_ranked(net, [e for e in net.edge_ids if e not in cutset])
         ranking = inside + outside
-
-    net._cache[cache_key] = tuple(ranking)
-    return ranking
+    return tuple(ranking)
 
 
 def select_attack_edges(net: RoadNetwork, strategy: str, k: int, seed: int = 0) -> AttackPlan:

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from .attacks import (ATTACK_STRATEGIES, PARTITION_STRATEGIES, _partition_for,
                       select_attack_edges, write_attack_plan)
 from .errors import RoadGameError
-from .experiment import (ExperimentConfig, emit_reports, run_matrix, run_sweep,
-                         ROUND_HEADER, _fmt)
+from .experiment import (ROUND_HEADER, ExperimentConfig, emit_reports, format_row,
+                         run_matrix, run_sweep)
 from .network import load_network, save_network
 from .routing import DEFENSE_STRATEGIES
-from .simulate import run_round
+from .simulate import run_round_details
 from .synth import (TraceTolerance, parse_jobcards, synthesize_traces,
                     write_jobcards, write_leg_audit)
 
@@ -81,8 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
     # --out overrides the destination without touching the config (and
-    # therefore without perturbing the manifest hash)
-    return args.out if args.out is not None else Path(cfg.output_dir)
+    # therefore without perturbing the manifest hash); the directory is made here
+    out = args.out if args.out is not None else Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -100,16 +102,14 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     net = cfg.build_network()
     fleet = cfg.build_fleet(net)
     out = _out_dir(cfg, args)
-    out.mkdir(parents=True, exist_ok=True)
     lines = [ROUND_HEADER]
     late = []
     for seed in cfg.seeds:
-        m = run_round(net, fleet, args.attack, args.defense, cfg.k,
-                      cfg.ambush_delay_s, seed, cfg.nested_plans)
+        m = run_round_details(net, fleet, args.attack, args.defense, cfg.k,
+                              cfg.ambush_delay_s, seed, cfg.nested_plans).metrics
         late.append(m.late_fraction)
-        lines.append(f"{args.attack},{args.defense},{cfg.k},{_fmt(cfg.ambush_delay_s)},1,"
-                     f"{_fmt(m.late_fraction)},{_fmt(m.critical_fraction_of_late)},"
-                     f"{_fmt(m.mean_tour_time_s)},{_fmt(m.p95_tour_time_s)},{m.total_ambushes}")
+        row = (args.attack, args.defense, cfg.k, 1.0, seed) + astuple(m)
+        lines.append(format_row(cfg, row, seed_column=False))
     (out / "round_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{args.attack} vs {args.defense}: mean late fraction "
           f"{sum(late) / len(late):.3f} over {len(late)} seeds")
@@ -141,7 +141,6 @@ def _cmd_attack(cfg: ExperimentConfig, args) -> int:
     net = cfg.build_network()
     plan = select_attack_edges(net, args.strategy, args.k, seed=cfg.seeds[0])
     out = _out_dir(cfg, args)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"attack_{args.strategy}.csv"
     write_attack_plan(plan, path)
     print(f"{args.strategy}: {plan.k} edges -> {path}")
@@ -152,7 +151,6 @@ def _cmd_analyze(cfg: ExperimentConfig, args) -> int:
     net = cfg.build_network()
     part = _partition_for(net, args.method)
     out = _out_dir(cfg, args)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"partition_{args.method}.csv"
     lines = ["node_id,community"]
     lines.extend(f"{node},{part.label(node)}" for node in net.node_ids)
@@ -168,7 +166,6 @@ def _cmd_synth(cfg: ExperimentConfig, args) -> int:
     tol = TraceTolerance(relative_tolerance=args.tolerance)
     cards, audits = synthesize_traces(base_cards, base_net, target, tol, seed=cfg.seeds[0])
     out = _out_dir(cfg, args)
-    out.mkdir(parents=True, exist_ok=True)
     write_jobcards(cards, out / "synthetic_cards.csv")
     write_leg_audit(audits, out / "synthetic_legs.csv")
     print(f"synthesised {len(cards)} cards, {len(audits)} legs -> {out}")
@@ -178,7 +175,6 @@ def _cmd_synth(cfg: ExperimentConfig, args) -> int:
 def _cmd_gen_city(cfg: ExperimentConfig, args) -> int:
     net = cfg.build_network()
     out = _out_dir(cfg, args)
-    out.mkdir(parents=True, exist_ok=True)
     save_network(net, out / "nodes.csv", out / "edges.csv")
     print(f"{net.num_nodes} nodes, {net.num_edges} edges -> {out}")
     return 0

@@ -13,6 +13,7 @@ so worker count never changes any output byte.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -32,14 +33,20 @@ DEFAULT_WINDOW_MULTIPLIERS = tuple(round(1.0 + 0.25 * i, 2) for i in range(11)) 
 DEFAULT_ATTACKER_COUNTS = (1, 5, 10, 20, 30, 40, 50)
 DEFAULT_SEEDS = tuple(range(10))
 
-ROUND_HEADER = ("attack,defense,k,M,window_mult,late_frac,crit_frac_of_late,"
-                "mean_tour_s,p95_tour_s,ambushes")
 SWEEP_HEADER = ("attack,defense,k,M,window_mult,seed,late_frac,crit_frac_of_late,"
                 "mean_tour_s,p95_tour_s,ambushes")
+ROUND_HEADER = SWEEP_HEADER.replace(",seed,", ",")
 
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
              "false": False, "0": False, "no": False, "off": False}
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -163,11 +170,11 @@ class ExperimentConfig:
             if isinstance(current, int):
                 return int(text)
             if isinstance(current, float):
-                return float(text)
+                return _finite_float(text)
             if isinstance(current, tuple):
                 items = [part.strip() for part in text.split(",") if part.strip()]
                 if current and isinstance(current[0], float):
-                    return tuple(float(v) for v in items)
+                    return tuple(_finite_float(v) for v in items)
                 if current and isinstance(current[0], int):
                     return tuple(int(v) for v in items)
                 return tuple(items)
@@ -294,7 +301,6 @@ def _run_cells(cfg: ExperimentConfig, axis: str) -> dict[tuple[str, str, int], l
 
 @dataclass(frozen=True)
 class MatrixResult:
-    config: ExperimentConfig
     payoff: PayoffMatrix
     cell_metrics: dict[tuple[str, str, int], RoundMetrics]
     pure_equilibria: list[tuple[int, int]]
@@ -313,11 +319,10 @@ def run_matrix(cfg: ExperimentConfig) -> MatrixResult:
                 cell_metrics[(attack, defense, seed)] = metrics
                 per_seed[i, j, s] = metrics.late_fraction
 
-    payoff = PayoffMatrix(cfg.attacks, cfg.defenses, per_seed.mean(axis=2),
-                          per_seed, cfg.seeds)
+    payoff = PayoffMatrix(cfg.attacks, cfg.defenses, per_seed.mean(axis=2), per_seed)
     pure = find_pure_nash(payoff)
     mixed = solve_zero_sum(payoff)
-    return MatrixResult(cfg, payoff, cell_metrics, pure, mixed)
+    return MatrixResult(payoff, cell_metrics, pure, mixed)
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str) -> list[tuple]:
@@ -333,6 +338,15 @@ def run_sweep(cfg: ExperimentConfig, axis: str) -> list[tuple]:
 
 
 # -- report emission -----------------------------------------------------------
+
+
+def format_row(cfg: ExperimentConfig, row: tuple, seed_column: bool = True) -> str:
+    """One ``SWEEP_HEADER`` line for a sweep row, or a ``ROUND_HEADER`` line
+    without the seed column."""
+    attack, defense, k, mult, seed, late, crit, mean_t, p95_t, _, ambushes = row
+    seed_field = f"{seed}," if seed_column else ""
+    return (f"{attack},{defense},{k},{_fmt(cfg.ambush_delay_s)},{_fmt(mult)},{seed_field}"
+            f"{_fmt(late)},{_fmt(crit)},{_fmt(mean_t)},{_fmt(p95_t)},{ambushes}")
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -376,20 +390,11 @@ def emit_reports(cfg: ExperimentConfig, out_dir,
                 f"mixed,defender,{defense},{_fmt(float(mixed.defender_strategy[j]))},"
                 f"{_fmt(mixed.value)},{_fmt(mixed.epsilon)}")
 
-    def sweep_lines(rows: list[tuple] | None) -> list[str]:
-        lines = [SWEEP_HEADER]
-        for row in rows or []:
-            attack, defense, k, mult, seed, late, crit, mean_t, p95_t, total, ambushes = row
-            lines.append(f"{attack},{defense},{k},{_fmt(cfg.ambush_delay_s)},{_fmt(mult)},"
-                         f"{seed},{_fmt(late)},{_fmt(crit)},{_fmt(mean_t)},{_fmt(p95_t)},"
-                         f"{ambushes}")
-        return lines
-
     _write_lines(out / "payoff_matrix.csv", payoff_lines)
     _write_lines(out / "critical_delays.csv", critical_lines)
     _write_lines(out / "equilibria.csv", equilibria_lines)
-    _write_lines(out / "sweep_window.csv", sweep_lines(window_rows))
-    _write_lines(out / "sweep_attackers.csv", sweep_lines(attacker_rows))
+    for name, rows in (("sweep_window.csv", window_rows), ("sweep_attackers.csv", attacker_rows)):
+        _write_lines(out / name, [SWEEP_HEADER] + [format_row(cfg, row) for row in rows or []])
 
     manifest = [f"config_hash = {cfg.config_hash()}",
                 f"seeds = {','.join(str(s) for s in cfg.seeds)}"]

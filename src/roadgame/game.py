@@ -1,4 +1,6 @@
-"""Payoff-matrix construction and zero-sum equilibrium computation.
+"""The payoff-matrix type and zero-sum equilibrium computation.
+
+``experiment.run_matrix`` fills the matrix from simulated rounds.
 
 The attacker picks rows and maximises expected late fraction; the
 defender picks columns and minimises it.  Mixed equilibria come from a
@@ -9,13 +11,10 @@ the returned strategy vectors rather than trusted from the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .simulate import JobCard, run_rounds
-from .network import RoadNetwork
 
 PURE = "pure"
 MIXED = "mixed"
@@ -35,11 +34,6 @@ class PayoffMatrix:
     defenses: tuple[str, ...]
     payoff: np.ndarray
     per_seed: np.ndarray
-    seeds: tuple[int, ...]
-
-    @property
-    def samples_per_cell(self) -> int:
-        return len(self.seeds)
 
 
 @dataclass(frozen=True)
@@ -58,30 +52,6 @@ def _as_matrix(matrix) -> np.ndarray:
     if out.ndim != 2 or out.size == 0:
         raise DomainError("payoff matrix must be 2-D and nonempty")
     return out
-
-
-def build_payoff_matrix(net: RoadNetwork, fleet: Sequence[JobCard],
-                        attack_list: Sequence[str], defense_list: Sequence[str],
-                        k: int, ambush_delay_s: float, seeds: Sequence[int],
-                        nested_plans: bool = False) -> PayoffMatrix:
-    """Simulate every (attack, defense, seed) round; cell = mean late fraction.
-
-    Rounds are run per (defense, seed), so each route is planned once and
-    scored against every attack.
-    """
-    if not attack_list or not defense_list:
-        raise DomainError("strategy lists must be nonempty")
-    if not seeds:
-        raise DomainError("at least one seed is required")
-    per_seed = np.zeros((len(attack_list), len(defense_list), len(seeds)))
-    for j, defense in enumerate(defense_list):
-        for s, seed in enumerate(seeds):
-            rounds = run_rounds(net, fleet, attack_list, defense, (k,),
-                                ambush_delay_s, seed, nested_plans)
-            for i, attack in enumerate(attack_list):
-                per_seed[i, j, s] = rounds[(attack, k)].metrics.late_fraction
-    return PayoffMatrix(tuple(attack_list), tuple(defense_list),
-                        per_seed.mean(axis=2), per_seed, tuple(seeds))
 
 
 def find_pure_nash(matrix) -> list[tuple[int, int]]:
@@ -140,40 +110,3 @@ def solve_zero_sum(matrix, epsilon: float = 1e-6) -> Equilibrium:
             achieved_epsilon=achieved)
     kind = PURE if (x.max() >= 1 - _ONE_HOT_TOL and y.max() >= 1 - _ONE_HOT_TOL) else MIXED
     return Equilibrium(kind, x, y, value, achieved)
-
-
-def best_response_cycle(matrix, start: tuple[int, int]) -> list[tuple[int, int]]:
-    """Alternating best-response trajectory from a starting cell.
-
-    The attacker best-responds to the current column, then the defender
-    to the resulting row (ties break to the smallest index).  The cell
-    sequence is recorded at each change and iteration stops when a cell
-    repeats or a full round leaves the cell fixed; a length-1 result is a
-    pure saddle.
-    """
-    a = _as_matrix(matrix)
-    row, col = start
-    if not (0 <= row < a.shape[0] and 0 <= col < a.shape[1]):
-        raise DomainError(f"start cell {start} outside matrix")
-    visited = [(row, col)]
-    seen = {(row, col)}
-    while True:
-        moved = False
-        new_row = int(np.argmax(a[:, col]))
-        if new_row != row:
-            row = new_row
-            moved = True
-            if (row, col) in seen:
-                return visited
-            visited.append((row, col))
-            seen.add((row, col))
-        new_col = int(np.argmin(a[row, :]))
-        if new_col != col:
-            col = new_col
-            moved = True
-            if (row, col) in seen:
-                return visited
-            visited.append((row, col))
-            seen.add((row, col))
-        if not moved:
-            return visited

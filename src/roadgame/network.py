@@ -11,6 +11,7 @@ simulations replayable.
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import io
 import math
@@ -52,13 +53,31 @@ class Edge:
         return self.v if node_id == self.u else self.u
 
 
+def memoised(fn):
+    """Compute ``fn(net, *args)`` once per network and argument tuple.
+
+    Derived quantities are pure functions of the topology, so the value
+    is kept in ``net._cache`` under the function and its arguments, and
+    every later call returns that same object.
+    """
+    name = (fn.__module__, fn.__qualname__)
+
+    @functools.wraps(fn)
+    def cached(net: "RoadNetwork", *args):
+        key = name + args
+        if key not in net._cache:
+            net._cache[key] = fn(net, *args)
+        return net._cache[key]
+    return cached
+
+
 class RoadNetwork:
     """Validated, immutable undirected road graph.
 
     Construction checks the structural invariants (simple graph, positive
     lengths and speeds, endpoints present, connectivity); afterwards the
     object is safe for concurrent read access.  Derived quantities are
-    memoised in ``_cache`` -- they are pure functions of the topology.
+    memoised per network by :func:`memoised`.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge],
@@ -125,18 +144,9 @@ class RoadNetwork:
     def degree(self, node_id: str) -> int:
         return len(self.adjacency[node_id])
 
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        return tuple(v for _, v in self.adjacency[node_id])
-
-    def travel_time(self, edge_id: str) -> float:
-        return self.edges[edge_id].travel_time_s
-
+    @memoised
     def travel_times(self) -> dict[str, float]:
-        cached = self._cache.get("travel_times")
-        if cached is None:
-            cached = {eid: self.edges[eid].travel_time_s for eid in self.edge_ids}
-            self._cache["travel_times"] = cached
-        return cached
+        return {eid: self.edges[eid].travel_time_s for eid in self.edge_ids}
 
     def _is_connected(self) -> bool:
         if not self.nodes:
@@ -343,12 +353,6 @@ def shortest_path(net: RoadNetwork, src: str, dst: str,
     for eid in path:
         total += float(weights[eid])
     return path, total
-
-
-def path_weight(net: RoadNetwork, path: Iterable[str],
-                weights: Mapping[str, float] | None = None) -> float:
-    weights = _check_weights(net, weights)
-    return sum(float(weights[eid]) for eid in path)
 
 
 # -- edge-disjoint paths (max-flow with unit capacities) ------------------

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from .analysis import centrality
 from .errors import DomainError
-from .network import RoadNetwork, edge_disjoint_paths, shortest_path
+from .network import RoadNetwork, edge_disjoint_paths, memoised, shortest_path
 from .rng import substream
 
 if TYPE_CHECKING:
@@ -36,6 +36,7 @@ class RoutePlan:
     failed_leg: int | None = None
 
 
+@memoised
 def inverse_centrality_scores(net: RoadNetwork) -> dict[str, float]:
     """Per-edge avoidance score blending degree, betweenness and eigenvector.
 
@@ -45,9 +46,6 @@ def inverse_centrality_scores(net: RoadNetwork) -> dict[str, float]:
     orientations, and a zero denominator scores 0.  Pure topology: the
     same network always yields bit-identical scores.
     """
-    cached = net._cache.get("inverse_scores")
-    if cached is not None:
-        return cached
     num_edges = net.num_edges
     betw = centrality(net, "betweenness").node_scores
     eig = centrality(net, "eigenvector").node_scores
@@ -62,10 +60,8 @@ def inverse_centrality_scores(net: RoadNetwork) -> dict[str, float]:
         return (c_deg * c_bet * c_eig) / denom
 
     node_score = {v: oriented(v) for v in net.node_ids}
-    scores = {eid: min(node_score[net.edges[eid].u], node_score[net.edges[eid].v])
-              for eid in net.edge_ids}
-    net._cache["inverse_scores"] = scores
-    return scores
+    return {eid: min(node_score[net.edges[eid].u], node_score[net.edges[eid].v])
+            for eid in net.edge_ids}
 
 
 def _random_walk_leg(net: RoadNetwork, src: str, dst: str, rng,
@@ -131,29 +127,3 @@ def plan_route(net: RoadNetwork, card: "JobCard", strategy: str, seed: int = 0) 
             legs.append(leg)
 
     return RoutePlan(strategy=strategy, legs=tuple(legs), seed=seed, failed_leg=failed_leg)
-
-
-def leg_node_sequence(net: RoadNetwork, start: str, leg: tuple[str, ...]) -> list[str]:
-    """Node sequence visited by a leg, starting at ``start``."""
-    nodes = [start]
-    current = start
-    for eid in leg:
-        edge = net.edges.get(eid)
-        if edge is None:
-            raise DomainError(f"leg references unknown edge {eid!r}")
-        if current not in (edge.u, edge.v):
-            raise DomainError(f"edge {eid!r} does not touch node {current!r}")
-        current = edge.other(current)
-        nodes.append(current)
-    return nodes
-
-
-def write_route_plan(plans: dict[str, RoutePlan], path) -> None:
-    """Export routes as courier_id,leg_index,edge_id,order rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("courier_id,leg_index,edge_id,order\n")
-        for courier_id in sorted(plans):
-            plan = plans[courier_id]
-            for leg_index, leg in enumerate(plan.legs):
-                for order, eid in enumerate(leg):
-                    fh.write(f"{courier_id},{leg_index},{eid},{order}\n")

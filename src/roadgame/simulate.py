@@ -18,7 +18,7 @@ import numpy as np
 
 from .attacks import AttackPlan, select_attack_edges
 from .errors import DomainError, ValidationError
-from .network import RoadNetwork
+from .network import RoadNetwork, memoised
 from .routing import RoutePlan, plan_route
 from .rng import derive_seed
 
@@ -100,22 +100,16 @@ def apply_window_multiplier(fleet: Sequence[JobCard], multiplier: float) -> list
     return scaled
 
 
+@memoised
 def _edge_index(net: RoadNetwork) -> dict[str, int]:
     """Position of each edge id in ``net.edge_ids``."""
-    cached = net._cache.get("edge_index")
-    if cached is None:
-        cached = {eid: i for i, eid in enumerate(net.edge_ids)}
-        net._cache["edge_index"] = cached
-    return cached
+    return {eid: i for i, eid in enumerate(net.edge_ids)}
 
 
+@memoised
 def _travel_time_vector(net: RoadNetwork) -> np.ndarray:
     """Travel time of each edge, in ``net.edge_ids`` order."""
-    cached = net._cache.get("travel_time_vector")
-    if cached is None:
-        cached = np.array([net.edges[eid].travel_time_s for eid in net.edge_ids])
-        net._cache["travel_time_vector"] = cached
-    return cached
+    return np.array([net.edges[eid].travel_time_s for eid in net.edge_ids])
 
 
 def _compile_route(net: RoadNetwork, plan: RoutePlan, card: JobCard) -> tuple[np.ndarray, ...]:
@@ -334,14 +328,6 @@ def run_round_details(net: RoadNetwork, fleet: Sequence[JobCard], attack_strateg
     rounds = run_rounds(net, fleet, (attack_strategy,), defense_strategy, (k,),
                         ambush_delay_s, seed, nested_plans)
     return rounds[(attack_strategy, k)]
-
-
-def run_round(net: RoadNetwork, fleet: Sequence[JobCard], attack_strategy: str,
-              defense_strategy: str, k: int,
-              ambush_delay_s: float = DEFAULT_AMBUSH_DELAY_S,
-              seed: int = 0, nested_plans: bool = False) -> RoundMetrics:
-    return run_round_details(net, fleet, attack_strategy, defense_strategy, k,
-                             ambush_delay_s, seed, nested_plans).metrics
 
 
 def reclassify_with_multiplier(fleet: Sequence[JobCard], details: RoundDetails,

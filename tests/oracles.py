@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
+from roadgame.analysis import _xlogx
 from roadgame.network import RoadNetwork, _dijkstra
 
 
@@ -177,3 +178,30 @@ def tensor_kmeans(features: np.ndarray, num_clusters: int, rng) -> np.ndarray:
             break
         labels = new_labels
     return labels
+
+
+
+def per_target_best_move(state, i: int):
+    """(delta, target) of node i's best map-equation move, or None.
+
+    ``state`` is an ``analysis._MapEquationState``.  Each candidate target
+    is scored on its own: the flows to the source and the target are
+    summed afresh and every term is re-evaluated.
+    """
+    def flow_to(community):
+        return sum(f for j, f in state.node_flow[i] if state.comm[j] == community)
+
+    source, p_i = state.comm[i], state.p[i]
+    best = None
+    for target in sorted({state.comm[j] for j, _ in state.node_flow[i]} - {source}):
+        updates = ((source, state.exit[source] - p_i + flow_to(source), state.p_sum[source] - p_i),
+                   (target, state.exit[target] + p_i - flow_to(target), state.p_sum[target] + p_i))
+        s1, s2, modules = state.s1, state.s2, state.modules
+        for c, new_exit, new_p in updates:
+            s1 += new_exit - state.exit[c]
+            s2 += _xlogx(new_exit) - _xlogx(state.exit[c])
+            modules += state._term(new_exit, new_p) - state._term(state.exit[c], state.p_sum[c])
+        delta = (_xlogx(s1) - 2 * s2 + modules + state.const) - state.codelength()
+        if delta < -1e-12 and (best is None or (delta, target) < best):
+            best = (delta, target)
+    return best

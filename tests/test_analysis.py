@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_net, clique_edges
 from oracles import (brute_best_bipartition, brute_betweenness,
-                     brute_modularity, fraction_betweenness, tensor_kmeans)
-from roadgame.analysis import (Partition, _betweenness_scores, _kmeans,
+                     brute_modularity, fraction_betweenness, per_target_best_move,
+                     tensor_kmeans)
+from roadgame.analysis import (Partition, _betweenness_scores, _kmeans, _MapEquationState,
                                agglomerative_modularity, centrality,
                                default_short_walk_len, flow_partition,
                                map_equation_codelength, mixing_partition,
@@ -291,6 +292,21 @@ class TestFlowPartition:
     def test_single_node_is_one_community(self):
         net = RoadNetwork([Node("a", 0.0, 0.0)], [])
         assert flow_partition(net).assignment == {"a": 0}
+
+    def test_best_move_equals_per_target_scoring(self, bypass_city):
+        # the shared source-side terms must leave every delta bit-identical
+        freq = {v: bypass_city.degree(v) / (2 * bypass_city.num_edges)
+                for v in bypass_city.node_ids}
+        state = _MapEquationState(bypass_city, freq)
+        moves = 0
+        for _ in range(3):
+            for i in range(state.n):
+                best = state.best_move(i)
+                assert best == per_target_best_move(state, i)
+                if best is not None:
+                    state.apply_move(i, best[1])
+                    moves += 1
+        assert moves > 0
 
 
 class TestPartitionCutset:

@@ -51,7 +51,8 @@ def _field_values(name: str, default):
     if name == "seeds":
         return st.lists(st.integers(), min_size=1, unique=True).map(tuple)
     if name == "window_multipliers":
-        return st.lists(st.floats(min_value=1.0), unique=True).map(tuple)
+        return st.lists(st.floats(min_value=1.0, allow_infinity=False),
+                        unique=True).map(tuple)
     if name == "attacker_counts":
         return st.lists(st.integers(min_value=1), unique=True).map(tuple)
     if name == "fleet_stop_prefixes":
@@ -65,8 +66,14 @@ def _field_values(name: str, default):
     if isinstance(default, int):
         return st.integers()
     if isinstance(default, float):
-        return st.floats(allow_nan=False)
+        return st.floats(allow_nan=False, allow_infinity=False)
     return _TEXT
+
+
+# every float key and float-list key of the config
+_FLOAT_KEYS = [f.name for f in fields(ExperimentConfig)
+               if isinstance(f.default, float)
+               or (isinstance(f.default, tuple) and f.default and isinstance(f.default[0], float))]
 
 
 def _configs():
@@ -155,6 +162,19 @@ class TestConfig:
         result = run_cli(["--config", str(path), "gen-city"])
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("key", _FLOAT_KEYS)
+    def test_non_finite_float_is_parse_error(self, tmp_path, capsys, key):
+        # nan used to fall back to a default or fail far downstream, and inf ran
+        path = tmp_path / "bad.txt"
+        for text in ("nan", "inf", "-inf", "1e400", "1, nan"):  # 1e400 parses to inf
+            path.write_text(f"{key} = {text}\n")
+            message = f"{path}:1: invalid value for {key}: {text!r}"
+            with pytest.raises(ParseError) as exc:
+                ExperimentConfig.from_file(path)
+            assert str(exc.value) == message
+        assert cli_main(["--config", str(path), "gen-city"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_boolean_typo_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -339,6 +359,18 @@ class TestCliCommands:
         assert lines[0] == ("attack,defense,k,M,window_mult,late_frac,"
                             "crit_frac_of_late,mean_tour_s,p95_tour_s,ambushes")
         assert len(lines) == 3  # one row per seed
+        # each round row is the sweep's row at window_mult 1 without its seed column
+        sweep = tmp_path / "sweep"
+        result = run_cli(["--config", str(small_cfg_file), "--out", str(sweep),
+                          "sweep", "--axis", "window"])
+        assert result.returncode == 0, result.stderr
+        at_one = {}
+        for line in (sweep / "sweep_window.csv").read_text().splitlines()[1:]:
+            cols = line.split(",")
+            if cols[4] == "1":
+                at_one[(cols[0], cols[1], int(cols[5]))] = cols[:5] + cols[6:]
+        for seed, line in zip((0, 1), lines[1:]):
+            assert line.split(",") == at_one[("betweenness", "shortest", seed)]
 
     def test_synth_subcommand(self, tmp_path):
         city = tmp_path / "base"

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import closed_form_2x2_value
-from roadgame.errors import DomainError
-from roadgame.game import (MIXED, PURE, best_response_cycle,
-                           build_payoff_matrix, find_pure_nash, solve_zero_sum)
-from roadgame.synth import make_fleet
+from roadgame.errors import DomainError, ValidationError
+from roadgame.experiment import ExperimentConfig, run_matrix
+from roadgame.game import MIXED, PURE, find_pure_nash, solve_zero_sum
+from roadgame.simulate import run_round_details
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 SADDLE = np.array([[3.0, 1.0], [5.0, 2.0]])
@@ -105,75 +105,62 @@ class TestFindPureNash:
         assert find_pure_nash(m) == [(0, 0), (0, 1)]
 
 
-class TestBestResponseCycle:
-    def test_saddle_terminates_at_saddle(self):
-        for start in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            cells = best_response_cycle(SADDLE, start)
-            assert cells[-1] == (1, 1)
-
-    def test_matching_pennies_four_cycle(self):
-        cells = best_response_cycle(PENNIES, (0, 0))
-        assert len(cells) == 4
-        assert set(cells) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-    def test_single_cell_fixed_point(self):
-        assert best_response_cycle(np.array([[2.0]]), (0, 0)) == [(0, 0)]
-
-    def test_start_bounds(self):
-        with pytest.raises(DomainError):
-            best_response_cycle(PENNIES, (2, 0))
+def planted_config(**keys) -> ExperimentConfig:
+    """Config whose network is the ``planted32`` fixture, 600 s ambushes."""
+    return ExperimentConfig(**{"network_kind": "two_cluster", "cluster_size_a": 16,
+                               "cluster_size_b": 16, "bridges": 2, "edge_time_s": 60.0,
+                               "ambush_delay_s": 600.0, **keys})
 
 
-class TestBuildPayoffMatrix:
+class TestRunMatrixPayoff:
     def test_single_cell_equals_round_metric(self, planted32):
-        from roadgame.simulate import run_round
-        fleet = make_fleet(planted32, 4, 2, 500.0, seed=1)
-        pm = build_payoff_matrix(planted32, fleet, ["random"], ["shortest"],
-                                 k=2, ambush_delay_s=600.0, seeds=[7])
-        direct = run_round(planted32, fleet, "random", "shortest", 2, 600.0, 7)
-        assert pm.payoff[0, 0] == direct.late_fraction
-        assert pm.samples_per_cell == 1
+        cfg = planted_config(fleet_couriers=4, fleet_stops=2, fleet_slack_s=500.0,
+                             fleet_seed=1, attacks=("random",), defenses=("shortest",),
+                             k=2, seeds=(7,))
+        pm = run_matrix(cfg).payoff
+        fleet = cfg.build_fleet(planted32)
+        direct = run_round_details(planted32, fleet, "random", "shortest", 2, 600.0, 7)
+        assert pm.payoff[0, 0] == direct.metrics.late_fraction
+        assert pm.per_seed.shape == (1, 1, 1)
 
-    def test_bridge_attack_dominates_random_on_planted(self, planted32):
-        fleet = make_fleet(planted32, 6, 2, 500.0, seed=2, warehouse="a01x00",
-                           stop_prefixes=("b",))
-        pm = build_payoff_matrix(planted32, fleet, ["betweenness", "random"],
-                                 ["shortest"], k=2, ambush_delay_s=600.0,
-                                 seeds=list(range(6)))
+    def test_bridge_attack_dominates_random_on_planted(self):
+        cfg = planted_config(fleet_couriers=6, fleet_stops=2, fleet_slack_s=500.0,
+                             fleet_seed=2, fleet_warehouse="a01x00",
+                             fleet_stop_prefixes=("b",), attacks=("betweenness", "random"),
+                             defenses=("shortest",), k=2, seeds=tuple(range(6)))
+        pm = run_matrix(cfg).payoff
         assert pm.payoff[0, 0] >= pm.payoff[1, 0]
 
-    def test_duplicate_seeds_bit_identical(self, planted32):
-        fleet = make_fleet(planted32, 3, 2, 500.0, seed=3)
-        pm = build_payoff_matrix(planted32, fleet, ["random"], ["mixnet"],
-                                 k=3, ambush_delay_s=600.0, seeds=[5, 5])
-        assert pm.per_seed[0, 0, 0] == pm.per_seed[0, 0, 1]
+    def test_cell_depends_only_on_its_seed(self):
+        keys = dict(fleet_couriers=3, fleet_stops=2, fleet_slack_s=500.0, fleet_seed=3,
+                    attacks=("random",), defenses=("mixnet",), k=3)
+        alone = run_matrix(planted_config(seeds=(5,), **keys)).payoff
+        paired = run_matrix(planted_config(seeds=(4, 5), **keys)).payoff
+        assert alone.per_seed[0, 0, 0] == paired.per_seed[0, 0, 1]
 
-    def test_entries_in_unit_interval(self, planted32):
-        fleet = make_fleet(planted32, 3, 2, 500.0, seed=4)
-        pm = build_payoff_matrix(planted32, fleet, ["degree", "eigen_c"],
-                                 ["shortest", "inverse"], k=2,
-                                 ambush_delay_s=600.0, seeds=[0, 1])
+    def test_entries_in_unit_interval(self):
+        cfg = planted_config(fleet_couriers=3, fleet_stops=2, fleet_slack_s=500.0,
+                             fleet_seed=4, attacks=("degree", "eigen_c"),
+                             defenses=("shortest", "inverse"), k=2, seeds=(0, 1))
+        pm = run_matrix(cfg).payoff
         assert ((pm.payoff >= 0) & (pm.payoff <= 1)).all()
 
-    def test_validation(self, planted32):
-        fleet = make_fleet(planted32, 2, 1, 500.0, seed=5)
-        with pytest.raises(DomainError):
-            build_payoff_matrix(planted32, fleet, [], ["shortest"], 1, 600.0, [0])
-        with pytest.raises(DomainError):
-            build_payoff_matrix(planted32, fleet, ["random"], ["shortest"], 1, 600.0, [])
+    def test_validation(self):
+        with pytest.raises(ValidationError):
+            planted_config(attacks=(), defenses=("shortest",))
+        with pytest.raises(ValidationError):
+            planted_config(attacks=("random",), defenses=("shortest",), seeds=())
 
     def test_unavoidable_bridge_yields_pure_nash_in_dominant_row(self):
-        from roadgame.synth import generate_city
-        net = generate_city("two_cluster", size_a=16, size_b=16, bridges=1,
-                            edge_time_s=60)
-        fleet = make_fleet(net, 6, 2, 400.0, seed=1, warehouse="a01x00",
-                           stop_prefixes=("b",))
-        pm = build_payoff_matrix(net, fleet, ["betweenness", "random", "degree"],
-                                 ["shortest", "inverse", "mixnet"], k=1,
-                                 ambush_delay_s=600.0, seeds=[0, 1, 2])
+        cfg = planted_config(bridges=1, fleet_couriers=6, fleet_stops=2,
+                             fleet_slack_s=400.0, fleet_seed=1, fleet_warehouse="a01x00",
+                             fleet_stop_prefixes=("b",),
+                             attacks=("betweenness", "random", "degree"),
+                             defenses=("shortest", "inverse", "mixnet"), k=1,
+                             seeds=(0, 1, 2))
+        result = run_matrix(cfg)
         # one bridge, one attacker on it: every defense loses everything
-        assert (pm.payoff[0] == 1.0).all()
-        saddles = find_pure_nash(pm)
+        assert (result.payoff.payoff[0] == 1.0).all()
+        saddles = result.pure_equilibria
         assert saddles and all(i == 0 for i, _ in saddles)
-        eq = solve_zero_sum(pm)
-        assert eq.value == pytest.approx(1.0, abs=1e-6)
+        assert result.mixed.value == pytest.approx(1.0, abs=1e-6)

@@ -27,7 +27,7 @@ class TestLoadNetwork:
             "edge_id,u,v,length_m,speed_mps\ne0,A,B,100,10\n")
         net = load_network(nodes, edges)
         assert net.num_nodes == 2 and net.num_edges == 1
-        assert net.travel_time("e0") == 10.0
+        assert net.edges["e0"].travel_time_s == 10.0
 
     def test_unknown_endpoint_names_offender(self, tmp_path):
         nodes, edges = write_files(

@@ -15,7 +15,7 @@ from roadgame.rng import derive_seed
 from roadgame.simulate import (CRITICALLY_LATE, LATE, ON_TIME, JobCard,
                                Stop, TourResult, apply_window_multiplier,
                                metrics_from_tours, reclassify_with_multiplier,
-                               run_round, run_round_details, run_rounds, run_tour)
+                               run_round_details, run_rounds, run_tour)
 
 
 def manual_attack(net, edge_ids):
@@ -159,17 +159,20 @@ class TestRunRound:
         from roadgame.synth import make_fleet
         fleet = make_fleet(planted32, 6, 2, 400.0, seed=3, warehouse="a01x00",
                            stop_prefixes=("b",))
-        metrics = run_round(planted32, fleet, "betweenness", "shortest", 2, 600.0, 0)
+        metrics = run_round_details(planted32, fleet, "betweenness", "shortest",
+                                    2, 600.0, 0).metrics
         assert metrics.late_fraction == 1.0
 
     def test_mixnet_no_worse_than_shortest_with_bypass(self, bypass_city):
         from roadgame.synth import make_fleet
         fleet = make_fleet(bypass_city, 10, 2, 1400.0, seed=5, warehouse="a00x00",
                            stop_prefixes=("b", "a"))
-        late_shortest = [run_round(bypass_city, fleet, "betweenness", "shortest",
-                                   30, 600.0, s).late_fraction for s in range(4)]
-        late_mixnet = [run_round(bypass_city, fleet, "betweenness", "mixnet",
-                                 30, 600.0, s).late_fraction for s in range(4)]
+        late_shortest = [run_round_details(bypass_city, fleet, "betweenness", "shortest",
+                                           30, 600.0, s).metrics.late_fraction
+                         for s in range(4)]
+        late_mixnet = [run_round_details(bypass_city, fleet, "betweenness", "mixnet",
+                                         30, 600.0, s).metrics.late_fraction
+                       for s in range(4)]
         assert sum(late_mixnet) <= sum(late_shortest)
 
     def test_random_single_edge_interception_probability(self):
@@ -179,7 +182,8 @@ class TestRunRound:
         leg_edges = set(plan.legs[0])
         p_hit = len(leg_edges) / net.num_edges
         trials = 1500
-        late = sum(run_round(net, [card], "random", "shortest", 1, 600.0, seed).late_fraction
+        late = sum(run_round_details(net, [card], "random", "shortest", 1, 600.0,
+                                     seed).metrics.late_fraction
                    for seed in range(trials))
         sigma = math.sqrt(trials * p_hit * (1 - p_hit))
         assert abs(late - trials * p_hit) <= 3 * sigma
@@ -195,7 +199,7 @@ class TestRunRound:
 
     def test_empty_fleet_rejected(self, planted32):
         with pytest.raises(DomainError):
-            run_round(planted32, [], "random", "shortest", 1, 600.0, 0)
+            run_round_details(planted32, [], "random", "shortest", 1, 600.0, 0)
 
     def test_reclassify_matches_full_rerun(self, planted32):
         from roadgame.synth import make_fleet
@@ -203,8 +207,8 @@ class TestRunRound:
         details = run_round_details(planted32, fleet, "betweenness", "shortest",
                                     6, 600.0, 1)
         for mult in (1.0, 1.75, 3.5):
-            direct = run_round(planted32, apply_window_multiplier(fleet, mult),
-                               "betweenness", "shortest", 6, 600.0, 1)
+            direct = run_round_details(planted32, apply_window_multiplier(fleet, mult),
+                                       "betweenness", "shortest", 6, 600.0, 1).metrics
             assert reclassify_with_multiplier(fleet, details, mult) == direct
 
 

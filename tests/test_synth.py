@@ -152,7 +152,7 @@ class TestGenerateCity:
                             edge_time_s=30, bypass_count=2, bypass_time_s=300)
         bypass = [e for e in net.edge_ids if e.startswith("xbypass")]
         assert len(bypass) == 2
-        assert all(net.travel_time(e) == 300.0 for e in bypass)
+        assert all(net.edges[e].travel_time_s == 300.0 for e in bypass)
         # no time-shortest route uses a bypass
         for src in ("a00x00", "a03x03"):
             for dst in ("b00x00", "b03x03"):
