@@ -26,7 +26,6 @@ CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
 _EIGEN_TOL = 1e-10
 _EIGEN_MAX_ITER = 10_000
 _SPECTRAL_TOL = 1e-9
-_Q_STABLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,6 +158,12 @@ def _betweenness_scores(net: RoadNetwork) -> tuple[dict[str, float], dict[str, f
     return nodes, edges
 
 
+def _min_over_ends(net: RoadNetwork, node_scores: Mapping[str, float]) -> dict[str, float]:
+    """Score each edge by the smaller of its two endpoints' scores."""
+    return {eid: min(node_scores[net.edges[eid].u], node_scores[net.edges[eid].v])
+            for eid in net.edge_ids}
+
+
 @memoised
 def centrality(net: RoadNetwork, kind: str) -> CentralityScores:
     """Deterministic node and edge centrality scores of the given kind.
@@ -169,28 +174,24 @@ def centrality(net: RoadNetwork, kind: str) -> CentralityScores:
     """
     if kind not in CENTRALITY_KINDS:
         raise DomainError(f"unknown centrality kind {kind!r}")
-    if kind == "degree":
-        node_scores = {v: float(net.degree(v)) for v in net.node_ids}
-        edge_scores = {eid: float(min(net.degree(net.edges[eid].u),
-                                      net.degree(net.edges[eid].v)))
-                       for eid in net.edge_ids}
-    elif kind == "eigenvector":
-        node_scores = _eigenvector_scores(net)
-        edge_scores = {eid: min(node_scores[net.edges[eid].u],
-                                node_scores[net.edges[eid].v])
-                       for eid in net.edge_ids}
-    else:
+    if kind == "betweenness":
         node_scores, edge_scores = _betweenness_scores(net)
+    else:
+        node_scores = ({v: float(net.degree(v)) for v in net.node_ids} if kind == "degree"
+                       else _eigenvector_scores(net))
+        edge_scores = _min_over_ends(net, node_scores)
     return CentralityScores(kind, node_scores, edge_scores)
 
 
 # -- modularity ------------------------------------------------------------
 
 
-def _modularity_fraction(net: RoadNetwork, part: Partition) -> Fraction:
+def modularity(net: RoadNetwork, part: Partition) -> float:
+    """Newman modularity Q of the partition, in [-1/2, 1]."""
+    _check_partition(net, part)
     m = net.num_edges
     if m == 0:
-        return Fraction(0)
+        return 0.0
     intra = [0] * part.num_communities
     degsum = [0] * part.num_communities
     for v in net.node_ids:
@@ -202,13 +203,7 @@ def _modularity_fraction(net: RoadNetwork, part: Partition) -> Fraction:
     q = Fraction(0)
     for c in range(part.num_communities):
         q += Fraction(intra[c], m) - Fraction(degsum[c] * degsum[c], 4 * m * m)
-    return q
-
-
-def modularity(net: RoadNetwork, part: Partition) -> float:
-    """Newman modularity Q of the partition, in [-1/2, 1]."""
-    _check_partition(net, part)
-    return float(_modularity_fraction(net, part))
+    return float(q)
 
 
 # -- spectral bisection ------------------------------------------------------
@@ -249,47 +244,44 @@ def spectral_bisect(net: RoadNetwork) -> Partition:
 # -- agglomerative modularity optimisation -----------------------------------
 
 
+def _link_counts(net: RoadNetwork) -> dict[int, dict[int, int]]:
+    """Edge count between each pair of adjacent nodes, numbered in node-id order."""
+    index = {v: i for i, v in enumerate(net.node_ids)}
+    links: dict[int, dict[int, int]] = {i: {} for i in range(net.num_nodes)}
+    for e in net.edges.values():
+        i, j = index[e.u], index[e.v]
+        links[i][j] = links[i].get(j, 0) + 1
+        links[j][i] = links[j].get(i, 0) + 1
+    return links
+
+
 def _greedy_merge(net: RoadNetwork) -> Partition:
     """Pairwise community merging, largest modularity gain first.
 
     Gains are compared through the integer numerator 2*m*L_ab - d_a*d_b,
-    so the argmax is exact; ties break on the smallest label pair.
+    so the argmax is exact; ties break on the smallest label pair, and
+    the smaller label absorbs the larger.  ``links`` is updated in place:
+    merging b into a moves only b's links.
     """
     m = net.num_edges
-    labels = {v: i for i, v in enumerate(net.node_ids)}
+    links = _link_counts(net)
     degsum = {i: net.degree(v) for i, v in enumerate(net.node_ids)}
     members: dict[int, list[str]] = {i: [v] for i, v in enumerate(net.node_ids)}
-    cross: dict[tuple[int, int], int] = defaultdict(int)
-    for e in net.edges.values():
-        a, b = labels[e.u], labels[e.v]
-        if a != b:
-            cross[(min(a, b), max(a, b))] += 1
-
     while True:
-        best: tuple[int, tuple[int, int]] | None = None
-        for pair in sorted(cross):
-            gain = 2 * m * cross[pair] - degsum[pair[0]] * degsum[pair[1]]
-            if gain > 0 and (best is None or gain > best[0]
-                             or (gain == best[0] and pair < best[1])):
-                best = (gain, pair)
-        if best is None:
+        cost, a, b = min(((degsum[a] * degsum[b] - 2 * m * count, a, b)
+                          for a, row in links.items() for b, count in row.items() if a < b),
+                         default=(0, 0, 0))
+        if cost >= 0:
             break
-        a, b = best[1]
         members[a].extend(members.pop(b))
         degsum[a] += degsum.pop(b)
-        merged: dict[tuple[int, int], int] = defaultdict(int)
-        for (x, y), count in cross.items():
-            x = a if x == b else x
-            y = a if y == b else y
-            if x != y:
-                merged[(min(x, y), max(x, y))] += count
-        cross = merged
+        for c, count in links.pop(b).items():
+            del links[c][b]
+            if c != a:
+                links[a][c] = links[c][a] = links[a].get(c, 0) + count
 
-    assignment = {}
-    for label, group in members.items():
-        for node in group:
-            assignment[node] = label
-    return Partition.from_assignment(assignment)
+    return Partition.from_assignment(
+        {node: label for label, group in members.items() for node in group})
 
 
 def _local_moves(nodes: list[int], neigh: dict[int, dict[int, int]],
@@ -332,38 +324,22 @@ def _local_moves(nodes: list[int], neigh: dict[int, dict[int, int]],
 def _hierarchical_merge(net: RoadNetwork) -> Partition:
     """Multi-level local moves with supernode coarsening (modularity ascent).
 
-    Modularity is always evaluated against the original graph; the level
-    loop stops once the gain falls below the stability tolerance.
+    A node moves only when its integer gain numerator beats staying by at
+    least 1, so every level that moves a node raises modularity; the
+    level loop ends when a level moves no node.
     """
     m = net.num_edges
-    index = {v: i for i, v in enumerate(net.node_ids)}
-    # current working graph over integer ids
-    nodes = list(range(net.num_nodes))
-    neigh: dict[int, dict[int, int]] = {v: {} for v in nodes}
-    for e in net.edges.values():
-        i, j = index[e.u], index[e.v]
-        neigh[i][j] = neigh[i].get(j, 0) + 1
-        neigh[j][i] = neigh[j].get(i, 0) + 1
+    neigh = _link_counts(net)  # current working graph over integer ids
+    nodes = list(neigh)
     loops: dict[int, int] = {v: 0 for v in nodes}
     k: dict[int, int] = {v: sum(neigh[v].values()) for v in nodes}
-    node_map = {v: index[v] for v in net.node_ids}  # original -> current id
-
-    def induced_partition() -> Partition:
-        return Partition.from_assignment({v: node_map[v] for v in net.node_ids})
-
-    current_q = _modularity_fraction(net, induced_partition())
+    node_map = {v: i for i, v in enumerate(net.node_ids)}  # original -> current id
     while True:
         comm = {v: v for v in nodes}
-        moved = _local_moves(nodes, neigh, k, m, comm)
-        if not moved:
+        if not _local_moves(nodes, neigh, k, m, comm):
             break
         relabel = {c: i for i, c in enumerate(sorted(set(comm.values())))}
         node_map = {v: relabel[comm[node_map[v]]] for v in node_map}
-        candidate = induced_partition()
-        new_q = _modularity_fraction(net, candidate)
-        if float(new_q - current_q) < _Q_STABLE_TOL:
-            break
-        current_q = new_q
         # coarsen into supernodes
         new_nodes = sorted(relabel.values())
         new_neigh: dict[int, dict[int, int]] = {v: {} for v in new_nodes}
@@ -382,7 +358,7 @@ def _hierarchical_merge(net: RoadNetwork) -> Partition:
         neigh = new_neigh
         loops = new_loops
         k = {v: sum(neigh[v].values()) + loops[v] for v in nodes}
-    return induced_partition()
+    return Partition.from_assignment(node_map)
 
 
 def agglomerative_modularity(net: RoadNetwork, variant: str) -> Partition:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .analysis import (Partition, agglomerative_modularity, centrality,
+from .analysis import (Partition, _min_over_ends, agglomerative_modularity, centrality,
                        flow_partition, mixing_partition, partition_cutset,
                        spectral_bisect)
 from .errors import DomainError
@@ -43,8 +43,8 @@ class AttackPlan:
         return len(self.edges)
 
 
-def _betweenness_ranked(net: RoadNetwork, ids) -> list[str]:
-    scores = centrality(net, "betweenness").edge_scores
+def _by_score(scores: dict[str, float], ids) -> list[str]:
+    """Edge ids by descending score, ties by edge id."""
     return sorted(ids, key=lambda eid: (-scores[eid], eid))
 
 
@@ -78,31 +78,23 @@ def strategy_edge_ranking(net: RoadNetwork, strategy: str, seed: int = 0) -> lis
 def _graph_ranking(net: RoadNetwork, strategy: str) -> tuple[str, ...]:
     """Ranking of a graph-derived strategy: a function of the topology alone."""
     if strategy == "degree":
-        # edges of the highest-degree nodes, nodes in descending degree
-        # (node-id order across equal degrees), each node's edges by id
-        ranking: list[str] = []
-        seen: set[str] = set()
-        for node in sorted(net.node_ids, key=lambda v: (-net.degree(v), v)):
-            for eid, _ in net.adjacency[node]:
-                if eid not in seen:
-                    seen.add(eid)
-                    ranking.append(eid)
-    elif strategy == "eigen_c":
-        scores = centrality(net, "eigenvector").node_scores
-        ranking = sorted(net.edge_ids,
-                         key=lambda eid: (-min(scores[net.edges[eid].u],
-                                               scores[net.edges[eid].v]), eid))
-    elif strategy == "betweenness":
-        ranking = _betweenness_ranked(net, net.edge_ids)
+        # nodes in descending degree (node-id order across equal degrees);
+        # each edge sits at its earlier endpoint, edges of one node by id
+        degree = centrality(net, "degree").node_scores
+        order = sorted(net.node_ids, key=lambda v: (-degree[v], v))
+        first = _min_over_ends(net, {v: i for i, v in enumerate(order)})
+        ranking = sorted(net.edge_ids, key=lambda eid: (first[eid], eid))
+    elif strategy in ("eigen_c", "betweenness"):
+        kind = "eigenvector" if strategy == "eigen_c" else "betweenness"
+        ranking = _by_score(centrality(net, kind).edge_scores, net.edge_ids)
     else:
-        part = _partition_for(net, strategy)
-        cutset = set(partition_cutset(net, part).ids)
+        cutset = set(partition_cutset(net, _partition_for(net, strategy)).ids)
         if not cutset:
             logger.warning("strategy %s found no cutset; plan degenerates to "
                            "betweenness order", strategy)
-        inside = _betweenness_ranked(net, sorted(cutset))
-        outside = _betweenness_ranked(net, [e for e in net.edge_ids if e not in cutset])
-        ranking = inside + outside
+        scores = centrality(net, "betweenness").edge_scores
+        ranking = (_by_score(scores, cutset)
+                   + _by_score(scores, [e for e in net.edge_ids if e not in cutset]))
     return tuple(ranking)
 
 

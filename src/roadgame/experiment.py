@@ -38,6 +38,9 @@ SWEEP_HEADER = ("attack,defense,k,M,window_mult,seed,late_frac,crit_frac_of_late
 ROUND_HEADER = SWEEP_HEADER.replace(",seed,", ",")
 
 
+# list keys that must be nonempty and free of repeats
+_LIST_KEYS = ("attacks", "defenses", "seeds", "window_multipliers", "attacker_counts")
+
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
              "false": False, "0": False, "no": False, "off": False}
 
@@ -101,10 +104,20 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # configs built in code get the parser's finiteness check; the
+        # positive keys are refused downstream too, but without their name
+        for key, value in vars(self).items():
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ValidationError(f"{key} must be finite, got {x!r}")
+        for key in ("edge_time_s", "geo_radius_m", "ambush_delay_s", "fleet_slack_s"):
+            if not getattr(self, key) > 0:
+                raise ValidationError(f"{key} must be > 0, got {getattr(self, key)!r}")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
-        if not self.attacks or not self.defenses or not self.seeds:
-            raise ValidationError("strategy lists and seeds must be nonempty")
+        for key in _LIST_KEYS:
+            if not getattr(self, key):
+                raise ValidationError(f"{key} must be nonempty")
         for strategy in self.attacks:
             if strategy not in ATTACK_STRATEGIES:
                 raise ValidationError(f"unknown attack strategy {strategy!r}")
@@ -119,7 +132,7 @@ class ExperimentConfig:
             raise ValidationError("workers must be >= 1")
         # results are keyed by (attack, defense, seed), so a repeated entry
         # would silently double-count or overwrite a cell
-        for key in ("attacks", "defenses", "seeds", "window_multipliers", "attacker_counts"):
+        for key in _LIST_KEYS:
             values = getattr(self, key)
             for i, value in enumerate(values):
                 if value in values[:i]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .analysis import centrality
+from .analysis import _min_over_ends, centrality
 from .errors import DomainError
 from .network import RoadNetwork, edge_disjoint_paths, memoised, shortest_path
 from .rng import substream
@@ -59,9 +59,7 @@ def inverse_centrality_scores(net: RoadNetwork) -> dict[str, float]:
             return 0.0
         return (c_deg * c_bet * c_eig) / denom
 
-    node_score = {v: oriented(v) for v in net.node_ids}
-    return {eid: min(node_score[net.edges[eid].u], node_score[net.edges[eid].v])
-            for eid in net.edge_ids}
+    return _min_over_ends(net, {v: oriented(v) for v in net.node_ids})
 
 
 def _random_walk_leg(net: RoadNetwork, src: str, dst: str, rng,

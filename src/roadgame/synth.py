@@ -24,18 +24,16 @@ AUDIT_HEADER = ("courier_id", "seq", "base_leg_s", "synth_leg_s", "tolerance_use
 
 _MAX_TOLERANCE_DOUBLINGS = 4
 _DEFAULT_SPEED_MPS = 10.0
+_MAX_CANDIDATES = 64  # nearest-time target nodes one synthetic leg draws from
 
 
 @dataclass(frozen=True)
 class TraceTolerance:
     relative_tolerance: float = 0.10
-    max_candidates: int = 64
 
     def __post_init__(self):
         if not 0 < self.relative_tolerance < 1:
             raise ValidationError("relative_tolerance must be in (0, 1)")
-        if self.max_candidates < 1:
-            raise ValidationError("max_candidates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def synthesize_traces(base_cards: Sequence[JobCard], base_net: RoadNetwork,
                     f"courier {card.courier_id!r} leg {seq}: no target node within "
                     f"{tol_used / 2:.3f} relative tolerance of {base_time:.1f} s")
             candidates.sort(key=lambda v: (abs(dist[v] - base_time), v))
-            candidates = candidates[:tol.max_candidates]
+            candidates = candidates[:_MAX_CANDIDATES]
             choice = candidates[int(rng.integers(len(candidates)))]
             synth_points.append(choice)
             audits.append(LegAudit(card.courier_id, seq, base_time, dist[choice], tol_used))

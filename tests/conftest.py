@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from roadgame.network import Edge, Node, RoadNetwork
 from roadgame.synth import generate_city
@@ -15,6 +16,21 @@ def build_net(edges, times=None, require_connected=True) -> RoadNetwork:
         t = 1.0 if times is None else times[eid]
         edge_objs.append(Edge(eid, u, v, t * 10.0, 10.0))
     return RoadNetwork(nodes.values(), edge_objs, require_connected=require_connected)
+
+
+@st.composite
+def connected_graphs(draw, min_nodes=5, max_nodes=40):
+    """Random connected network: a random spanning tree plus extra edges,
+    with node and edge ids shuffled against the order they were drawn in."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    names = [f"n{i:02d}" for i in draw(st.permutations(range(n)))]
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    pairs |= {(min(i, j), max(i, j)) for i, j in extra if i != j}
+    ids = draw(st.permutations(range(len(pairs))))
+    return build_net([(f"e{ids[k]:03d}", names[i], names[j])
+                      for k, (i, j) in enumerate(sorted(pairs))])
 
 
 def clique_edges(prefix, names):

@@ -7,12 +7,13 @@ implementations at the end are the slower forms that faster library
 code replaced, kept so the fast forms can be checked for equal output.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from roadgame.analysis import _xlogx
+from roadgame.analysis import Partition, _xlogx
 from roadgame.network import RoadNetwork, _dijkstra
 
 
@@ -205,3 +206,51 @@ def per_target_best_move(state, i: int):
         if delta < -1e-12 and (best is None or (delta, target) < best):
             best = (delta, target)
     return best
+
+
+def rescan_greedy_merge(net: RoadNetwork) -> Partition:
+    """greedy_mod's pair merging with a sorted scan of every pair per merge
+    and the cross-community edge counts rebuilt after each merge."""
+    m = net.num_edges
+    labels = {v: i for i, v in enumerate(net.node_ids)}
+    degsum = {i: net.degree(v) for i, v in enumerate(net.node_ids)}
+    members = {i: [v] for i, v in enumerate(net.node_ids)}
+    cross = defaultdict(int)
+    for e in net.edges.values():
+        a, b = labels[e.u], labels[e.v]
+        if a != b:
+            cross[(min(a, b), max(a, b))] += 1
+    while True:
+        best = None
+        for pair in sorted(cross):
+            gain = 2 * m * cross[pair] - degsum[pair[0]] * degsum[pair[1]]
+            if gain > 0 and (best is None or gain > best[0]
+                             or (gain == best[0] and pair < best[1])):
+                best = (gain, pair)
+        if best is None:
+            break
+        a, b = best[1]
+        members[a].extend(members.pop(b))
+        degsum[a] += degsum.pop(b)
+        merged = defaultdict(int)
+        for (x, y), count in cross.items():
+            x = a if x == b else x
+            y = a if y == b else y
+            if x != y:
+                merged[(min(x, y), max(x, y))] += count
+        cross = merged
+    return Partition.from_assignment(
+        {node: label for label, group in members.items() for node in group})
+
+
+def node_walk_degree_ranking(net: RoadNetwork) -> list[str]:
+    """The degree attack's ranking: walk the nodes in descending degree
+    (node-id order across equal degrees) and take each unseen incident edge."""
+    ranking = []
+    seen = set()
+    for node in sorted(net.node_ids, key=lambda v: (-net.degree(v), v)):
+        for eid, _ in net.adjacency[node]:
+            if eid not in seen:
+                seen.add(eid)
+                ranking.append(eid)
+    return ranking

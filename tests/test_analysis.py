@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_net, clique_edges
+from conftest import build_net, clique_edges, connected_graphs
 from oracles import (brute_best_bipartition, brute_betweenness,
                      brute_modularity, fraction_betweenness, per_target_best_move,
-                     tensor_kmeans)
-from roadgame.analysis import (Partition, _betweenness_scores, _kmeans, _MapEquationState,
+                     rescan_greedy_merge, tensor_kmeans)
+from roadgame.analysis import (Partition, _betweenness_scores, _greedy_merge, _kmeans,
+                               _MapEquationState,
                                agglomerative_modularity, centrality,
                                default_short_walk_len, flow_partition,
                                map_equation_codelength, mixing_partition,
@@ -206,6 +207,19 @@ class TestAgglomerative:
     def test_unknown_variant(self, k4):
         with pytest.raises(DomainError):
             agglomerative_modularity(k4, "simulated-annealing")
+
+    @pytest.mark.parametrize("graph", ["two_cliques_bridge", "planted64", "bypass_city", "grid16"])
+    def test_greedy_equals_rescan_reference(self, request, graph):
+        if graph == "grid16":
+            net = generate_city("grid", rows=16, cols=16, edge_time_s=60.0)
+        else:
+            net = request.getfixturevalue(graph)
+        assert _greedy_merge(net) == rescan_greedy_merge(net)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(5, 40))
+    def test_greedy_equals_rescan_reference_on_random_graphs(self, net):
+        assert _greedy_merge(net) == rescan_greedy_merge(net)
 
 
 class TestMixingPartition:

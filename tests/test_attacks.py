@@ -1,11 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import connected_graphs
+from oracles import node_walk_degree_ranking
 from roadgame.attacks import (ATTACK_STRATEGIES, empty_attack_plan,
                               select_attack_edges, strategy_edge_ranking,
                               write_attack_plan)
 from roadgame.errors import DomainError
+from roadgame.synth import generate_city
 
 PARTITION_STRATEGIES = ("infomap", "botgrep", "greedy_mod", "hierarchical_mod", "eigen_mod")
 
@@ -88,6 +92,19 @@ class TestSelection:
         assert set(ranking) == set(star5.edge_ids)
         plan = select_attack_edges(star5, "eigen_c", 2, seed=0)
         assert sorted(plan.edges.ids) == ["s0", "s1"]
+
+    @pytest.mark.parametrize("graph", ["two_cliques_bridge", "planted64", "bypass_city", "grid16"])
+    def test_degree_ranking_equals_node_walk_reference(self, request, graph):
+        if graph == "grid16":
+            net = generate_city("grid", rows=16, cols=16, edge_time_s=60.0)
+        else:
+            net = request.getfixturevalue(graph)
+        assert strategy_edge_ranking(net, "degree") == node_walk_degree_ranking(net)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(5, 40))
+    def test_degree_ranking_equals_node_walk_reference_on_random_graphs(self, net):
+        assert strategy_edge_ranking(net, "degree") == node_walk_degree_ranking(net)
 
 
 class TestPlanPlumbing:

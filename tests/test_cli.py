@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -52,9 +54,11 @@ def _field_values(name: str, default):
         return st.lists(st.integers(), min_size=1, unique=True).map(tuple)
     if name == "window_multipliers":
         return st.lists(st.floats(min_value=1.0, allow_infinity=False),
-                        unique=True).map(tuple)
+                        min_size=1, unique=True).map(tuple)
     if name == "attacker_counts":
-        return st.lists(st.integers(min_value=1), unique=True).map(tuple)
+        return st.lists(st.integers(min_value=1), min_size=1, unique=True).map(tuple)
+    if name in _POSITIVE_KEYS:
+        return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     if name == "fleet_stop_prefixes":
         return st.lists(_TEXT.filter(bool)).map(tuple)
     if name == "k":
@@ -69,6 +73,9 @@ def _field_values(name: str, default):
         return st.floats(allow_nan=False, allow_infinity=False)
     return _TEXT
 
+
+# float keys whose value must be > 0
+_POSITIVE_KEYS = ("edge_time_s", "geo_radius_m", "ambush_delay_s", "fleet_slack_s")
 
 # every float key and float-list key of the config
 _FLOAT_KEYS = [f.name for f in fields(ExperimentConfig)
@@ -175,6 +182,39 @@ class TestConfig:
             assert str(exc.value) == message
         assert cli_main(["--config", str(path), "gen-city"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", _FLOAT_KEYS)
+    def test_non_finite_float_rejected_in_code(self, key):
+        # the parser refuses these texts, but a config built in code hashed them
+        is_list = isinstance(getattr(ExperimentConfig(), key), tuple)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"{key} must be finite, got {bad!r}")):
+                ExperimentConfig(**{key: (1.0, bad) if is_list else bad})
+
+    @pytest.mark.parametrize("key", _POSITIVE_KEYS)
+    def test_non_positive_value_names_the_key(self, tmp_path, capsys, key):
+        # edge_time_s = -5 used to fail as "edge 'nh00x00' length_m must be ..."
+        for value in (0.0, -5.0):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"{key} must be > 0, got {value!r}")):
+                ExperimentConfig(**{key: value})
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{key} = -5\n")
+        assert cli_main(["--config", str(path), "gen-city"]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be > 0, got -5.0\n"
+
+    @pytest.mark.parametrize("key, axis", [("attacker_counts", "attackers"),
+                                           ("window_multipliers", "window")])
+    def test_empty_sweep_list_exits_1_without_traceback(self, tmp_path, key, axis):
+        # an empty list used to pass validation and crash run_sweep with a KeyError
+        path = tmp_path / "empty.txt"
+        path.write_text(SMALL_CFG + f"{key} =\n")
+        result = run_cli(["--config", str(path), "--out", str(tmp_path / "o"),
+                          "sweep", "--axis", axis])
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert f"error: {key} must be nonempty" in result.stderr
 
     def test_boolean_typo_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -224,5 +224,3 @@ class TestTraceTolerance:
             TraceTolerance(relative_tolerance=0.0)
         with pytest.raises(ValidationError):
             TraceTolerance(relative_tolerance=1.0)
-        with pytest.raises(ValidationError):
-            TraceTolerance(max_candidates=0)
