@@ -495,138 +495,87 @@ def map_equation_codelength(net: RoadNetwork, freq: Mapping[str, float],
     return _xlogx(s1) - 2 * sum(_xlogx(x) for x in exits) + modules
 
 
-class _MapEquationState:
-    """Description-length bookkeeping with cheap node moves and merges.
+def _flow_search(links: dict[int, dict[int, int]]) -> list[int]:
+    """Community label of each node from the greedy map-equation search.
 
-    Node moves are the primary search step: unlike merges they are
+    Under the stationary rates deg/2m every node leaks 1/2m along each
+    edge, so a community's exit probability is its count ``cut`` of edge
+    ends leaving it over 2m and its visit total is its degree sum ``vol``
+    over 2m.  With Q = sum cut, S2 = sum cut*log2(cut) and M = sum of
+    (cut+vol)*log2(cut+vol) - cut*log2(cut), the codelength times 2m is
+    Q*log2(Q) + Q*log2(2m) - 2*S2 + M plus a partition-independent
+    constant.  Node moves are the primary step: unlike merges they are
     reversible, which stops a single dense pair from swallowing its
-    neighbourhood early.  ``flow[i][j]`` holds the symmetric cross flow
-    p_i/d_i + p_j/d_j of edge (i, j); joining or leaving a community
-    always toggles both directions of an edge together, so only the sum
-    is ever needed for updates.
+    neighbourhood early.
     """
+    n = len(links)
+    deg = [sum(links[i].values()) for i in range(n)]
+    two_m = sum(deg)
+    xlogx = [_xlogx(x) for x in range(2 * two_m + 1)]
+    log_two_m = math.log2(two_m)
+    tol = -1e-12 * two_m
+    comm = list(range(n))
+    cut = list(deg)  # per community label; labels are node indices
+    vol = list(deg)
+    totals = (two_m, sum(xlogx[d] for d in deg), sum(xlogx[2 * d] - xlogx[d] for d in deg))
 
-    def __init__(self, net: RoadNetwork, freq: Mapping[str, float]):
-        index = {v: i for i, v in enumerate(net.node_ids)}
-        n = net.num_nodes
-        self.n = n
-        self.p = [0.0] * n
-        self.node_flow: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        deg = {v: net.degree(v) for v in net.node_ids}
-        for v in net.node_ids:
-            self.p[index[v]] = freq[v]
-        for e in net.edges.values():
-            i, j = index[e.u], index[e.v]
-            f = freq[e.u] / deg[e.u] + freq[e.v] / deg[e.v]
-            self.node_flow[i].append((j, f))
-            self.node_flow[j].append((i, f))
-        self.comm = list(range(n))
-        self.members: dict[int, set[int]] = {i: {i} for i in range(n)}
-        self.exit: dict[int, float] = {i: self.p[i] for i in range(n)}
-        self.p_sum: dict[int, float] = {i: self.p[i] for i in range(n)}
-        self.s1 = sum(self.exit.values())
-        self.s2 = sum(_xlogx(x) for x in self.exit.values())
-        self.modules = sum(_xlogx(self.exit[c] + self.p_sum[c]) - _xlogx(self.exit[c])
-                           for c in self.members)
-        self.const = -sum(_xlogx(x) for x in self.p)
+    def length(q: int, s2: float, mod: float) -> float:
+        return xlogx[q] + q * log_two_m - 2 * s2 + mod
 
-    def codelength(self) -> float:
-        return _xlogx(self.s1) - 2 * self.s2 + self.modules + self.const
+    def moved(totals: tuple[int, float, float], c: int, new_cut: int,
+              new_vol: int) -> tuple[int, float, float]:
+        """(Q, S2, M) from ``totals`` once community c takes these counts."""
+        q, s2, mod = totals
+        return (q + new_cut - cut[c],
+                s2 + xlogx[new_cut] - xlogx[cut[c]],
+                mod + (xlogx[new_cut + new_vol] - xlogx[new_cut])
+                - (xlogx[cut[c] + vol[c]] - xlogx[cut[c]]))
 
-    def _flow_to(self, i: int, community: int) -> float:
-        return sum(f for j, f in self.node_flow[i] if self.comm[j] == community)
+    def apply(updates: list[tuple[int, int, int]]) -> None:
+        nonlocal totals
+        for c, new_cut, new_vol in updates:
+            totals = moved(totals, c, new_cut, new_vol)
+            cut[c], vol[c] = new_cut, new_vol
 
-    def _term(self, exit_c: float, p_sum_c: float) -> float:
-        return _xlogx(exit_c + p_sum_c) - _xlogx(exit_c)
-
-    def _flows_by_community(self, i: int) -> dict[int, float]:
-        """Flow from node i to each neighbouring community, summed in edge order."""
-        flows: dict[int, float] = {}
-        for j, f in self.node_flow[i]:
-            flows[self.comm[j]] = flows.get(self.comm[j], 0) + f
-        return flows
-
-    def _move_updates(self, i: int, target: int,
-                      flows: dict[int, float]) -> list[tuple[int, float, float]]:
-        source = self.comm[i]
-        return [
-            (source, self.exit[source] - self.p[i] + flows.get(source, 0),
-             self.p_sum[source] - self.p[i]),
-            (target, self.exit[target] + self.p[i] - flows[target],
-             self.p_sum[target] + self.p[i]),
-        ]
-
-    def _moved(self, totals: tuple[float, float, float], c: int, new_exit: float,
-               new_p: float) -> tuple[float, float, float]:
-        """(s1, s2, modules) from ``totals`` once community c takes these totals."""
-        s1, s2, modules = totals
-        return (s1 + (new_exit - self.exit[c]),
-                s2 + (_xlogx(new_exit) - _xlogx(self.exit[c])),
-                modules + (self._term(new_exit, new_p) - self._term(self.exit[c], self.p_sum[c])))
-
-    def best_move(self, i: int) -> tuple[float, int] | None:
-        """(delta, target) of node i's most code-shortening move, or None.
-
-        One pass over i's edges gives its flow to every neighbouring
-        community; the source-side terms and the current codelength are
-        computed once and shared by every target.
-        """
-        flows = self._flows_by_community(i)
-        targets = sorted(c for c in flows if c != self.comm[i])
-        if not targets:
-            return None
-        updates = [self._move_updates(i, target, flows) for target in targets]
-        left = self._moved((self.s1, self.s2, self.modules), *updates[0][0])
-        baseline = self.codelength()
-        best: tuple[float, int] | None = None
-        for target, (_, join) in zip(targets, updates):
-            s1, s2, modules = self._moved(left, *join)
-            delta = (_xlogx(s1) - 2 * s2 + modules + self.const) - baseline
-            if delta < -1e-12 and (best is None or (delta, target) < best):
-                best = (delta, target)
-        return best
-
-    def apply_move(self, i: int, target: int) -> None:
-        source = self.comm[i]
-        for c, new_exit, new_p in self._move_updates(i, target, self._flows_by_community(i)):
-            self.s1, self.s2, self.modules = self._moved((self.s1, self.s2, self.modules),
-                                                         c, new_exit, new_p)
-            self.exit[c] = new_exit
-            self.p_sum[c] = new_p
-        self.members[source].discard(i)
-        self.members[target].add(i)
-        self.comm[i] = target
-        if not self.members[source]:
-            # an emptied community has zero exit and zero visits; its
-            # terms are already zero, so dropping it is bookkeeping only
-            del self.members[source], self.exit[source], self.p_sum[source]
-
-    def _merge_quantities(self, a: int, b: int) -> tuple[float, float]:
-        small, large = (a, b) if len(self.members[a]) <= len(self.members[b]) else (b, a)
-        w_ab = sum(self._flow_to(i, large) for i in self.members[small])
-        return self.exit[a] + self.exit[b] - w_ab, self.p_sum[a] + self.p_sum[b]
-
-    def merge_delta(self, a: int, b: int) -> float:
-        exit_new, p_new = self._merge_quantities(a, b)
-        s1 = self.s1 - self.exit[a] - self.exit[b] + exit_new
-        s2 = self.s2 - _xlogx(self.exit[a]) - _xlogx(self.exit[b]) + _xlogx(exit_new)
-        modules = (self.modules - self._term(self.exit[a], self.p_sum[a])
-                   - self._term(self.exit[b], self.p_sum[b])
-                   + self._term(exit_new, p_new))
-        return (_xlogx(s1) - 2 * s2 + modules + self.const) - self.codelength()
-
-    def apply_merge(self, a: int, b: int) -> None:
-        exit_new, p_new = self._merge_quantities(a, b)
-        self.s1 += exit_new - self.exit[a] - self.exit[b]
-        self.s2 += _xlogx(exit_new) - _xlogx(self.exit[a]) - _xlogx(self.exit[b])
-        self.modules += (self._term(exit_new, p_new)
-                         - self._term(self.exit[a], self.p_sum[a])
-                         - self._term(self.exit[b], self.p_sum[b]))
-        for i in self.members[b]:
-            self.comm[i] = a
-        self.members[a] |= self.members[b]
-        self.exit[a], self.p_sum[a] = exit_new, p_new
-        del self.members[b], self.exit[b], self.p_sum[b]
+    while True:
+        improving = True
+        while improving:
+            improving = False
+            for i in range(n):
+                source = comm[i]
+                counts: dict[int, int] = {}
+                for j, count in links[i].items():
+                    counts[comm[j]] = counts.get(comm[j], 0) + count
+                leave = (source, cut[source] - deg[i] + 2 * counts.get(source, 0),
+                         vol[source] - deg[i])
+                left = moved(totals, *leave)
+                baseline = length(*totals)
+                joins = [(t, cut[t] + deg[i] - 2 * count, vol[t] + deg[i])
+                         for t, count in counts.items() if t != source]
+                # targets are distinct, so ties on delta break on the target label
+                best = min(((length(*moved(left, *join)) - baseline, join) for join in joins),
+                           default=None)
+                if best is not None and best[0] < tol:
+                    apply([leave, best[1]])
+                    comm[i] = best[1][0]
+                    improving = True
+        between: dict[tuple[int, int], int] = defaultdict(int)  # edges between communities
+        for i in range(n):
+            for j, count in links[i].items():
+                if comm[i] < comm[j]:
+                    between[comm[i], comm[j]] += count
+        baseline = length(*totals)
+        best_merge: tuple[float, int, int, tuple[int, int, int]] | None = None
+        for (a, b), count in between.items():
+            merged = (a, cut[a] + cut[b] - 2 * count, vol[a] + vol[b])
+            delta = length(*moved(moved(totals, *merged), b, 0, 0)) - baseline
+            if best_merge is None or (delta, a, b) < best_merge[:3]:
+                best_merge = (delta, a, b, merged)
+        if best_merge is None or best_merge[0] >= tol:
+            return comm
+        _, a, b, merged = best_merge
+        apply([merged, (b, 0, 0)])
+        comm = [a if c == b else c for c in comm]
 
 
 def flow_partition(net: RoadNetwork) -> Partition:
@@ -639,33 +588,5 @@ def flow_partition(net: RoadNetwork) -> Partition:
     """
     if net.num_edges == 0:  # a connected network without edges is one node
         return Partition.from_assignment({v: 0 for v in net.node_ids})
-    two_m = 2 * net.num_edges
-    freq = {v: net.degree(v) / two_m for v in net.node_ids}
-    state = _MapEquationState(net, freq)
-
-    while True:
-        improving = True
-        while improving:
-            improving = False
-            for i in range(state.n):
-                best = state.best_move(i)
-                if best is not None:
-                    state.apply_move(i, best[1])
-                    improving = True
-        pairs = set()
-        for i in range(state.n):
-            for j, _ in state.node_flow[i]:
-                a, b = state.comm[i], state.comm[j]
-                if a != b:
-                    pairs.add((min(a, b), max(a, b)))
-        best_merge: tuple[float, int, int] | None = None
-        for a, b in sorted(pairs):
-            delta = state.merge_delta(a, b)
-            if delta < -1e-12 and (best_merge is None or (delta, a, b) < best_merge):
-                best_merge = (delta, a, b)
-        if best_merge is None:
-            break
-        state.apply_merge(best_merge[1], best_merge[2])
-
-    assignment = {v: state.comm[i] for i, v in enumerate(net.node_ids)}
-    return Partition.from_assignment(assignment)
+    comm = _flow_search(_link_counts(net))
+    return Partition.from_assignment(dict(zip(net.node_ids, comm)))

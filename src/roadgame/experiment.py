@@ -291,7 +291,8 @@ def _rounds_task(args) -> list[tuple[str, int, float, RoundMetrics]]:
 def _map_tasks(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the fork start method forks every worker at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 

@@ -346,6 +346,9 @@ def make_fleet(net: RoadNetwork, couriers: int, stops_per_card: int,
         for target in stops_nodes:
             _, leg_time = shortest_path(net, node, target)
             clock += leg_time
+            if clock + slack_s == clock:
+                raise DomainError(f"fleet slack {slack_s!r} s is lost in rounding at "
+                                  f"arrival time {clock!r} s; the window would be empty")
             # window opens at the clean arrival: no route ever waits, and
             # scaling the window scales exactly the lateness buffer
             stops.append(Stop(target, clock, clock + slack_s))

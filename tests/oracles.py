@@ -182,30 +182,109 @@ def tensor_kmeans(features: np.ndarray, num_clusters: int, rng) -> np.ndarray:
 
 
 
-def per_target_best_move(state, i: int):
-    """(delta, target) of node i's best map-equation move, or None.
+def float_flow_partition(net: RoadNetwork) -> Partition:
+    """infomap's greedy map-equation search on float visit rates deg/2m.
 
-    ``state`` is an ``analysis._MapEquationState``.  Each candidate target
-    is scored on its own: the flows to the source and the target are
-    summed afresh and every term is re-evaluated.
+    Exit and visit totals are floats per community.  Each move target is
+    scored on its own, with the node's flow to the source and the target
+    summed afresh; each merge re-sums the flow between the two
+    communities from the smaller one's members.
     """
-    def flow_to(community):
-        return sum(f for j, f in state.node_flow[i] if state.comm[j] == community)
+    if net.num_edges == 0:
+        return Partition.from_assignment({v: 0 for v in net.node_ids})
+    index = {v: i for i, v in enumerate(net.node_ids)}
+    n = net.num_nodes
+    freq = [net.degree(v) / (2 * net.num_edges) for v in net.node_ids]
+    node_flow = [[] for _ in range(n)]
+    for e in net.edges.values():
+        i, j = index[e.u], index[e.v]
+        f = freq[i] / net.degree(e.u) + freq[j] / net.degree(e.v)
+        node_flow[i].append((j, f))
+        node_flow[j].append((i, f))
+    comm = list(range(n))
+    members = {i: {i} for i in range(n)}
+    exit_ = {i: freq[i] for i in range(n)}
+    p_sum = {i: freq[i] for i in range(n)}
+    totals = (sum(exit_.values()), sum(_xlogx(x) for x in exit_.values()),
+              sum(_xlogx(exit_[c] + p_sum[c]) - _xlogx(exit_[c]) for c in members))
+    const = -sum(_xlogx(x) for x in freq)
 
-    source, p_i = state.comm[i], state.p[i]
-    best = None
-    for target in sorted({state.comm[j] for j, _ in state.node_flow[i]} - {source}):
-        updates = ((source, state.exit[source] - p_i + flow_to(source), state.p_sum[source] - p_i),
-                   (target, state.exit[target] + p_i - flow_to(target), state.p_sum[target] + p_i))
-        s1, s2, modules = state.s1, state.s2, state.modules
+    def length(s1, s2, modules):
+        return _xlogx(s1) - 2 * s2 + modules + const
+
+    def term(c):
+        return _xlogx(exit_[c] + p_sum[c]) - _xlogx(exit_[c])
+
+    def flow_to(i, community):
+        return sum(f for j, f in node_flow[i] if comm[j] == community)
+
+    def move_updates(i, target):
+        source = comm[i]
+        return ((source, exit_[source] - freq[i] + flow_to(i, source), p_sum[source] - freq[i]),
+                (target, exit_[target] + freq[i] - flow_to(i, target), p_sum[target] + freq[i]))
+
+    def moved(updates):
+        s1, s2, modules = totals
         for c, new_exit, new_p in updates:
-            s1 += new_exit - state.exit[c]
-            s2 += _xlogx(new_exit) - _xlogx(state.exit[c])
-            modules += state._term(new_exit, new_p) - state._term(state.exit[c], state.p_sum[c])
-        delta = (_xlogx(s1) - 2 * s2 + modules + state.const) - state.codelength()
-        if delta < -1e-12 and (best is None or (delta, target) < best):
-            best = (delta, target)
-    return best
+            s1 += new_exit - exit_[c]
+            s2 += _xlogx(new_exit) - _xlogx(exit_[c])
+            modules += (_xlogx(new_exit + new_p) - _xlogx(new_exit)) - term(c)
+        return s1, s2, modules
+
+    def merged(a, b):
+        small, large = (a, b) if len(members[a]) <= len(members[b]) else (b, a)
+        w_ab = sum(flow_to(i, large) for i in members[small])
+        return exit_[a] + exit_[b] - w_ab, p_sum[a] + p_sum[b]
+
+    while True:
+        improving = True
+        while improving:
+            improving = False
+            for i in range(n):
+                best = None
+                for target in sorted({comm[j] for j, _ in node_flow[i]} - {comm[i]}):
+                    delta = length(*moved(move_updates(i, target))) - length(*totals)
+                    if delta < -1e-12 and (best is None or (delta, target) < best):
+                        best = (delta, target)
+                if best is None:
+                    continue
+                source, target = comm[i], best[1]
+                updates = move_updates(i, target)
+                totals = moved(updates)
+                for c, new_exit, new_p in updates:
+                    exit_[c], p_sum[c] = new_exit, new_p
+                members[source].discard(i)
+                members[target].add(i)
+                comm[i] = target
+                if not members[source]:
+                    del members[source], exit_[source], p_sum[source]
+                improving = True
+        pairs = {(min(comm[i], comm[j]), max(comm[i], comm[j]))
+                 for i in range(n) for j, _ in node_flow[i] if comm[i] != comm[j]}
+        best_merge = None
+        for a, b in sorted(pairs):
+            exit_new, p_new = merged(a, b)
+            s1, s2, modules = totals
+            delta = length(s1 - exit_[a] - exit_[b] + exit_new,
+                           s2 - _xlogx(exit_[a]) - _xlogx(exit_[b]) + _xlogx(exit_new),
+                           modules - term(a) - term(b)
+                           + (_xlogx(exit_new + p_new) - _xlogx(exit_new))) - length(*totals)
+            if delta < -1e-12 and (best_merge is None or (delta, a, b) < best_merge):
+                best_merge = (delta, a, b)
+        if best_merge is None:
+            return Partition.from_assignment(dict(zip(net.node_ids, comm)))
+        _, a, b = best_merge
+        exit_new, p_new = merged(a, b)
+        s1, s2, modules = totals
+        s1 += exit_new - exit_[a] - exit_[b]
+        s2 += _xlogx(exit_new) - _xlogx(exit_[a]) - _xlogx(exit_[b])
+        modules += ((_xlogx(exit_new + p_new) - _xlogx(exit_new)) - term(a) - term(b))
+        totals = (s1, s2, modules)
+        for i in members[b]:
+            comm[i] = a
+        members[a] |= members[b]
+        exit_[a], p_sum[a] = exit_new, p_new
+        del members[b], exit_[b], p_sum[b]
 
 
 def rescan_greedy_merge(net: RoadNetwork) -> Partition:

@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_net, clique_edges, connected_graphs
 from oracles import (brute_best_bipartition, brute_betweenness,
-                     brute_modularity, fraction_betweenness, per_target_best_move,
+                     brute_modularity, float_flow_partition, fraction_betweenness,
                      rescan_greedy_merge, tensor_kmeans)
 from roadgame.analysis import (Partition, _betweenness_scores, _greedy_merge, _kmeans,
-                               _MapEquationState,
                                agglomerative_modularity, centrality,
                                default_short_walk_len, flow_partition,
                                map_equation_codelength, mixing_partition,
@@ -307,20 +306,36 @@ class TestFlowPartition:
         net = RoadNetwork([Node("a", 0.0, 0.0)], [])
         assert flow_partition(net).assignment == {"a": 0}
 
-    def test_best_move_equals_per_target_scoring(self, bypass_city):
-        # the shared source-side terms must leave every delta bit-identical
-        freq = {v: bypass_city.degree(v) / (2 * bypass_city.num_edges)
-                for v in bypass_city.node_ids}
-        state = _MapEquationState(bypass_city, freq)
-        moves = 0
-        for _ in range(3):
-            for i in range(state.n):
-                best = state.best_move(i)
-                assert best == per_target_best_move(state, i)
-                if best is not None:
-                    state.apply_move(i, best[1])
-                    moves += 1
-        assert moves > 0
+    @pytest.mark.parametrize("graph", ["two_cliques_bridge", "k5", "planted32", "planted64",
+                                       "bypass_city", "grid8", "grid16", "geo0", "geo1", "geo2"])
+    def test_equals_float_reference(self, request, graph):
+        # integer cut/volume counts must pick the float search's partition
+        if graph.startswith("grid"):
+            size = int(graph[4:])
+            net = generate_city("grid", rows=size, cols=size, edge_time_s=60.0)
+        elif graph.startswith("geo"):
+            net = generate_city("geometric", seed=int(graph[3:]), n=60, radius_m=250.0)
+        else:
+            net = request.getfixturevalue(graph)
+        assert flow_partition(net) == float_flow_partition(net)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(5, 40))
+    def test_no_node_move_or_merge_shortens_the_code(self, net):
+        part = flow_partition(net)
+        freq = {v: net.degree(v) / (2 * net.num_edges) for v in net.node_ids}
+        base = map_equation_codelength(net, freq, part.assignment)
+        candidates = []
+        for v in net.node_ids:
+            for _, w in net.adjacency[v]:
+                if part.label(w) != part.label(v):
+                    candidates.append({**part.assignment, v: part.label(w)})
+        for e in net.edges.values():
+            a, b = part.label(e.u), part.label(e.v)
+            if a != b:
+                candidates.append({u: (a if c == b else c) for u, c in part.assignment.items()})
+        for assignment in candidates:
+            assert map_equation_codelength(net, freq, assignment) >= base - 1e-9
 
 
 class TestPartitionCutset:

@@ -4,11 +4,12 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import roadgame.experiment as experiment
 import roadgame.simulate as simulate
 from roadgame.attacks import ATTACK_STRATEGIES
 from roadgame.cli import ANALYZE_METHODS, main as cli_main
@@ -326,6 +327,30 @@ class TestRunMatrix:
         assert Counter(calls).most_common(1)[0][1] == 1
         assert Counter(strategy for strategy, _, _ in calls) == {"shortest": 10, "mixnet": 10}
 
+    def test_pool_is_capped_at_the_task_count(self, small_cfg_file, monkeypatch):
+        # the fork start method forks every worker at the first submit
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        assert experiment._map_tasks(abs, [-1, -2], workers=64) == [1, 2]
+        assert experiment._map_tasks(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+        cfg = replace(ExperimentConfig.from_file(small_cfg_file), workers=64)
+        run_matrix(cfg)  # 2 defenses x 2 seeds
+        assert sizes == [2, 2, 4]
+
 
 class TestCliCommands:
     @pytest.mark.parametrize("command", [
@@ -455,6 +480,17 @@ class TestCliCommands:
         r2 = run_cli(["--config", str(cfg), "--out", str(tmp_path / "flag"), "gen-city"])
         assert r2.returncode == 0, r2.stderr
         assert (tmp_path / "flag" / "edges.csv").exists()
+
+    @pytest.mark.parametrize("line", ["edge_time_s = 1e300", "fleet_day_start_s = 1e308",
+                                      "fleet_slack_s = 1e-300"])
+    def test_vanishing_slack_exits_1_naming_the_slack(self, tmp_path, line):
+        # used to stop with "stop 'n00x05': window start must precede window end"
+        path = tmp_path / "cfg.txt"
+        path.write_text(line + "\n")
+        result = run_cli(["--config", str(path), "--out", str(tmp_path / "o"), "matrix"])
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert re.search(r"^error: fleet slack \S+ s .* arrival time \S+ s", result.stderr)
 
     def test_error_paths_exit_nonzero(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -217,6 +217,12 @@ class TestMakeFleet:
         with pytest.raises(DomainError):
             make_fleet(planted32, 1, 1, 100.0, warehouse="nope")
 
+    @pytest.mark.parametrize("slack_s, day_start_s", [(1e-300, 0.0), (900.0, 1e308)])
+    def test_slack_lost_in_rounding_is_named(self, planted32, slack_s, day_start_s):
+        # clock + slack == clock used to surface as "window start must precede window end"
+        with pytest.raises(DomainError, match=rf"fleet slack {slack_s!r} s .* arrival time"):
+            make_fleet(planted32, 1, 1, slack_s, day_start_s=day_start_s)
+
 
 class TestTraceTolerance:
     def test_bounds(self):
