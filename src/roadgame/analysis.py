@@ -10,7 +10,7 @@ structures compare equal.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -241,13 +241,13 @@ def spectral_bisect(net: RoadNetwork) -> Partition:
     return Partition.from_assignment(assignment)
 
 
-# -- agglomerative modularity optimisation -----------------------------------
+# -- agglomerative community search -------------------------------------------
 
 
-def _link_counts(net: RoadNetwork) -> dict[int, dict[int, int]]:
+def _link_counts(net: RoadNetwork) -> list[dict[int, int]]:
     """Edge count between each pair of adjacent nodes, numbered in node-id order."""
     index = {v: i for i, v in enumerate(net.node_ids)}
-    links: dict[int, dict[int, int]] = {i: {} for i in range(net.num_nodes)}
+    links: list[dict[int, int]] = [{} for _ in range(net.num_nodes)]
     for e in net.edges.values():
         i, j = index[e.u], index[e.v]
         links[i][j] = links[i].get(j, 0) + 1
@@ -255,110 +255,157 @@ def _link_counts(net: RoadNetwork) -> dict[int, dict[int, int]]:
     return links
 
 
-def _greedy_merge(net: RoadNetwork) -> Partition:
-    """Pairwise community merging, largest modularity gain first.
+# A partition cost over community (cut, vol) counts: ``start(cuts, vols)``
+# totals the given communities, ``step(total, cut, vol, new_cut, new_vol)``
+# is the total once one community's counts change, and a change is taken
+# when it changes ``length(total)`` by less than ``tol``.
+_Cost = namedtuple("_Cost", "start step length tol")
 
-    Gains are compared through the integer numerator 2*m*L_ab - d_a*d_b,
-    so the argmax is exact; ties break on the smallest label pair, and
-    the smaller label absorbs the larger.  ``links`` is updated in place:
-    merging b into a moves only b's links.
+
+def _modularity_cost(two_m: int) -> _Cost:
+    """4m^2 (1 - Q) as the exact integer 2m*sum(cut) + sum(vol^2).
+
+    A community holds (vol - cut)/2 inner edges, so Q = 1 - sum(cut)/2m
+    - sum(vol^2)/4m^2 and every decision compares integers.
     """
-    m = net.num_edges
-    links = _link_counts(net)
-    degsum = {i: net.degree(v) for i, v in enumerate(net.node_ids)}
-    members: dict[int, list[str]] = {i: [v] for i, v in enumerate(net.node_ids)}
-    while True:
-        cost, a, b = min(((degsum[a] * degsum[b] - 2 * m * count, a, b)
-                          for a, row in links.items() for b, count in row.items() if a < b),
-                         default=(0, 0, 0))
-        if cost >= 0:
-            break
-        members[a].extend(members.pop(b))
-        degsum[a] += degsum.pop(b)
-        for c, count in links.pop(b).items():
-            del links[c][b]
-            if c != a:
-                links[a][c] = links[c][a] = links[a].get(c, 0) + count
-
-    return Partition.from_assignment(
-        {node: label for label, group in members.items() for node in group})
+    return _Cost(
+        start=lambda cuts, vols: two_m * sum(cuts) + sum(v * v for v in vols),
+        step=lambda total, cut, vol, new_cut, new_vol: (
+            total + two_m * (new_cut - cut) + new_vol * new_vol - vol * vol),
+        length=lambda total: total,
+        tol=0)
 
 
-def _local_moves(nodes: list[int], neigh: dict[int, dict[int, int]],
-                 k: dict[int, int], m: int, comm: dict[int, int]) -> bool:
-    """Greedy single-node moves until stable; returns True if any node moved.
+class _CommunitySearch:
+    """Communities of a link graph, moved and merged to lower one cost.
 
-    Gains are compared via the integer numerator 2*m*k_in - sigma_tot*k_i;
-    a node moves only on a strict gain, ties between strictly-better
-    targets break to the smallest community label.
+    ``links[i]`` counts the edges from node i to each adjacent node and
+    ``loops[i]`` the edge ends inside node i (a coarsened community's
+    inner edges, counted from both ends).  Every node starts alone, and a
+    community, labelled by the index of a node, keeps its count ``cut`` of
+    edge ends leaving it, its degree sum ``vol`` and ``between``, its edge
+    count to each adjacent community.
     """
-    sigma_tot: dict[int, int] = defaultdict(int)
-    for v in nodes:
-        sigma_tot[comm[v]] += k[v]
-    moved_any = False
-    improving = True
-    while improving:
-        improving = False
-        for v in nodes:
-            old = comm[v]
-            sigma_tot[old] -= k[v]
-            links: dict[int, int] = defaultdict(int)
-            for u, w in neigh[v].items():
-                links[comm[u]] += w
-            stay_gain = 2 * m * links.get(old, 0) - sigma_tot[old] * k[v]
-            best_comm, best_gain = old, stay_gain
-            for c in sorted(links):
-                if c == old:
+
+    def __init__(self, links: list[dict[int, int]], cost: _Cost,
+                 loops: list[int] | None = None):
+        self.links = links
+        self.ext = [sum(row.values()) for row in links]
+        self.deg = [e + own for e, own in zip(self.ext, loops or [0] * len(links))]
+        self.comm = list(range(len(links)))
+        self.cut = list(self.ext)
+        self.vol = list(self.deg)
+        self.between = [dict(row) for row in links]
+        self.cost = cost
+        self.total = cost.start(self.cut, self.vol)
+
+    def _set(self, c: int, new_cut: int, new_vol: int) -> None:
+        self.total = self.cost.step(self.total, self.cut[c], self.vol[c], new_cut, new_vol)
+        self.cut[c], self.vol[c] = new_cut, new_vol
+
+    def _link(self, a: int, b: int, count: int) -> None:
+        """Add ``count`` (possibly negative) edges between communities a and b."""
+        count += self.between[a].get(b, 0)
+        if count:
+            self.between[a][b] = self.between[b][a] = count
+        else:
+            del self.between[a][b], self.between[b][a]
+
+    def sweep(self) -> bool:
+        """Single-node moves until none lowers the cost; True if any node moved.
+
+        Each node goes to the neighbouring community whose move lowers
+        the cost most, ties to the smallest label, and stays unless the
+        change is below ``tol``.
+        """
+        step, length, tol = self.cost.step, self.cost.length, self.cost.tol
+        comm, cut, vol = self.comm, self.cut, self.vol
+        moved = False
+        improving = True
+        while improving:
+            improving = False
+            total = self.total
+            baseline = length(total)
+            for i, (row, ext, deg) in enumerate(zip(self.links, self.ext, self.deg)):
+                source = comm[i]
+                counts: dict[int, int] = {}
+                for j, count in row.items():
+                    c = comm[j]
+                    counts[c] = counts.get(c, 0) + count
+                stay = counts.pop(source, 0)
+                if not counts:
                     continue
-                gain = 2 * m * links[c] - sigma_tot[c] * k[v]
-                if gain > best_gain or (gain == best_gain and best_comm != old and c < best_comm):
-                    best_comm, best_gain = c, gain
-            comm[v] = best_comm
-            sigma_tot[best_comm] += k[v]
-            if best_comm != old:
-                improving = True
-                moved_any = True
-    return moved_any
+                leave_cut, leave_vol = cut[source] - ext + 2 * stay, vol[source] - deg
+                left = step(total, cut[source], vol[source], leave_cut, leave_vol)
+                delta, target = min(
+                    (length(step(left, cut[t], vol[t], cut[t] + ext - 2 * count, vol[t] + deg))
+                     - baseline, t) for t, count in counts.items())
+                if delta >= tol:
+                    continue
+                self._set(source, leave_cut, leave_vol)
+                self._set(target, cut[target] + ext - 2 * counts[target], vol[target] + deg)
+                comm[i] = target
+                for c, count in counts.items():
+                    self._link(source, c, -count)
+                    if c != target:
+                        self._link(target, c, count)
+                if stay:
+                    self._link(target, source, stay)
+                total = self.total
+                baseline = length(total)
+                moved = improving = True
+        return moved
+
+    def merge_best(self) -> bool:
+        """Merge the adjacent pair a < b (b into a) whose merge lowers the
+        cost most, ties to the smallest pair; False if no merge lowers it."""
+        step, length = self.cost.step, self.cost.length
+        cut, vol, total = self.cut, self.vol, self.total
+        baseline = length(total)
+        delta, a, b = min(
+            ((length(step(step(total, cut[a], vol[a], cut[a] + cut[b] - 2 * count,
+                                vol[a] + vol[b]), cut[b], vol[b], 0, 0)) - baseline, a, b)
+             for a, row in enumerate(self.between) for b, count in row.items() if a < b),
+            default=(self.cost.tol, 0, 0))
+        if delta >= self.cost.tol:
+            return False
+        self._set(a, cut[a] + cut[b] - 2 * self.between[a][b], vol[a] + vol[b])
+        self._set(b, 0, 0)
+        row, self.between[b] = self.between[b], {}
+        for c, count in row.items():
+            del self.between[c][b]
+            if c != a:
+                self._link(a, c, count)
+        self.comm[:] = [a if c == b else c for c in self.comm]
+        return True
+
+
+def _greedy_merge(net: RoadNetwork) -> Partition:
+    """Pairwise community merging, largest modularity gain first
+    (Clauset, Newman & Moore 2004), until no merge raises modularity."""
+    search = _CommunitySearch(_link_counts(net), _modularity_cost(2 * net.num_edges))
+    while search.merge_best():
+        pass
+    return Partition.from_assignment(dict(zip(net.node_ids, search.comm)))
 
 
 def _hierarchical_merge(net: RoadNetwork) -> Partition:
     """Multi-level local moves with supernode coarsening (modularity ascent).
 
-    A node moves only when its integer gain numerator beats staying by at
-    least 1, so every level that moves a node raises modularity; the
+    Each level moves nodes while a move raises modularity, then makes
+    every community a supernode whose loops are its inner edge ends; the
     level loop ends when a level moves no node.
     """
-    m = net.num_edges
-    neigh = _link_counts(net)  # current working graph over integer ids
-    nodes = list(neigh)
-    loops: dict[int, int] = {v: 0 for v in nodes}
-    k: dict[int, int] = {v: sum(neigh[v].values()) for v in nodes}
-    node_map = {v: i for i, v in enumerate(net.node_ids)}  # original -> current id
-    while True:
-        comm = {v: v for v in nodes}
-        if not _local_moves(nodes, neigh, k, m, comm):
-            break
-        relabel = {c: i for i, c in enumerate(sorted(set(comm.values())))}
-        node_map = {v: relabel[comm[node_map[v]]] for v in node_map}
-        # coarsen into supernodes
-        new_nodes = sorted(relabel.values())
-        new_neigh: dict[int, dict[int, int]] = {v: {} for v in new_nodes}
-        new_loops: dict[int, int] = {v: 0 for v in new_nodes}
-        for v in nodes:
-            cv = relabel[comm[v]]
-            new_loops[cv] += loops[v]
-            for u, w in neigh[v].items():
-                cu = relabel[comm[u]]
-                if cu == cv:
-                    new_loops[cv] += w  # both endpoints counted: 2w per edge total
-                else:
-                    new_neigh[cv][cu] = new_neigh[cv].get(cu, 0) + w
-        # loops double-counted above (once per endpoint); keep as weight*2 convention
-        nodes = new_nodes
-        neigh = new_neigh
-        loops = new_loops
-        k = {v: sum(neigh[v].values()) + loops[v] for v in nodes}
-    return Partition.from_assignment(node_map)
+    cost = _modularity_cost(2 * net.num_edges)
+    search = _CommunitySearch(_link_counts(net), cost)
+    node_map = list(range(net.num_nodes))  # original node -> current supernode
+    while search.sweep():
+        relabel = {c: i for i, c in enumerate(sorted(set(search.comm)))}
+        node_map = [relabel[search.comm[v]] for v in node_map]
+        search = _CommunitySearch(
+            [{relabel[d]: count for d, count in search.between[c].items()} for c in relabel],
+            cost, [search.vol[c] - search.cut[c] for c in relabel])
+    return Partition.from_assignment(dict(zip(net.node_ids, node_map)))
 
 
 def agglomerative_modularity(net: RoadNetwork, variant: str) -> Partition:
@@ -495,87 +542,33 @@ def map_equation_codelength(net: RoadNetwork, freq: Mapping[str, float],
     return _xlogx(s1) - 2 * sum(_xlogx(x) for x in exits) + modules
 
 
-def _flow_search(links: dict[int, dict[int, int]]) -> list[int]:
-    """Community label of each node from the greedy map-equation search.
+def _codelength_cost(two_m: int) -> _Cost:
+    """2m times the map equation's code length, less a partition-independent constant.
 
     Under the stationary rates deg/2m every node leaks 1/2m along each
-    edge, so a community's exit probability is its count ``cut`` of edge
-    ends leaving it over 2m and its visit total is its degree sum ``vol``
-    over 2m.  With Q = sum cut, S2 = sum cut*log2(cut) and M = sum of
-    (cut+vol)*log2(cut+vol) - cut*log2(cut), the codelength times 2m is
-    Q*log2(Q) + Q*log2(2m) - 2*S2 + M plus a partition-independent
-    constant.  Node moves are the primary step: unlike merges they are
-    reversible, which stops a single dense pair from swallowing its
-    neighbourhood early.
+    edge, so a community's exit probability is its ``cut`` over 2m and
+    its visit total its ``vol`` over 2m.  The total is (Q, S2, M) with
+    Q = sum cut, S2 = sum cut*log2(cut) and M = sum of
+    (cut+vol)*log2(cut+vol) - cut*log2(cut); the length is
+    Q*log2(Q) + Q*log2(2m) - 2*S2 + M.
     """
-    n = len(links)
-    deg = [sum(links[i].values()) for i in range(n)]
-    two_m = sum(deg)
     xlogx = [_xlogx(x) for x in range(2 * two_m + 1)]
     log_two_m = math.log2(two_m)
-    tol = -1e-12 * two_m
-    comm = list(range(n))
-    cut = list(deg)  # per community label; labels are node indices
-    vol = list(deg)
-    totals = (two_m, sum(xlogx[d] for d in deg), sum(xlogx[2 * d] - xlogx[d] for d in deg))
 
-    def length(q: int, s2: float, mod: float) -> float:
-        return xlogx[q] + q * log_two_m - 2 * s2 + mod
-
-    def moved(totals: tuple[int, float, float], c: int, new_cut: int,
-              new_vol: int) -> tuple[int, float, float]:
-        """(Q, S2, M) from ``totals`` once community c takes these counts."""
-        q, s2, mod = totals
-        return (q + new_cut - cut[c],
-                s2 + xlogx[new_cut] - xlogx[cut[c]],
+    def step(total: tuple[int, float, float], cut: int, vol: int, new_cut: int,
+             new_vol: int) -> tuple[int, float, float]:
+        q, s2, mod = total
+        return (q + new_cut - cut,
+                s2 + xlogx[new_cut] - xlogx[cut],
                 mod + (xlogx[new_cut + new_vol] - xlogx[new_cut])
-                - (xlogx[cut[c] + vol[c]] - xlogx[cut[c]]))
+                - (xlogx[cut + vol] - xlogx[cut]))
 
-    def apply(updates: list[tuple[int, int, int]]) -> None:
-        nonlocal totals
-        for c, new_cut, new_vol in updates:
-            totals = moved(totals, c, new_cut, new_vol)
-            cut[c], vol[c] = new_cut, new_vol
-
-    while True:
-        improving = True
-        while improving:
-            improving = False
-            for i in range(n):
-                source = comm[i]
-                counts: dict[int, int] = {}
-                for j, count in links[i].items():
-                    counts[comm[j]] = counts.get(comm[j], 0) + count
-                leave = (source, cut[source] - deg[i] + 2 * counts.get(source, 0),
-                         vol[source] - deg[i])
-                left = moved(totals, *leave)
-                baseline = length(*totals)
-                joins = [(t, cut[t] + deg[i] - 2 * count, vol[t] + deg[i])
-                         for t, count in counts.items() if t != source]
-                # targets are distinct, so ties on delta break on the target label
-                best = min(((length(*moved(left, *join)) - baseline, join) for join in joins),
-                           default=None)
-                if best is not None and best[0] < tol:
-                    apply([leave, best[1]])
-                    comm[i] = best[1][0]
-                    improving = True
-        between: dict[tuple[int, int], int] = defaultdict(int)  # edges between communities
-        for i in range(n):
-            for j, count in links[i].items():
-                if comm[i] < comm[j]:
-                    between[comm[i], comm[j]] += count
-        baseline = length(*totals)
-        best_merge: tuple[float, int, int, tuple[int, int, int]] | None = None
-        for (a, b), count in between.items():
-            merged = (a, cut[a] + cut[b] - 2 * count, vol[a] + vol[b])
-            delta = length(*moved(moved(totals, *merged), b, 0, 0)) - baseline
-            if best_merge is None or (delta, a, b) < best_merge[:3]:
-                best_merge = (delta, a, b, merged)
-        if best_merge is None or best_merge[0] >= tol:
-            return comm
-        _, a, b, merged = best_merge
-        apply([merged, (b, 0, 0)])
-        comm = [a if c == b else c for c in comm]
+    return _Cost(
+        start=lambda cuts, vols: (sum(cuts), sum(xlogx[c] for c in cuts),
+                                  sum(xlogx[c + v] - xlogx[c] for c, v in zip(cuts, vols))),
+        step=step,
+        length=lambda total: xlogx[total[0]] + total[0] * log_two_m - 2 * total[1] + total[2],
+        tol=-1e-12 * two_m)
 
 
 def flow_partition(net: RoadNetwork) -> Partition:
@@ -584,9 +577,14 @@ def flow_partition(net: RoadNetwork) -> Partition:
     Visit rates are the exact stationary rates deg/2m of the uniform
     walk; the deterministic greedy search alternates single-node moves
     (until stable) with the best whole-community merge, stopping when
-    neither shortens the code.
+    neither shortens the code.  Node moves are the primary step: unlike
+    merges they are reversible, which stops a single dense pair from
+    swallowing its neighbourhood early.
     """
     if net.num_edges == 0:  # a connected network without edges is one node
         return Partition.from_assignment({v: 0 for v in net.node_ids})
-    comm = _flow_search(_link_counts(net))
-    return Partition.from_assignment(dict(zip(net.node_ids, comm)))
+    search = _CommunitySearch(_link_counts(net), _codelength_cost(2 * net.num_edges))
+    search.sweep()
+    while search.merge_best():
+        search.sweep()
+    return Partition.from_assignment(dict(zip(net.node_ids, search.comm)))

@@ -223,11 +223,16 @@ def _read_rows(path, expected_header: tuple[str, ...]) -> list[tuple[int, list[s
     return rows
 
 
-def _parse_float(path, lineno: int, name: str, raw: str) -> float:
+def _parse_float(path, lineno: int, name: str, raw: str, invalid: str | None = None) -> float:
+    """Field ``name`` as a finite float; a ``ParseError`` at ``path:lineno``
+    otherwise, worded ``invalid`` when the text is not a number."""
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ParseError(f"{path}:{lineno}: invalid {name} value {raw!r}") from None
+        raise ParseError(f"{path}:{lineno}: {invalid or f'invalid {name} value {raw!r}'}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{path}:{lineno}: {name} must be finite, got {raw!r}")
+    return value
 
 
 def load_network(nodes_file, edges_file) -> RoadNetwork:

@@ -218,7 +218,8 @@ def _evaluate_tours(card: JobCard, legs: tuple[np.ndarray, ...], travel: np.ndar
         steps[:, 0] = clock
         steps[:, 1::2] = travel[idx]
         steps[:, 2::2] = leg_delays
-        clock = np.add.accumulate(steps, axis=1)[:, -1]
+        with np.errstate(over="ignore"):  # an overflowed clock is +inf, as in run_tour
+            clock = np.add.accumulate(steps, axis=1)[:, -1]
         ambushes += np.count_nonzero(leg_delays, axis=1)
         if i < len(card.stops):
             start = card.stops[i].window_start_s
@@ -256,10 +257,12 @@ def metrics_from_tours(tours: Iterable[TourResult]) -> RoundMetrics:
     late = sum(1 for t in tours for s in t.statuses if s != ON_TIME)
     critical = sum(1 for t in tours for s in t.statuses if s == CRITICALLY_LATE)
     times = np.array([t.tour_time_s for t in tours])
+    with np.errstate(over="ignore"):  # a sum past the float range reads +inf
+        mean = float(times.mean()) if len(times) else 0.0
     return RoundMetrics(
         late_fraction=late / total if total else 0.0,
         critical_fraction_of_late=critical / late if late else 0.0,
-        mean_tour_time_s=float(times.mean()) if len(times) else 0.0,
+        mean_tour_time_s=mean,
         p95_tour_time_s=_p95(times),
         total_deliveries=total,
         total_ambushes=sum(t.ambush_count for t in tours),

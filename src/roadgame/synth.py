@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, ParseError, ValidationError
-from .network import Edge, Node, RoadNetwork, _dijkstra, _read_rows, shortest_path
+from .network import (Edge, Node, RoadNetwork, _dijkstra, _parse_float, _read_rows,
+                      shortest_path)
 from .rng import substream
 from .simulate import JobCard, Stop
 
@@ -75,17 +76,12 @@ def parse_jobcards(path) -> list[JobCard]:
         if len(set(seqs)) != len(seqs):
             raise ValidationError(f"courier {courier!r}: duplicate seq numbers")
         _, warehouse_lineno, warehouse, day_start_raw, _ = rows[0]
-        try:
-            day_start = float(day_start_raw) if day_start_raw else 0.0
-        except ValueError:
-            raise ParseError(
-                f"{path}:{warehouse_lineno}: invalid day start {day_start_raw!r}") from None
+        day_start = _parse_float(path, warehouse_lineno, "window_start_s", day_start_raw,
+                                 f"invalid day start {day_start_raw!r}") if day_start_raw else 0.0
         stops = []
         for seq, lineno, node_id, ws_raw, we_raw in rows[1:]:
-            try:
-                ws, we = float(ws_raw), float(we_raw)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: invalid window bounds") from None
+            ws = _parse_float(path, lineno, "window_start_s", ws_raw, "invalid window bounds")
+            we = _parse_float(path, lineno, "window_end_s", we_raw, "invalid window bounds")
             if ws >= we:
                 raise ValidationError(
                     f"courier {courier!r} seq {seq}: window start {ws:g} >= end {we:g}")

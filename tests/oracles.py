@@ -76,8 +76,8 @@ def brute_min_edge_cut(net: RoadNetwork, src: str, dst: str) -> int:
     return best
 
 
-def brute_modularity(net: RoadNetwork, labels: dict[str, int]) -> float:
-    """Literal double-sum Newman modularity, exact rationals."""
+def exact_modularity(net: RoadNetwork, labels: dict[str, int]) -> Fraction:
+    """Literal double-sum Newman modularity as an exact rational."""
     m = net.num_edges
     deg = {v: net.degree(v) for v in net.node_ids}
     adj = {frozenset((e.u, e.v)) for e in net.edges.values()}
@@ -88,7 +88,12 @@ def brute_modularity(net: RoadNetwork, labels: dict[str, int]) -> float:
                 continue
             a_ij = 1 if i != j and frozenset((i, j)) in adj else 0
             total += Fraction(a_ij) - Fraction(deg[i] * deg[j], 2 * m)
-    return float(total / (2 * m))
+    return total / (2 * m)
+
+
+def brute_modularity(net: RoadNetwork, labels: dict[str, int]) -> float:
+    """``exact_modularity`` rounded to a float."""
+    return float(exact_modularity(net, labels))
 
 
 def brute_best_bipartition(net: RoadNetwork):
@@ -320,6 +325,77 @@ def rescan_greedy_merge(net: RoadNetwork) -> Partition:
         cross = merged
     return Partition.from_assignment(
         {node: label for label, group in members.items() for node in group})
+
+
+def _sigma_tot_local_moves(nodes, neigh, k, m, comm):
+    """Greedy single-node moves until stable; True if any node moved.  A
+    node moves on a strict gain 2*m*k_in - sigma_tot*k_i over staying,
+    ties to the smallest community label."""
+    sigma_tot = defaultdict(int)
+    for v in nodes:
+        sigma_tot[comm[v]] += k[v]
+    moved_any = False
+    improving = True
+    while improving:
+        improving = False
+        for v in nodes:
+            old = comm[v]
+            sigma_tot[old] -= k[v]
+            links = defaultdict(int)
+            for u, w in neigh[v].items():
+                links[comm[u]] += w
+            stay_gain = 2 * m * links.get(old, 0) - sigma_tot[old] * k[v]
+            best_comm, best_gain = old, stay_gain
+            for c in sorted(links):
+                if c == old:
+                    continue
+                gain = 2 * m * links[c] - sigma_tot[c] * k[v]
+                if gain > best_gain or (gain == best_gain and best_comm != old and c < best_comm):
+                    best_comm, best_gain = c, gain
+            comm[v] = best_comm
+            sigma_tot[best_comm] += k[v]
+            if best_comm != old:
+                improving = True
+                moved_any = True
+    return moved_any
+
+
+def sigma_tot_hierarchical_merge(net: RoadNetwork) -> Partition:
+    """hierarchical_mod's multi-level modularity ascent with each
+    community's degree total ``sigma_tot`` kept per level and every level
+    coarsened by a pass over the node links."""
+    m = net.num_edges
+    index = {v: i for i, v in enumerate(net.node_ids)}
+    neigh = {i: {} for i in range(net.num_nodes)}
+    for e in net.edges.values():
+        i, j = index[e.u], index[e.v]
+        neigh[i][j] = neigh[i].get(j, 0) + 1
+        neigh[j][i] = neigh[j].get(i, 0) + 1
+    nodes = list(neigh)
+    loops = {v: 0 for v in nodes}
+    k = {v: sum(neigh[v].values()) for v in nodes}
+    node_map = dict(index)  # original -> current id
+    while True:
+        comm = {v: v for v in nodes}
+        if not _sigma_tot_local_moves(nodes, neigh, k, m, comm):
+            break
+        relabel = {c: i for i, c in enumerate(sorted(set(comm.values())))}
+        node_map = {v: relabel[comm[node_map[v]]] for v in node_map}
+        new_nodes = sorted(relabel.values())
+        new_neigh = {v: {} for v in new_nodes}
+        new_loops = {v: 0 for v in new_nodes}
+        for v in nodes:
+            cv = relabel[comm[v]]
+            new_loops[cv] += loops[v]
+            for u, w in neigh[v].items():
+                cu = relabel[comm[u]]
+                if cu == cv:
+                    new_loops[cv] += w  # counted from both ends
+                else:
+                    new_neigh[cv][cu] = new_neigh[cv].get(cu, 0) + w
+        nodes, neigh, loops = new_nodes, new_neigh, new_loops
+        k = {v: sum(neigh[v].values()) + loops[v] for v in nodes}
+    return Partition.from_assignment(node_map)
 
 
 def node_walk_degree_ranking(net: RoadNetwork) -> list[str]:

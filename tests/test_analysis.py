@@ -1,12 +1,16 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_net, clique_edges, connected_graphs
-from oracles import (brute_best_bipartition, brute_betweenness,
-                     brute_modularity, float_flow_partition, fraction_betweenness,
-                     rescan_greedy_merge, tensor_kmeans)
-from roadgame.analysis import (Partition, _betweenness_scores, _greedy_merge, _kmeans,
+from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity,
+                     exact_modularity, float_flow_partition, fraction_betweenness,
+                     rescan_greedy_merge, sigma_tot_hierarchical_merge, tensor_kmeans)
+from roadgame.analysis import (Partition, _betweenness_scores, _codelength_cost,
+                               _CommunitySearch, _greedy_merge, _hierarchical_merge,
+                               _kmeans, _link_counts, _modularity_cost,
                                agglomerative_modularity, centrality,
                                default_short_walk_len, flow_partition,
                                map_equation_codelength, mixing_partition,
@@ -36,6 +40,35 @@ def random_connected_net(seed, n=10, p=0.35, max_weight=5):
                              times={e: w for e, u, v, w in edges})
         except Exception:
             continue
+
+
+# the networks the fast community searches are checked on against their references
+SEARCH_GRAPHS = ["two_cliques_bridge", "k5", "planted32", "planted64", "bypass_city",
+                 "grid8", "grid16", "geo0", "geo1", "geo2"]
+
+
+def search_graph(request, graph):
+    if graph.startswith("grid"):
+        size = int(graph[4:])
+        return generate_city("grid", rows=size, cols=size, edge_time_s=60.0)
+    if graph.startswith("geo"):
+        return generate_city("geometric", seed=int(graph[3:]), n=60, radius_m=250.0)
+    return request.getfixturevalue(graph)
+
+
+def community_counts(net, labels):
+    """Per label: edge ends leaving it, degree sum, and edge count to each other label."""
+    cut, vol, between = defaultdict(int), defaultdict(int), defaultdict(int)
+    for v in net.node_ids:
+        vol[labels[v]] += net.degree(v)
+    for e in net.edges.values():
+        a, b = labels[e.u], labels[e.v]
+        if a != b:
+            cut[a] += 1
+            cut[b] += 1
+            between[a, b] += 1
+            between[b, a] += 1
+    return cut, vol, between
 
 
 class TestCentrality:
@@ -209,16 +242,55 @@ class TestAgglomerative:
 
     @pytest.mark.parametrize("graph", ["two_cliques_bridge", "planted64", "bypass_city", "grid16"])
     def test_greedy_equals_rescan_reference(self, request, graph):
-        if graph == "grid16":
-            net = generate_city("grid", rows=16, cols=16, edge_time_s=60.0)
-        else:
-            net = request.getfixturevalue(graph)
+        net = search_graph(request, graph)
         assert _greedy_merge(net) == rescan_greedy_merge(net)
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(5, 40))
     def test_greedy_equals_rescan_reference_on_random_graphs(self, net):
         assert _greedy_merge(net) == rescan_greedy_merge(net)
+
+    @pytest.mark.parametrize("graph", SEARCH_GRAPHS)
+    def test_hierarchical_equals_sigma_tot_reference(self, request, graph):
+        net = search_graph(request, graph)
+        assert _hierarchical_merge(net) == sigma_tot_hierarchical_merge(net)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(5, 40))
+    def test_hierarchical_equals_sigma_tot_reference_on_random_graphs(self, net):
+        assert _hierarchical_merge(net) == sigma_tot_hierarchical_merge(net)
+
+
+class TestCommunitySearch:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(5, 30), st.data())
+    def test_modularity_total_is_4m2_times_one_minus_q(self, net, data):
+        labels = {v: data.draw(st.integers(0, 4)) for v in net.node_ids}
+        cut, vol, _ = community_counts(net, labels)
+        m = net.num_edges
+        total = _modularity_cost(2 * m).start([cut[c] for c in vol], list(vol.values()))
+        assert total == 4 * m * m * (1 - exact_modularity(net, labels))
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(5, 40), st.sampled_from(["modularity", "codelength"]))
+    def test_counts_follow_moves_and_merges(self, net, kind):
+        cost = (_modularity_cost if kind == "modularity" else _codelength_cost)(2 * net.num_edges)
+        search = _CommunitySearch(_link_counts(net), cost)
+        search.sweep()
+        while search.merge_best():
+            search.sweep()
+        labels = dict(zip(net.node_ids, search.comm))
+        cut, vol, between = community_counts(net, labels)
+        for c in range(net.num_nodes):
+            assert (search.cut[c], search.vol[c]) == (cut[c], vol[c])
+            assert search.between[c] == {b: n for (a, b), n in between.items() if a == c}
+        expected = cost.start(search.cut, search.vol)
+        if kind == "modularity":
+            m = net.num_edges
+            assert search.total == expected == 4 * m * m * (1 - exact_modularity(net, labels))
+        else:  # the running float sums drift from a fresh sum by rounding only
+            assert search.total[0] == expected[0]
+            assert search.total[1:] == pytest.approx(expected[1:], rel=1e-9, abs=1e-9)
 
 
 class TestMixingPartition:
@@ -306,17 +378,10 @@ class TestFlowPartition:
         net = RoadNetwork([Node("a", 0.0, 0.0)], [])
         assert flow_partition(net).assignment == {"a": 0}
 
-    @pytest.mark.parametrize("graph", ["two_cliques_bridge", "k5", "planted32", "planted64",
-                                       "bypass_city", "grid8", "grid16", "geo0", "geo1", "geo2"])
+    @pytest.mark.parametrize("graph", SEARCH_GRAPHS)
     def test_equals_float_reference(self, request, graph):
         # integer cut/volume counts must pick the float search's partition
-        if graph.startswith("grid"):
-            size = int(graph[4:])
-            net = generate_city("grid", rows=size, cols=size, edge_time_s=60.0)
-        elif graph.startswith("geo"):
-            net = generate_city("geometric", seed=int(graph[3:]), n=60, radius_m=250.0)
-        else:
-            net = request.getfixturevalue(graph)
+        net = search_graph(request, graph)
         assert flow_partition(net) == float_flow_partition(net)
 
     @settings(max_examples=60, deadline=None)

@@ -492,6 +492,18 @@ class TestCliCommands:
         assert "Traceback" not in result.stderr
         assert re.search(r"^error: fleet slack \S+ s .* arrival time \S+ s", result.stderr)
 
+    @pytest.mark.parametrize("command", [["matrix"], ["sweep", "--axis", "window"],
+                                         ["--nested-plans", "sweep", "--axis", "attackers"]])
+    def test_overflowing_clock_runs_without_warnings(self, tmp_path, command):
+        # two ambushes of 1e308 s overflow a tour clock to +inf; numpy used to
+        # print an overflow RuntimeWarning for it
+        path = tmp_path / "cfg.txt"
+        path.write_text(SMALL_CFG + "ambush_delay_s = 1e308\n")
+        out = tmp_path / "o"
+        result = run_cli(["--config", str(path), "--out", str(out), *command])
+        assert (result.returncode, result.stderr) == (0, "")
+        assert not any("nan" in f.read_text() for f in out.iterdir())
+
     def test_error_paths_exit_nonzero(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("network_kind = files\n")
@@ -525,6 +537,38 @@ def test_file_errors_exit_1_naming_the_path(tmp_path, capsys, case):
     assert cli_main(["--config", str(config), "--out", str(out), *command]) == 1
     path = {"config": config, "out_under_file": out, "out_is_file": out}.get(case, missing)
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("name, row, field", [
+    ("nodes.csv", 2, "x"), ("nodes.csv", 2, "y"),
+    ("edges.csv", 2, "length_m"), ("edges.csv", 2, "speed_mps"),
+    ("cards.csv", 2, "window_start_s"),  # the warehouse row's day start
+    ("cards.csv", 3, "window_start_s"), ("cards.csv", 3, "window_end_s")])
+def test_non_finite_input_field_exits_1_naming_it(tmp_path, capsys, name, row, field):
+    # an inf or nan day start used to write nan tour times and exit 0, an inf
+    # window end was accepted, and a nan coordinate or inf length was refused
+    # without the file and line
+    net = generate_city("grid", rows=2, cols=2, edge_time_s=60.0)
+    save_network(net, tmp_path / "nodes.csv", tmp_path / "edges.csv")
+    (tmp_path / "cards.csv").write_text(
+        "courier_id,seq,node_id,window_start_s,window_end_s\n"
+        f"c0,0,{net.node_ids[0]},0,\n"
+        f"c0,1,{net.node_ids[-1]},0,100000\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"network_kind = files\nnodes_file = {tmp_path / 'nodes.csv'}\n"
+                   f"edges_file = {tmp_path / 'edges.csv'}\n"
+                   f"fleet_kind = file\njobcards_file = {tmp_path / 'cards.csv'}\n")
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    column = lines[0].split(",").index(field)
+    for text in ("inf", "-inf", "nan", "1e400"):  # 1e400 parses to inf
+        cells = lines[row - 1].split(",")
+        cells[column] = text
+        path.write_text("\n".join(lines[:row - 1] + [",".join(cells)] + lines[row:]) + "\n")
+        assert cli_main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "simulate", "--attack", "random", "--defense", "shortest"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{row}: {field} must be finite, got {text!r}\n")
 
 
 @pytest.mark.parametrize("method", ["botgrep", "infomap"])

@@ -82,9 +82,14 @@ class TestLoadNetwork:
             tmp_path,
             "node_id,x,y\nA,0,0\nB,1,0\n",
             f"edge_id,u,v,length_m,speed_mps\ne0,A,B,{length},{speed}\n")
-        with pytest.raises(ValidationError) as exc:
-            load_network(nodes, edges)
-        assert str(exc.value) == f"edge 'e0' {field} must be finite and > 0, got {shown}"
+        if math.isfinite(float(raw)):
+            with pytest.raises(ValidationError) as exc:
+                load_network(nodes, edges)
+            assert str(exc.value) == f"edge 'e0' {field} must be finite and > 0, got {shown}"
+        else:  # refused while parsing, at its file and line
+            with pytest.raises(ParseError) as exc:
+                load_network(nodes, edges)
+            assert str(exc.value) == f"{edges}:2: {field} must be finite, got {raw!r}"
 
     def test_non_utf8_file_is_parse_error(self, tmp_path):
         nodes, edges = write_files(
