@@ -12,6 +12,7 @@ so worker count never changes any output byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -251,19 +252,10 @@ class ExperimentConfig:
         raise ValidationError(f"unknown fleet_kind {self.fleet_kind!r}")
 
 
-# -- per-process scenario cache (worker pools rebuild once per process) -------
-
-_SCENARIO_CACHE: dict[ExperimentConfig, tuple[RoadNetwork, list[JobCard]]] = {}
-
-
+@functools.lru_cache(maxsize=1)  # one scenario per process; pool workers build it once
 def _scenario(cfg: ExperimentConfig) -> tuple[RoadNetwork, list[JobCard]]:
-    cached = _SCENARIO_CACHE.get(cfg)
-    if cached is None:
-        net = cfg.build_network()
-        cached = (net, cfg.build_fleet(net))
-        _SCENARIO_CACHE.clear()  # keep at most one scenario per process
-        _SCENARIO_CACHE[cfg] = cached
-    return cached
+    net = cfg.build_network()
+    return net, cfg.build_fleet(net)
 
 
 def _rounds_task(args) -> list[tuple[str, int, float, RoundMetrics]]:

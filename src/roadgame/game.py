@@ -47,10 +47,14 @@ class Equilibrium:
 
 def _as_matrix(matrix) -> np.ndarray:
     if isinstance(matrix, PayoffMatrix):
-        return np.asarray(matrix.payoff, dtype=float)
+        matrix = matrix.payoff
     out = np.asarray(matrix, dtype=float)
     if out.ndim != 2 or out.size == 0:
         raise DomainError("payoff matrix must be 2-D and nonempty")
+    bad = np.argwhere(~np.isfinite(out))
+    if len(bad):
+        i, j = bad[0]
+        raise DomainError(f"payoff matrix cell ({i}, {j}) is not finite: {out[i, j]}")
     return out
 
 

@@ -6,6 +6,11 @@ continues from the far endpoint.  Early arrival waits (without penalty)
 until the window opens.  A delivery is late when it arrives after the
 window closes, and critically late when the lateness exceeds half the
 window size.
+
+One evaluator, ``_evaluate_tours``, applies these rules to a courier's
+tour under every attack plan of a round at once; ``run_tour`` is its
+one-plan form.  Its reference, the plain edge-by-edge walk, is
+``tests/oracles.py::reference_tour``.
 """
 
 from __future__ import annotations
@@ -145,55 +150,32 @@ def _compile_route(net: RoadNetwork, plan: RoutePlan, card: JobCard) -> tuple[np
 
 def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
              attack: AttackPlan, ambush_delay_s: float = DEFAULT_AMBUSH_DELAY_S) -> TourResult:
-    """Execute one tour under an attack plan, edge by edge.
+    """Execute one tour under an attack plan.
 
     Raises DomainError when the route does not structurally match the
-    card.  A plan whose walk failed marks all remaining deliveries as
-    critically late with infinite arrival.  This is the reference that
-    the batched evaluation in ``run_rounds`` reproduces bit for bit.
+    card or the attack plan names an edge the network lacks.  A plan
+    whose walk failed marks all remaining deliveries as critically late
+    with infinite arrival.
     """
     if not ambush_delay_s > 0:
         raise DomainError("ambush delay must be > 0")
-    _compile_route(net, plan, card)
-
-    attacked = attack.edges
-    clock = card.day_start_s
-    ambushes = 0
-    arrivals: list[float] = []
-    statuses: list[str] = []
-    tour_time = math.inf
-
-    for i, leg in enumerate(plan.legs):
-        for eid in leg:
-            clock += net.edges[eid].travel_time_s
-            if eid in attacked:
-                clock += ambush_delay_s
-                ambushes += 1
-        if i < len(card.stops):
-            stop = card.stops[i]
-            arrival = max(clock, stop.window_start_s)
-            clock = arrival
-            arrivals.append(arrival)
-            statuses.append(classify_arrival(arrival, stop))
-        else:
-            tour_time = clock - card.day_start_s
-
-    if plan.failed_leg is not None:
-        for _ in range(len(card.stops) - len(arrivals)):
-            arrivals.append(math.inf)
-            statuses.append(CRITICALLY_LATE)
-        tour_time = math.inf
-
-    return TourResult(card.courier_id, tuple(arrivals), tuple(statuses),
-                      ambushes, tour_time)
+    legs = _compile_route(net, plan, card)
+    delays = _delay_matrix(net, [attack], ambush_delay_s)
+    return _evaluate_tours(card, legs, _travel_time_vector(net), delays)[0]
 
 
 def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
                   ambush_delay_s: float) -> np.ndarray:
-    """Plans x edges: the ambush delay on each plan's edges, 0.0 elsewhere."""
+    """Plans x edges: the ambush delay on each plan's edges, 0.0 elsewhere.
+
+    Raises DomainError when a plan names an edge the network lacks.
+    """
     index = _edge_index(net)
     delays = np.zeros((len(plans), net.num_edges))
     for row, plan in enumerate(plans):
+        unknown = plan.edges.ids.difference(index)
+        if unknown:
+            raise DomainError(f"attack plan names edges not in the network: {sorted(unknown)}")
         delays[row, [index[eid] for eid in plan.edges.ids]] = ambush_delay_s
     return delays
 
@@ -202,10 +184,11 @@ def _evaluate_tours(card: JobCard, legs: tuple[np.ndarray, ...], travel: np.ndar
                     delays: np.ndarray) -> list[TourResult]:
     """One courier's tour under every row of ``delays`` (plans x edges).
 
-    Each leg adds, in ``run_tour``'s order, every edge's travel time and
-    then its delay (0.0 off the plan, which is exact) to the clock:
+    Each leg adds, in walking order, every edge's travel time and then its
+    delay (0.0 off the plan, which is exact) to the clock:
     ``np.add.accumulate`` over ``[clock, t1, d1, t2, d2, ...]`` performs
-    those IEEE additions one after another, unlike a pairwise sum.
+    those IEEE additions one after another, unlike a pairwise sum, so the
+    result equals an edge-by-edge walk bit for bit.
     """
     plans = delays.shape[0]
     clock = np.full(plans, card.day_start_s, dtype=float)
@@ -218,7 +201,7 @@ def _evaluate_tours(card: JobCard, legs: tuple[np.ndarray, ...], travel: np.ndar
         steps[:, 0] = clock
         steps[:, 1::2] = travel[idx]
         steps[:, 2::2] = leg_delays
-        with np.errstate(over="ignore"):  # an overflowed clock is +inf, as in run_tour
+        with np.errstate(over="ignore"):  # an overflowed clock is +inf
             clock = np.add.accumulate(steps, axis=1)[:, -1]
         ambushes += np.count_nonzero(leg_delays, axis=1)
         if i < len(card.stops):
@@ -257,8 +240,10 @@ def metrics_from_tours(tours: Iterable[TourResult]) -> RoundMetrics:
     late = sum(1 for t in tours for s in t.statuses if s != ON_TIME)
     critical = sum(1 for t in tours for s in t.statuses if s == CRITICALLY_LATE)
     times = np.array([t.tour_time_s for t in tours])
-    with np.errstate(over="ignore"):  # a sum past the float range reads +inf
+    with np.errstate(over="ignore"):
         mean = float(times.mean()) if len(times) else 0.0
+        if mean == math.inf and np.isfinite(times).all():  # the sum passed the float range
+            mean = float((times / len(times)).sum())
     return RoundMetrics(
         late_fraction=late / total if total else 0.0,
         critical_fraction_of_late=critical / late if late else 0.0,

@@ -7,6 +7,7 @@ implementations at the end are the slower forms that faster library
 code replaced, kept so the fast forms can be checked for equal output.
 """
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
@@ -14,7 +15,12 @@ from itertools import combinations
 import numpy as np
 
 from roadgame.analysis import Partition, _xlogx
+from roadgame.attacks import AttackPlan
+from roadgame.errors import DomainError
 from roadgame.network import RoadNetwork, _dijkstra
+from roadgame.routing import RoutePlan
+from roadgame.simulate import (CRITICALLY_LATE, DEFAULT_AMBUSH_DELAY_S, JobCard,
+                               TourResult, _compile_route, classify_arrival)
 
 
 def enumerate_simple_paths(net: RoadNetwork, src: str, dst: str):
@@ -409,3 +415,48 @@ def node_walk_degree_ranking(net: RoadNetwork) -> list[str]:
                 seen.add(eid)
                 ranking.append(eid)
     return ranking
+
+
+def reference_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
+                   attack: AttackPlan, ambush_delay_s: float = DEFAULT_AMBUSH_DELAY_S) -> TourResult:
+    """Execute one tour under an attack plan, edge by edge.
+
+    Raises DomainError when the route does not structurally match the
+    card.  A plan whose walk failed marks all remaining deliveries as
+    critically late with infinite arrival.  This is the reference that
+    the batched evaluation in ``run_rounds`` reproduces bit for bit.
+    """
+    if not ambush_delay_s > 0:
+        raise DomainError("ambush delay must be > 0")
+    _compile_route(net, plan, card)
+
+    attacked = attack.edges
+    clock = card.day_start_s
+    ambushes = 0
+    arrivals: list[float] = []
+    statuses: list[str] = []
+    tour_time = math.inf
+
+    for i, leg in enumerate(plan.legs):
+        for eid in leg:
+            clock += net.edges[eid].travel_time_s
+            if eid in attacked:
+                clock += ambush_delay_s
+                ambushes += 1
+        if i < len(card.stops):
+            stop = card.stops[i]
+            arrival = max(clock, stop.window_start_s)
+            clock = arrival
+            arrivals.append(arrival)
+            statuses.append(classify_arrival(arrival, stop))
+        else:
+            tour_time = clock - card.day_start_s
+
+    if plan.failed_leg is not None:
+        for _ in range(len(card.stops) - len(arrivals)):
+            arrivals.append(math.inf)
+            statuses.append(CRITICALLY_LATE)
+        tour_time = math.inf
+
+    return TourResult(card.courier_id, tuple(arrivals), tuple(statuses),
+                      ambushes, tour_time)

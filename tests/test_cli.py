@@ -591,10 +591,10 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     code = (
         "import sys, roadgame.cli\n"
         "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
-        "for method in ('botgrep', 'infomap'):\n"
+        f"for method in {ANALYZE_METHODS!r}:\n"
         f"    assert roadgame.cli.main(['--out', {str(tmp_path)!r}, 'analyze', '--method', method]) == 0\n"
         "    loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(loaded)\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[[], [], []]"
+    assert result.stdout.splitlines()[-1] == repr([[]] * (len(ANALYZE_METHODS) + 1))

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +84,18 @@ class TestSolveZeroSum:
     def test_matrix_validation(self):
         with pytest.raises(DomainError):
             solve_zero_sum(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("solver", [solve_zero_sum, find_pure_nash])
+    @pytest.mark.parametrize("matrix, cell", [
+        ([[math.nan, 1.0], [0.0, 1.0]], "(0, 0)"),
+        ([[math.inf, 1.0], [0.0, 1.0]], "(0, 0)"),
+        ([[0.0, 1.0], [1.0, -math.inf]], "(1, 1)"),
+    ])
+    def test_non_finite_payoff_names_first_bad_cell(self, solver, matrix, cell):
+        # unchecked, nan escaped linprog as a bare ValueError, and
+        # find_pure_nash gave [] for nan and the false saddle [(0, 1)] for inf
+        with pytest.raises(DomainError, match=re.escape(f"cell {cell} is not finite")):
+            solver(matrix)
 
     def test_uncertifiable_tolerance_reports_best_achieved(self):
         from roadgame.errors import SolverError

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import roadgame.routing as routing
 import roadgame.simulate as simulate
 from conftest import build_net
+from oracles import reference_tour
 from roadgame.attacks import AttackPlan, empty_attack_plan, select_attack_edges
 from roadgame.errors import DomainError, ValidationError
 from roadgame.network import EdgeSet
@@ -243,6 +244,12 @@ class TestMetrics:
         assert metrics.p95_tour_time_s == math.inf
         assert metrics.mean_tour_time_s == math.inf
 
+    def test_mean_of_finite_times_whose_sum_overflows_is_finite(self):
+        tours = [TourResult("c0", (), (), 0, 1e308), TourResult("c1", (), (), 0, 1.5e308)]
+        metrics = metrics_from_tours(tours)
+        assert metrics.mean_tour_time_s == 1.25e308
+        assert metrics.p95_tour_time_s == pytest.approx(1.475e308)
+
     def test_p95_without_inf_neighbours_is_numpy_percentile(self):
         # 40 tours put the 95th percentile between the 38th and 39th values,
         # so one failed tour above them leaves it finite
@@ -253,7 +260,7 @@ class TestMetrics:
         assert p95 == pytest.approx(37.05)
 
 
-# -- batched round engine against the edge-by-edge reference -------------------
+# -- the tour engine against the edge-by-edge reference ------------------------
 
 
 @st.composite
@@ -315,8 +322,9 @@ class TestRoundEngine:
         batched = simulate._evaluate_tours(
             card, legs, simulate._travel_time_vector(net),
             simulate._delay_matrix(net, attacks, delay))
-        reference = [run_tour(net, plan, card, attack, delay) for attack in attacks]
+        reference = [reference_tour(net, plan, card, attack, delay) for attack in attacks]
         assert batched == reference
+        assert [run_tour(net, plan, card, attack, delay) for attack in attacks] == reference
 
     @pytest.mark.parametrize("nested", [False, True])
     def test_rounds_match_reference_per_attack_and_k(self, planted32, nested):
@@ -330,7 +338,7 @@ class TestRoundEngine:
                            else derive_seed(3, "attack", k))
             plan = select_attack_edges(planted32, attack, k, seed=attack_seed)
             assert details.attack == plan
-            tours = [run_tour(planted32, details.routes[c.courier_id], c, plan, 450.0)
+            tours = [reference_tour(planted32, details.routes[c.courier_id], c, plan, 450.0)
                      for c in sorted(fleet, key=lambda c: c.courier_id)]
             assert list(details.tours.values()) == tours
             assert details.metrics == metrics_from_tours(tours)
@@ -343,3 +351,12 @@ class TestRoundEngine:
             simulate._compile_route(p3, plan, card_ac)
         with pytest.raises(DomainError, match="leg 0 ends at 'B'"):
             run_tour(p3, plan, card_ac, empty_attack_plan(p3))
+
+    def test_attack_edge_missing_from_network_raises_domain_error(self, p3):
+        card = JobCard("c0", "A", (Stop("B", 0.0, 100.0),))
+        plan = plan_route(p3, card, "shortest", 0)
+        attack = AttackPlan("random", EdgeSet(frozenset({"e0", "zz"})), 0)
+        with pytest.raises(DomainError, match=r"not in the network: \['zz'\]"):
+            run_tour(p3, plan, card, attack)
+        with pytest.raises(DomainError, match="not in the network"):
+            simulate._delay_matrix(p3, [empty_attack_plan(p3), attack], 600.0)
