@@ -438,16 +438,12 @@ def mixing_transition_matrix(net: RoadNetwork) -> np.ndarray:
     A self-loop absorbs the residual probability so every row sums to 1.
     Rows/columns follow sorted node-id order.
     """
-    index = {v: i for i, v in enumerate(net.node_ids)}
-    n = net.num_nodes
-    p = np.zeros((n, n))
-    for e in net.edges.values():
-        i, j = index[e.u], index[e.v]
-        prob = min(1.0 / net.degree(e.u), 1.0 / net.degree(e.v))
-        p[i, j] = prob
-        p[j, i] = prob
-    for i in range(n):
-        p[i, i] = 1.0 - p[i].sum()
+    a = _adjacency_matrix(net)
+    # degree 0 occurs only on a one-node network, whose row of A is all zero
+    inverse = 1.0 / np.maximum(a.sum(axis=1), 1.0)
+    p = np.minimum.outer(inverse, inverse)
+    p *= a
+    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
     return p
 
 

@@ -1,15 +1,18 @@
 """Command-line entry point.
 
 Subcommands: simulate, matrix, sweep, attack, analyze, synth, gen-city.
-All outputs are UTF-8 text with headers; a run is fully determined by its
-config and seeds, so repeated invocations are byte-identical.
+simulate, matrix and sweep run their rounds through the experiment's one
+runner, so all three honour ``workers`` and write the same bytes for any
+worker count.  All outputs are UTF-8 text with headers; a run is fully
+determined by its config and seeds, so repeated invocations are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .attacks import (ATTACK_STRATEGIES, PARTITION_STRATEGIES, _partition_for,
@@ -19,7 +22,6 @@ from .experiment import (ROUND_HEADER, ExperimentConfig, emit_reports, format_ro
                          run_matrix, run_sweep)
 from .network import load_network, save_network
 from .routing import DEFENSE_STRATEGIES
-from .simulate import run_round_details
 from .synth import (TraceTolerance, parse_jobcards, synthesize_traces,
                     write_jobcards, write_leg_audit)
 
@@ -48,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="output directory (default: the config's output_dir)")
     parser.add_argument("--nested-plans", action="store_true",
                         help="grow attack plans as prefixes of one per-seed ranking")
-    parser.add_argument("--workers", type=int, help="worker processes for matrix/sweep cells")
+    parser.add_argument("--workers", type=int,
+                        help="worker processes for simulate/matrix/sweep rounds")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -99,18 +102,11 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
-    net = cfg.build_network()
-    fleet = cfg.build_fleet(net)
+    rows = run_sweep(replace(cfg, attacks=(args.attack,), defenses=(args.defense,)), "matrix")
     out = _out_dir(cfg, args)
-    lines = [ROUND_HEADER]
-    late = []
-    for seed in cfg.seeds:
-        m = run_round_details(net, fleet, args.attack, args.defense, cfg.k,
-                              cfg.ambush_delay_s, seed, cfg.nested_plans).metrics
-        late.append(m.late_fraction)
-        row = (args.attack, args.defense, cfg.k, 1.0, seed) + astuple(m)
-        lines.append(format_row(cfg, row, seed_column=False))
+    lines = [ROUND_HEADER] + [format_row(cfg, row, seed_column=False) for row in rows]
     (out / "round_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    late = [row[5] for row in rows]
     print(f"{args.attack} vs {args.defense}: mean late fraction "
           f"{sum(late) / len(late):.3f} over {len(late)} seeds")
     return 0

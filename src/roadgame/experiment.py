@@ -2,12 +2,13 @@
 
 Configs are flat ``key = value`` text (lists comma-separated) so a run is
 fully described by bytes that hash stably; every output is a pure
-function of (config, seeds).  Work is scheduled per (defense, seed): a
-route depends on neither the attack nor k, so each task plans every
-courier's route once and scores every attack and k against it.  Tasks
-are independent and may be dispatched to a process pool; their rows are
-regrouped by (attack, defense, seed) and emitted in attack-major order,
-so worker count never changes any output byte.
+function of (config, seeds).  One runner, ``_run_rows``, plays the rounds
+of the CLI's simulate, matrix and both sweeps.  Work is scheduled per
+(defense, seed): a route depends on neither the attack nor k, so each
+task plans every courier's route once and scores every attack and k
+against it.  Tasks are independent and may be dispatched to a process
+pool; their rows are returned in attack-major order, so worker count
+never changes any output byte.
 """
 
 from __future__ import annotations
@@ -258,26 +259,22 @@ def _scenario(cfg: ExperimentConfig) -> tuple[RoadNetwork, list[JobCard]]:
     return net, cfg.build_fleet(net)
 
 
-def _rounds_task(args) -> list[tuple[str, int, float, RoundMetrics]]:
-    """Every round of one (defense, seed) as (attack, k, window_mult, metrics) rows.
+def _rounds_task(args) -> list[list[tuple[int, float, RoundMetrics]]]:
+    """Every round of one (defense, seed): per attack, its (k, window_mult, metrics) rows.
 
     ``axis`` is ``matrix`` (k = cfg.k), ``window`` (k = cfg.k, each round
     reclassified per window multiplier) or ``attackers`` (every attacker
-    count).  Rows come in attack-major order, then k, then multiplier.
+    count).  An attack's rows come in k order, then multiplier.
     """
     cfg, axis, defense, seed = args
     net, fleet = _scenario(cfg)
     ks = cfg.attacker_counts if axis == "attackers" else (cfg.k,)
     rounds = run_rounds(net, fleet, cfg.attacks, defense, ks, cfg.ambush_delay_s,
                         seed, cfg.nested_plans)
-    rows = []
-    for (attack, k), details in rounds.items():
-        if axis == "window":
-            rows.extend((attack, k, mult, reclassify_with_multiplier(fleet, details, mult))
-                        for mult in cfg.window_multipliers)
-        else:
-            rows.append((attack, k, 1.0, details.metrics))
-    return rows
+    if axis == "window":
+        return [[(k, mult, reclassify_with_multiplier(fleet, rounds[attack, k], mult))
+                 for k in ks for mult in cfg.window_multipliers] for attack in cfg.attacks]
+    return [[(k, 1.0, rounds[attack, k].metrics) for k in ks] for attack in cfg.attacks]
 
 
 def _map_tasks(fn, tasks, workers: int):
@@ -288,18 +285,21 @@ def _map_tasks(fn, tasks, workers: int):
         return list(pool.map(fn, tasks))
 
 
-def _run_cells(cfg: ExperimentConfig, axis: str) -> dict[tuple[str, str, int], list[tuple]]:
-    """(k, window_mult, metrics) rows per (attack, defense, seed) cell.
+def _run_rows(cfg: ExperimentConfig, axis: str) -> list[tuple]:
+    """(attack, defense, k, window_mult, seed, metrics) rows of every round.
 
-    Work is dispatched per (defense, seed); the rows are regrouped by cell
-    so callers can emit them in attack-major order whatever the workers.
+    The one runner of rounds.  Work is dispatched per (defense, seed); the
+    rows come back in attack-major order, then defense, seed, k and
+    multiplier, whatever the workers.
     """
+    if axis not in ("matrix", "window", "attackers"):
+        raise DomainError(f"unknown sweep axis {axis!r}")
     tasks = [(cfg, axis, defense, seed) for defense in cfg.defenses for seed in cfg.seeds]
-    cells: dict[tuple[str, str, int], list[tuple]] = {}
-    for (_, _, defense, seed), rows in zip(tasks, _map_tasks(_rounds_task, tasks, cfg.workers)):
-        for attack, k, mult, metrics in rows:
-            cells.setdefault((attack, defense, seed), []).append((k, mult, metrics))
-    return cells
+    results = _map_tasks(_rounds_task, tasks, cfg.workers)
+    return [(attack, defense, k, mult, seed, metrics)
+            for a, attack in enumerate(cfg.attacks)
+            for (_, _, defense, seed), by_attack in zip(tasks, results)
+            for k, mult, metrics in by_attack[a]]
 
 
 # -- matrix -------------------------------------------------------------------
@@ -315,16 +315,11 @@ class MatrixResult:
 
 def run_matrix(cfg: ExperimentConfig) -> MatrixResult:
     """Full attack x defense payoff matrix plus its equilibria."""
-    cells = _run_cells(cfg, "matrix")
-    cell_metrics: dict[tuple[str, str, int], RoundMetrics] = {}
-    per_seed = np.zeros((len(cfg.attacks), len(cfg.defenses), len(cfg.seeds)))
-    for i, attack in enumerate(cfg.attacks):
-        for j, defense in enumerate(cfg.defenses):
-            for s, seed in enumerate(cfg.seeds):
-                [(_, _, metrics)] = cells[(attack, defense, seed)]
-                cell_metrics[(attack, defense, seed)] = metrics
-                per_seed[i, j, s] = metrics.late_fraction
-
+    rows = _run_rows(cfg, "matrix")
+    cell_metrics = {(attack, defense, seed): metrics
+                    for attack, defense, _, _, seed, metrics in rows}
+    per_seed = np.array([metrics.late_fraction for *_, metrics in rows]).reshape(
+        len(cfg.attacks), len(cfg.defenses), len(cfg.seeds))
     payoff = PayoffMatrix(cfg.attacks, cfg.defenses, per_seed.mean(axis=2), per_seed)
     pure = find_pure_nash(payoff)
     mixed = solve_zero_sum(payoff)
@@ -332,15 +327,9 @@ def run_matrix(cfg: ExperimentConfig) -> MatrixResult:
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str) -> list[tuple]:
-    """Sweep rows (attack, defense, k, window_mult, seed, metrics...)."""
-    if axis not in ("window", "attackers"):
-        raise DomainError(f"unknown sweep axis {axis!r}")
-    cells = _run_cells(cfg, axis)
-    return [(attack, defense, k, mult, seed) + astuple(metrics)
-            for attack in cfg.attacks
-            for defense in cfg.defenses
-            for seed in cfg.seeds
-            for k, mult, metrics in cells[(attack, defense, seed)]]
+    """Rows (attack, defense, k, window_mult, seed, metrics...) along ``axis``:
+    ``window``, ``attackers``, or ``matrix`` (one round per cell, at k)."""
+    return [row[:5] + astuple(row[5]) for row in _run_rows(cfg, axis)]
 
 
 # -- report emission -----------------------------------------------------------

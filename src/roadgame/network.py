@@ -249,6 +249,8 @@ def load_network(nodes_file, edges_file) -> RoadNetwork:
         nodes.append(Node(node_id,
                           _parse_float(nodes_file, lineno, "x", x_raw),
                           _parse_float(nodes_file, lineno, "y", y_raw)))
+    if not nodes:
+        raise ParseError(f"{nodes_file}: no node rows")
     edges = []
     for lineno, row in _read_rows(edges_file, EDGES_HEADER):
         edge_id, u, v, length_raw, speed_raw = row

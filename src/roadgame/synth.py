@@ -290,13 +290,7 @@ def generate_city(kind: str, seed: int = 0, **params) -> RoadNetwork:
 def central_node(net: RoadNetwork) -> str:
     """Node minimising total travel time to all others (ties: smallest id)."""
     times = net.travel_times()
-    best: tuple[float, str] | None = None
-    for v in net.node_ids:
-        total = sum(_dijkstra(net, v, times)[1].values())
-        if best is None or (total, v) < best:
-            best = (total, v)
-    assert best is not None
-    return best[1]
+    return min((sum(_dijkstra(net, v, times)[1].values()), v) for v in net.node_ids)[1]
 
 
 def make_fleet(net: RoadNetwork, couriers: int, stops_per_card: int,
@@ -319,15 +313,14 @@ def make_fleet(net: RoadNetwork, couriers: int, stops_per_card: int,
     elif warehouse not in net.nodes:
         raise DomainError(f"unknown warehouse node {warehouse!r}")
 
+    prefixes = stop_prefixes or ("",)  # every id starts with ""
     pools: list[list[str]] = []
     for i in range(stops_per_card):
-        if stop_prefixes:
-            prefix = stop_prefixes[i % len(stop_prefixes)]
-            pool = [v for v in net.node_ids if v.startswith(prefix) and v != warehouse]
-            if not pool:
-                raise DomainError(f"no nodes match stop prefix {prefix!r}")
-        else:
-            pool = [v for v in net.node_ids if v != warehouse]
+        prefix = prefixes[i % len(prefixes)]
+        pool = [v for v in net.node_ids if v.startswith(prefix) and v != warehouse]
+        if not pool:
+            raise DomainError(f"no node other than the warehouse {warehouse!r} "
+                              f"has an id starting with {prefix!r}")
         pools.append(pool)
 
     cards = []

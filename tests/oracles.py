@@ -417,6 +417,22 @@ def node_walk_degree_ranking(net: RoadNetwork) -> list[str]:
     return ranking
 
 
+def edge_loop_mixing_kernel(net: RoadNetwork) -> np.ndarray:
+    """The mixing walk kernel built one edge at a time, then one diagonal
+    entry per row: P[i, j] = min(1/d_i, 1/d_j) for adjacent i, j."""
+    index = {v: i for i, v in enumerate(net.node_ids)}
+    n = net.num_nodes
+    p = np.zeros((n, n))
+    for e in net.edges.values():
+        i, j = index[e.u], index[e.v]
+        prob = min(1.0 / net.degree(e.u), 1.0 / net.degree(e.v))
+        p[i, j] = prob
+        p[j, i] = prob
+    for i in range(n):
+        p[i, i] = 1.0 - p[i].sum()
+    return p
+
+
 def reference_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
                    attack: AttackPlan, ambush_delay_s: float = DEFAULT_AMBUSH_DELAY_S) -> TourResult:
     """Execute one tour under an attack plan, edge by edge.

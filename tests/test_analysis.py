@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_net, clique_edges, connected_graphs
 from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity,
-                     exact_modularity, float_flow_partition, fraction_betweenness,
+                     edge_loop_mixing_kernel, exact_modularity, float_flow_partition,
+                     fraction_betweenness,
                      rescan_greedy_merge, sigma_tot_hierarchical_merge, tensor_kmeans)
 from roadgame.analysis import (Partition, _betweenness_scores, _codelength_cost,
                                _CommunitySearch, _greedy_merge, _hierarchical_merge,
@@ -299,6 +300,20 @@ class TestMixingPartition:
             kernel = mixing_transition_matrix(net)
             assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
             assert (kernel >= 0).all()
+
+    def test_kernel_equals_edge_loop_reference(self, planted32, star5, k6):
+        nets = [planted32, star5, k6, build_net([], require_connected=False),
+                RoadNetwork([Node("solo", 0.0, 0.0)], []),
+                generate_city("grid", rows=8, cols=8),
+                generate_city("two_cluster", size_a=256, size_b=256, bridges=2,
+                              edge_time_s=20, bypass_count=6, bypass_time_s=300)]
+        nets += [generate_city("geometric", seed=seed, n=120, radius_m=160.0)
+                 for seed in range(3)]
+        for net in nets:
+            kernel = mixing_transition_matrix(net)
+            reference = edge_loop_mixing_kernel(net)
+            assert kernel.shape == reference.shape
+            assert (kernel == reference).all()
 
     def test_separates_grid_blocks(self, planted32):
         part = mixing_partition(planted32, seed=5)

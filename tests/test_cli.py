@@ -3,8 +3,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +17,7 @@ import roadgame.experiment as experiment
 import roadgame.simulate as simulate
 from roadgame.attacks import ATTACK_STRATEGIES
 from roadgame.cli import ANALYZE_METHODS, main as cli_main
-from roadgame.errors import ParseError, ValidationError
+from roadgame.errors import DomainError, ParseError, ValidationError
 from roadgame.experiment import (DEFAULT_ATTACKER_COUNTS, DEFAULT_SEEDS,
                                  DEFAULT_WINDOW_MULTIPLIERS, ExperimentConfig,
                                  emit_reports, run_matrix, run_sweep)
@@ -277,6 +281,19 @@ class TestRunMatrix:
             assert mult == 1.0
             assert late == result.cell_metrics[(attack, defense, seed)].late_fraction
 
+    def test_matrix_axis_rows_are_the_cells_in_attack_major_order(self, small_cfg_file):
+        cfg = ExperimentConfig.from_file(small_cfg_file)
+        result = run_matrix(cfg)
+        rows = run_sweep(cfg, "matrix")
+        cells = [(a, d, s) for a in cfg.attacks for d in cfg.defenses for s in cfg.seeds]
+        assert rows == [(a, d, cfg.k, 1.0, s) + astuple(result.cell_metrics[a, d, s])
+                        for a, d, s in cells]
+        assert result.payoff.per_seed.tolist() == [
+            [[result.cell_metrics[a, d, s].late_fraction for s in cfg.seeds]
+             for d in cfg.defenses] for a in cfg.attacks]
+        with pytest.raises(DomainError, match="unknown sweep axis 'cells'"):
+            run_sweep(cfg, "cells")
+
     def test_default_strategy_lists_give_9x3_matrix(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(
@@ -354,8 +371,9 @@ class TestRunMatrix:
 
 class TestCliCommands:
     @pytest.mark.parametrize("command", [
-        ("matrix",), ("sweep", "--axis", "attackers"), ("sweep", "--axis", "window")],
-        ids=["matrix", "sweep-attackers", "sweep-window"])
+        ("matrix",), ("sweep", "--axis", "attackers"), ("sweep", "--axis", "window"),
+        ("simulate", "--attack", "betweenness", "--defense", "mixnet")],
+        ids=["matrix", "sweep-attackers", "sweep-window", "simulate"])
     def test_matrix_determinism_across_workers(self, small_cfg_file, tmp_path, command):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         r1 = run_cli(["--config", str(small_cfg_file), "--out", str(out1),
@@ -363,8 +381,10 @@ class TestCliCommands:
         r2 = run_cli(["--config", str(small_cfg_file), "--out", str(out2),
                       "--workers", "2", *command])
         assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
-        for name in ("payoff_matrix.csv", "equilibria.csv", "critical_delays.csv",
-                     "sweep_window.csv", "sweep_attackers.csv", "manifest.txt"):
+        assert r1.stdout == r2.stdout
+        names = sorted(path.name for path in out1.iterdir())
+        assert names == sorted(path.name for path in out2.iterdir())
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_attack_subcommand(self, small_cfg_file, tmp_path):
@@ -514,7 +534,7 @@ class TestCliCommands:
 
 
 @pytest.mark.parametrize("case", ["config", "nodes_file", "edges_file", "jobcards_file",
-                                  "out_under_file", "out_is_file"])
+                                  "out_under_file", "out_is_file", "no_node_rows"])
 def test_file_errors_exit_1_naming_the_path(tmp_path, capsys, case):
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")
@@ -531,12 +551,116 @@ def test_file_errors_exit_1_naming_the_path(tmp_path, capsys, case):
     if case == "jobcards_file":
         lines += ["fleet_kind = file", f"jobcards_file = {missing}"]
         command = ["simulate", "--attack", "random", "--defense", "shortest"]
+    if case == "no_node_rows":  # used to load as an empty network
+        files["nodes_file"].write_text("node_id,x,y\n")
     cfg.write_text("\n".join(lines) + "\n")
     out = {"out_under_file": afile / "sub", "out_is_file": afile}.get(case, tmp_path / "o")
     config = tmp_path / "nope.txt" if case == "config" else cfg
     assert cli_main(["--config", str(config), "--out", str(out), *command]) == 1
-    path = {"config": config, "out_under_file": out, "out_is_file": out}.get(case, missing)
+    path = {"config": config, "out_under_file": out, "out_is_file": out,
+            "no_node_rows": files["nodes_file"]}.get(case, missing)
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("command", [["matrix"], ["simulate", "--attack", "random",
+                                                    "--defense", "shortest"],
+                                     ["sweep", "--axis", "window"],
+                                     ["sweep", "--axis", "attackers"]],
+                         ids=["matrix", "simulate", "sweep-window", "sweep-attackers"])
+def test_one_node_network_exits_1_naming_the_empty_stop_pool(tmp_path, capsys, command):
+    # make_fleet used to die in numpy with "ValueError: high <= 0"
+    (tmp_path / "nodes.csv").write_text("node_id,x,y\nsolo,0,0\n")
+    (tmp_path / "edges.csv").write_text("edge_id,u,v,length_m,speed_mps\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"network_kind = files\nnodes_file = {tmp_path / 'nodes.csv'}\n"
+                   f"edges_file = {tmp_path / 'edges.csv'}\n")
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path / "o"), *command]) == 1
+    assert capsys.readouterr().err == (
+        "error: no node other than the warehouse 'solo' has an id starting with ''\n")
+
+
+_LENGTH_TEXT = st.sampled_from(["5e-324", "1e-300", "1", "60", "1e300"])
+_EXTREME = ["5e-324", "1e-300", "1", "60", "600", "1e300"]
+_CARDS = ("courier_id,seq,node_id,window_start_s,window_end_s\n"
+          "c0,0,n0,,\nc0,1,n1,0,600\nc1,0,n1,1e300,\nc1,1,n0,1e300,1e301\n")
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """A ``files`` network of 0-5 nodes with extreme lengths and speeds, a
+    small config for it, and the strategies the commands name."""
+    names = [f"n{i}" for i in range(draw(st.integers(0, 5)))]
+    chain = list(zip(names, names[1:]))  # mostly kept, so most networks are connected
+    pairs = [pair for pair in combinations(names, 2)
+             if (draw(st.integers(0, 9)) > 0 if pair in chain else draw(st.booleans()))]
+    nodes = ["node_id,x,y"] + [f"{v},{i},0" for i, v in enumerate(names)]
+    edges = ["edge_id,u,v,length_m,speed_mps"] + [
+        f"e{i},{u},{v},{draw(_LENGTH_TEXT)},{draw(_LENGTH_TEXT)}"
+        for i, (u, v) in enumerate(pairs)]
+
+    def items(elements, max_size):
+        return ",".join(draw(st.lists(elements, min_size=1, max_size=max_size, unique=True)))
+
+    config = {
+        "attacks": items(st.sampled_from(ATTACK_STRATEGIES), 3),
+        "defenses": items(st.sampled_from(DEFENSE_STRATEGIES), 2),
+        "k": str(draw(st.integers(1, 2))),
+        "ambush_delay_s": draw(st.sampled_from(_EXTREME + ["nan"])),
+        "fleet_slack_s": draw(st.sampled_from(_EXTREME + ["inf"])),
+        "fleet_day_start_s": draw(st.sampled_from(["0", "-1e300", "1e300"])),
+        "fleet_kind": draw(st.sampled_from(["random", "file"])),
+        "fleet_couriers": str(draw(st.integers(1, 3))),
+        "fleet_stops": str(draw(st.integers(1, 3))),
+        "fleet_warehouse": draw(st.sampled_from(["auto"] * 4 + ["n0", "n4"])),
+        "fleet_stop_prefixes": draw(st.sampled_from(["", "n1", "n2,n0"])),
+        "window_multipliers": items(st.sampled_from(["1", "1.5", "1e300"]), 2),
+        "attacker_counts": items(st.sampled_from(["1", "2", "6"]), 2),
+        "seeds": str(draw(st.integers(0, 3))),
+        "nested_plans": draw(st.sampled_from(["true", "false"])),
+    }
+    strategies = (draw(st.sampled_from(ATTACK_STRATEGIES)), str(draw(st.integers(1, 4))),
+                  draw(st.sampled_from(DEFENSE_STRATEGIES)),
+                  draw(st.sampled_from(ANALYZE_METHODS)))
+    return "\n".join(nodes) + "\n", "\n".join(edges) + "\n", config, strategies
+
+
+_SMALL_CONFIG = {"fleet_couriers": "2", "fleet_stops": "2", "seeds": "0"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_fuzz_cases())
+@example(case=("node_id,x,y\n", "edge_id,u,v,length_m,speed_mps\n", _SMALL_CONFIG,
+               ("random", "1", "shortest", "botgrep")))
+@example(case=("node_id,x,y\nn0,0,0\n", "edge_id,u,v,length_m,speed_mps\n", _SMALL_CONFIG,
+               ("betweenness", "1", "mixnet", "infomap")))
+def test_every_command_on_tiny_networks_exits_0_or_1_quietly(case):
+    nodes, edges, config, (attack, attack_k, defense, method) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "nodes.csv").write_text(nodes)
+        (tmp / "edges.csv").write_text(edges)
+        (tmp / "cards.csv").write_text(_CARDS)
+        files = {"network_kind": "files", "nodes_file": tmp / "nodes.csv",
+                 "edges_file": tmp / "edges.csv", "jobcards_file": tmp / "cards.csv"}
+        (tmp / "cfg.txt").write_text(
+            "".join(f"{key} = {value}\n" for key, value in {**files, **config}.items()))
+        commands = [["simulate", "--attack", attack, "--defense", defense], ["matrix"],
+                    ["sweep", "--axis", "window"], ["sweep", "--axis", "attackers"],
+                    ["attack", "--strategy", attack, "--k", attack_k],
+                    ["analyze", "--method", method], ["gen-city"],
+                    ["synth", "--base-nodes", str(tmp / "nodes.csv"),
+                     "--base-edges", str(tmp / "edges.csv"),
+                     "--base-cards", str(tmp / "cards.csv")]]
+        for i, command in enumerate(commands):
+            out = tmp / f"out{i}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli_main(["--config", str(tmp / "cfg.txt"), "--out", str(out), *command])
+            assert code in (0, 1), command
+            assert not caught, (command, [str(w.message) for w in caught])
+            if code == 0:
+                for path in out.iterdir():
+                    assert not re.search(r"\bnan\b", path.read_text()), (command, path.name)
 
 
 @pytest.mark.parametrize("name, row, field", [

@@ -217,6 +217,11 @@ class TestMakeFleet:
         with pytest.raises(DomainError):
             make_fleet(planted32, 1, 1, 100.0, warehouse="nope")
 
+    def test_empty_stop_pool_is_named(self, planted32):
+        with pytest.raises(DomainError, match="^no node other than the warehouse '.*' "
+                                              "has an id starting with 'z'$"):
+            make_fleet(planted32, 1, 2, 100.0, stop_prefixes=("a", "z"))
+
     @pytest.mark.parametrize("slack_s, day_start_s", [(1e-300, 0.0), (900.0, 1e308)])
     def test_slack_lost_in_rounding_is_named(self, planted32, slack_s, day_start_s):
         # clock + slack == clock used to surface as "window start must precede window end"
