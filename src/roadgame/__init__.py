@@ -10,14 +10,14 @@ from .errors import (ConvergenceError, DomainError, ParseError, RoadGameError,
                      SolverError, ValidationError)
 from .experiment import ExperimentConfig, emit_reports, run_matrix, run_sweep
 from .game import Equilibrium, PayoffMatrix, find_pure_nash, solve_zero_sum
-from .network import (Edge, EdgeSet, Node, RoadNetwork, conductance,
+from .network import (Edge, Node, RoadNetwork, conductance,
                       edge_disjoint_paths, load_network, save_network,
                       shortest_path)
 from .routing import (DEFENSE_STRATEGIES, RoutePlan, inverse_centrality_scores,
                       plan_route)
 from .simulate import (JobCard, RoundMetrics, Stop, TourResult,
                        apply_window_multiplier, metrics_from_tours,
-                       reclassify_with_multiplier, run_round_details, run_rounds,
+                       reclassify_with_windows, run_round_details, run_rounds,
                        run_tour)
 from .synth import (TraceTolerance, generate_city, make_fleet, parse_jobcards,
                     synthesize_traces, write_jobcards, write_leg_audit)

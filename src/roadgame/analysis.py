@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
-from .network import EdgeSet, RoadNetwork, _dijkstra, conductance, memoised
+from .network import RoadNetwork, _dijkstra, conductance, memoised
 from .rng import substream
 
 CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
@@ -153,8 +152,9 @@ def _betweenness_scores(net: RoadNetwork) -> tuple[dict[str, float], dict[str, f
             if w != s:
                 node_num[w] += sigma[w] * lifted - denom
     # each unordered pair was counted from both endpoints
-    nodes = {v: float(Fraction(x, 2 * denom)) for v, x in node_num.items()}
-    edges = {e: float(Fraction(x, 2 * denom)) for e, x in edge_num.items()}
+    # int / int rounds the exact quotient once, correctly
+    nodes = {v: x / (2 * denom) for v, x in node_num.items()}
+    edges = {e: x / (2 * denom) for e, x in edge_num.items()}
     return nodes, edges
 
 
@@ -181,29 +181,6 @@ def centrality(net: RoadNetwork, kind: str) -> CentralityScores:
                        else _eigenvector_scores(net))
         edge_scores = _min_over_ends(net, node_scores)
     return CentralityScores(kind, node_scores, edge_scores)
-
-
-# -- modularity ------------------------------------------------------------
-
-
-def modularity(net: RoadNetwork, part: Partition) -> float:
-    """Newman modularity Q of the partition, in [-1/2, 1]."""
-    _check_partition(net, part)
-    m = net.num_edges
-    if m == 0:
-        return 0.0
-    intra = [0] * part.num_communities
-    degsum = [0] * part.num_communities
-    for v in net.node_ids:
-        degsum[part.label(v)] += net.degree(v)
-    for e in net.edges.values():
-        cu, cv = part.label(e.u), part.label(e.v)
-        if cu == cv:
-            intra[cu] += 1
-    q = Fraction(0)
-    for c in range(part.num_communities):
-        q += Fraction(intra[c], m) - Fraction(degsum[c] * degsum[c], 4 * m * m)
-    return float(q)
 
 
 # -- spectral bisection ------------------------------------------------------
@@ -417,15 +394,41 @@ def agglomerative_modularity(net: RoadNetwork, variant: str) -> Partition:
     raise DomainError(f"unknown agglomerative variant {variant!r}")
 
 
-# -- partition cutset --------------------------------------------------------
+# -- partition scores and cutset ----------------------------------------------
 
 
-def partition_cutset(net: RoadNetwork, part: Partition) -> EdgeSet:
+def _community_counts(net: RoadNetwork, part: Partition) -> tuple[list[int], list[int]]:
+    """Each community's count of edge ends leaving it and its degree sum."""
+    _check_partition(net, part)
+    cut = [0] * part.num_communities
+    vol = [0] * part.num_communities
+    for e in net.edges.values():
+        a, b = part.label(e.u), part.label(e.v)
+        vol[a] += 1
+        vol[b] += 1
+        if a != b:
+            cut[a] += 1
+            cut[b] += 1
+    return cut, vol
+
+
+def modularity(net: RoadNetwork, part: Partition) -> float:
+    """Newman modularity Q of the partition, in [-1/2, 1].
+
+    Q is 1 less the searches' integer cost over 4m^2; the one int / int
+    division rounds the exact Q correctly.
+    """
+    cut, vol = _community_counts(net, part)
+    two_m = 2 * net.num_edges
+    if two_m == 0:
+        return 0.0
+    return (two_m * two_m - _modularity_cost(two_m).start(cut, vol)) / (two_m * two_m)
+
+
+def partition_cutset(net: RoadNetwork, part: Partition) -> frozenset[str]:
     """All edges whose endpoints carry different community labels."""
     _check_partition(net, part)
-    cut = [eid for eid in net.edge_ids
-           if part.label(net.edges[eid].u) != part.label(net.edges[eid].v)]
-    return EdgeSet.for_network(net, cut)
+    return frozenset(eid for eid, e in net.edges.items() if part.label(e.u) != part.label(e.v))
 
 
 # -- random-walk mixing partition (slow-mixing cut detection) ----------------
@@ -511,33 +514,6 @@ def _xlogx(value: float) -> float:
     return value * math.log2(value) if value > 0 else 0.0
 
 
-def map_equation_codelength(net: RoadNetwork, freq: Mapping[str, float],
-                            assignment: Mapping[str, int]) -> float:
-    """Two-level description length of a partition under visit rates ``freq``.
-
-    A node alpha leaks freq[alpha]/deg(alpha) along each edge whose other
-    end lies outside its community; those leaks form the community exit
-    probabilities of the two-level code.
-    """
-    communities: dict[int, list[str]] = defaultdict(list)
-    for node, label in assignment.items():
-        communities[label].append(node)
-    exits: list[float] = []
-    modules = 0.0
-    for members in communities.values():
-        inside = set(members)
-        exit_c = 0.0
-        for v in members:
-            leak = freq[v] / net.degree(v)
-            exit_c += leak * sum(1 for _, w in net.adjacency[v] if w not in inside)
-        exits.append(exit_c)
-        p_circ = exit_c + sum(freq[v] for v in members)
-        modules += (_xlogx(p_circ) - _xlogx(exit_c)
-                    - sum(_xlogx(freq[v]) for v in members))
-    s1 = sum(exits)
-    return _xlogx(s1) - 2 * sum(_xlogx(x) for x in exits) + modules
-
-
 def _codelength_cost(two_m: int) -> _Cost:
     """2m times the map equation's code length, less a partition-independent constant.
 
@@ -565,6 +541,22 @@ def _codelength_cost(two_m: int) -> _Cost:
         step=step,
         length=lambda total: xlogx[total[0]] + total[0] * log_two_m - 2 * total[1] + total[2],
         tol=-1e-12 * two_m)
+
+
+def map_equation_codelength(net: RoadNetwork, part: Partition) -> float:
+    """Two-level description length, in bits per step, of the partition
+    under the uniform walk's stationary visit rates deg/2m.
+
+    That is the searches' code-length cost less its partition-independent
+    part, sum of deg*log2(deg) over nodes, all over 2m.
+    """
+    cut, vol = _community_counts(net, part)
+    two_m = 2 * net.num_edges
+    if two_m == 0:
+        raise DomainError("the map equation needs a network with at least one edge")
+    cost = _codelength_cost(two_m)
+    return (cost.length(cost.start(cut, vol))
+            - sum(_xlogx(net.degree(v)) for v in net.node_ids)) / two_m
 
 
 def flow_partition(net: RoadNetwork) -> Partition:

@@ -17,7 +17,7 @@ from .analysis import (Partition, _min_over_ends, agglomerative_modularity, cent
                        flow_partition, mixing_partition, partition_cutset,
                        spectral_bisect)
 from .errors import DomainError
-from .network import EdgeSet, RoadNetwork, memoised
+from .network import RoadNetwork, memoised
 from .rng import substream
 
 logger = logging.getLogger(__name__)
@@ -35,7 +35,7 @@ PARTITION_KMEANS_SEED = 2718
 @dataclass(frozen=True)
 class AttackPlan:
     strategy: str
-    edges: EdgeSet
+    edges: frozenset[str]
     seed: int
 
     @property
@@ -88,7 +88,7 @@ def _graph_ranking(net: RoadNetwork, strategy: str) -> tuple[str, ...]:
         kind = "eigenvector" if strategy == "eigen_c" else "betweenness"
         ranking = _by_score(centrality(net, kind).edge_scores, net.edge_ids)
     else:
-        cutset = set(partition_cutset(net, _partition_for(net, strategy)).ids)
+        cutset = partition_cutset(net, _partition_for(net, strategy))
         if not cutset:
             logger.warning("strategy %s found no cutset; plan degenerates to "
                            "betweenness order", strategy)
@@ -108,17 +108,16 @@ def select_attack_edges(net: RoadNetwork, strategy: str, k: int, seed: int = 0) 
     if not 1 <= k <= net.num_edges:
         raise DomainError(f"k must be in [1, {net.num_edges}], got {k}")
     ranking = strategy_edge_ranking(net, strategy, seed=seed)
-    plan_edges = EdgeSet.for_network(net, ranking[:k])
-    return AttackPlan(strategy=strategy, edges=plan_edges, seed=seed)
+    return AttackPlan(strategy=strategy, edges=frozenset(ranking[:k]), seed=seed)
 
 
 def empty_attack_plan(net: RoadNetwork) -> AttackPlan:
     """A no-op plan (zero occupied edges), useful as a clean baseline."""
-    return AttackPlan(strategy="none", edges=EdgeSet.for_network(net, ()), seed=0)
+    return AttackPlan(strategy="none", edges=frozenset(), seed=0)
 
 
 def write_attack_plan(plan: AttackPlan, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("edge_id\n")
-        for eid in plan.edges:
+        for eid in sorted(plan.edges):
             fh.write(f"{eid}\n")

@@ -26,8 +26,8 @@ from .errors import DomainError, ParseError, ValidationError
 from .game import Equilibrium, PayoffMatrix, find_pure_nash, solve_zero_sum
 from .network import RoadNetwork, _read_utf8, load_network
 from .routing import DEFENSE_STRATEGIES
-from .simulate import (JobCard, RoundMetrics, reclassify_with_multiplier,
-                       run_rounds)
+from .simulate import (JobCard, RoundMetrics, apply_window_multiplier,
+                       reclassify_with_windows, run_rounds)
 from .synth import generate_city, make_fleet, parse_jobcards
 
 DEFAULT_DEFENSES = ("shortest", "inverse", "mixnet")
@@ -117,6 +117,8 @@ class ExperimentConfig:
                 raise ValidationError(f"{key} must be > 0, got {getattr(self, key)!r}")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
+        if self.bypass_count < 0:
+            raise ValidationError(f"bypass_count must be >= 0, got {self.bypass_count}")
         for key in _LIST_KEYS:
             if not getattr(self, key):
                 raise ValidationError(f"{key} must be nonempty")
@@ -243,7 +245,14 @@ class ExperimentConfig:
         if self.fleet_kind == "file":
             if not self.jobcards_file:
                 raise ValidationError("fleet_kind=file needs jobcards_file")
-            return parse_jobcards(self.jobcards_file)
+            cards = parse_jobcards(self.jobcards_file)
+            for card in cards:
+                for node in (card.warehouse, *(stop.node_id for stop in card.stops)):
+                    if node not in net.nodes:
+                        raise ValidationError(
+                            f"{self.jobcards_file}: courier {card.courier_id!r}: "
+                            f"job card stop {node!r} is not in the network")
+            return cards
         if self.fleet_kind == "random":
             warehouse = None if self.fleet_warehouse == "auto" else self.fleet_warehouse
             return make_fleet(net, self.fleet_couriers, self.fleet_stops,
@@ -272,8 +281,9 @@ def _rounds_task(args) -> list[list[tuple[int, float, RoundMetrics]]]:
     rounds = run_rounds(net, fleet, cfg.attacks, defense, ks, cfg.ambush_delay_s,
                         seed, cfg.nested_plans)
     if axis == "window":
-        return [[(k, mult, reclassify_with_multiplier(fleet, rounds[attack, k], mult))
-                 for k in ks for mult in cfg.window_multipliers] for attack in cfg.attacks]
+        scaled = [(mult, apply_window_multiplier(fleet, mult)) for mult in cfg.window_multipliers]
+        return [[(k, mult, reclassify_with_windows(cards, rounds[attack, k]))
+                 for k in ks for mult, cards in scaled] for attack in cfg.attacks]
     return [[(k, 1.0, rounds[attack, k].metrics) for k in ks] for attack in cfg.attacks]
 
 

@@ -163,30 +163,6 @@ class RoadNetwork:
         return len(seen) == len(self.nodes)
 
 
-@dataclass(frozen=True)
-class EdgeSet:
-    """An unordered, duplicate-free set of edge ids from one network."""
-
-    ids: frozenset[str]
-
-    @classmethod
-    def for_network(cls, net: RoadNetwork, ids: Iterable[str]) -> "EdgeSet":
-        ids = frozenset(ids)
-        unknown = ids - set(net.edges)
-        if unknown:
-            raise ValidationError(f"edge ids not in network: {sorted(unknown)}")
-        return cls(ids)
-
-    def __iter__(self):
-        return iter(sorted(self.ids))
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, edge_id: str) -> bool:
-        return edge_id in self.ids
-
-
 # -- file ingestion ------------------------------------------------------
 
 

@@ -173,10 +173,10 @@ def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
     index = _edge_index(net)
     delays = np.zeros((len(plans), net.num_edges))
     for row, plan in enumerate(plans):
-        unknown = plan.edges.ids.difference(index)
+        unknown = plan.edges.difference(index)
         if unknown:
             raise DomainError(f"attack plan names edges not in the network: {sorted(unknown)}")
-        delays[row, [index[eid] for eid in plan.edges.ids]] = ambush_delay_s
+        delays[row, [index[eid] for eid in plan.edges]] = ambush_delay_s
     return delays
 
 
@@ -318,16 +318,16 @@ def run_round_details(net: RoadNetwork, fleet: Sequence[JobCard], attack_strateg
     return rounds[(attack_strategy, k)]
 
 
-def reclassify_with_multiplier(fleet: Sequence[JobCard], details: RoundDetails,
-                               multiplier: float) -> RoundMetrics:
-    """Metrics the same round would yield with scaled delivery windows.
+def reclassify_with_windows(fleet: Sequence[JobCard], details: RoundDetails) -> RoundMetrics:
+    """Metrics the same round would yield under ``fleet``'s delivery windows.
 
-    Valid because arrivals never depend on window ends and window starts
-    are unchanged by scaling; only the lateness classification moves.
+    ``fleet`` is the round's fleet with its windows scaled, as
+    ``apply_window_multiplier`` gives it.  Valid because arrivals never
+    depend on window ends and window starts are unchanged by scaling;
+    only the lateness classification moves.
     """
-    scaled = apply_window_multiplier(fleet, multiplier)
     tours = []
-    for card in scaled:
+    for card in fleet:
         old = details.tours[card.courier_id]
         statuses = tuple(classify_arrival(arrival, stop)
                          for arrival, stop in zip(old.arrivals, card.stops))

@@ -70,12 +70,13 @@ def parse_jobcards(path) -> list[JobCard]:
     cards = []
     for courier in sorted(rows_by_courier):
         rows = sorted(rows_by_courier[courier])
-        seqs = [seq for seq, *_ in rows]
-        if seqs[0] != 0:
-            raise ValidationError(f"courier {courier!r}: missing warehouse row (seq 0)")
-        if len(set(seqs)) != len(seqs):
-            raise ValidationError(f"courier {courier!r}: duplicate seq numbers")
-        _, warehouse_lineno, warehouse, day_start_raw, _ = rows[0]
+        seq, warehouse_lineno, warehouse, day_start_raw, _ = rows[0]
+        where = f"{path}:{warehouse_lineno}: courier {courier!r}"
+        if seq != 0:
+            raise ValidationError(f"{where}: missing warehouse row (seq 0)")
+        for (seq, lineno, *_), (previous, *_) in zip(rows[1:], rows):
+            if seq == previous:
+                raise ValidationError(f"{path}:{lineno}: courier {courier!r}: duplicate seq {seq}")
         day_start = _parse_float(path, warehouse_lineno, "window_start_s", day_start_raw,
                                  f"invalid day start {day_start_raw!r}") if day_start_raw else 0.0
         stops = []
@@ -83,11 +84,11 @@ def parse_jobcards(path) -> list[JobCard]:
             ws = _parse_float(path, lineno, "window_start_s", ws_raw, "invalid window bounds")
             we = _parse_float(path, lineno, "window_end_s", we_raw, "invalid window bounds")
             if ws >= we:
-                raise ValidationError(
-                    f"courier {courier!r} seq {seq}: window start {ws:g} >= end {we:g}")
+                raise ValidationError(f"{path}:{lineno}: courier {courier!r} seq {seq}: "
+                                      f"window start {ws:g} >= end {we:g}")
             stops.append(Stop(node_id, ws, we))
         if not stops:
-            raise ValidationError(f"courier {courier!r}: no delivery stops")
+            raise ValidationError(f"{where}: no delivery stops")
         cards.append(JobCard(courier, warehouse, tuple(stops), day_start))
     return cards
 
@@ -240,6 +241,8 @@ def _generate_two_cluster(size_a: int, size_b: int, bridges: int,
     """
     if bridges < 1:
         raise DomainError("at least one bridge is required")
+    if bypass_count < 0:
+        raise DomainError(f"bypass_count must be >= 0, got {bypass_count}")
     if size_a < 4 or size_b < 4:
         raise DomainError("cluster sizes must be >= 4")
     bridge_time = edge_time_s if bridge_time_s is None else bridge_time_s

@@ -298,6 +298,33 @@ def float_flow_partition(net: RoadNetwork) -> Partition:
         del members[b], exit_[b], p_sum[b]
 
 
+def float_map_equation_codelength(net: RoadNetwork, freq: dict[str, float],
+                                  assignment: dict[str, int]) -> float:
+    """Two-level description length of a partition under visit rates ``freq``.
+
+    A node alpha leaks freq[alpha]/deg(alpha) along each edge whose other
+    end lies outside its community; those leaks form the community exit
+    probabilities of the two-level code.
+    """
+    communities: dict[int, list[str]] = defaultdict(list)
+    for node, label in assignment.items():
+        communities[label].append(node)
+    exits: list[float] = []
+    modules = 0.0
+    for members in communities.values():
+        inside = set(members)
+        exit_c = 0.0
+        for v in members:
+            leak = freq[v] / net.degree(v)
+            exit_c += leak * sum(1 for _, w in net.adjacency[v] if w not in inside)
+        exits.append(exit_c)
+        p_circ = exit_c + sum(freq[v] for v in members)
+        modules += (_xlogx(p_circ) - _xlogx(exit_c)
+                    - sum(_xlogx(freq[v]) for v in members))
+    s1 = sum(exits)
+    return _xlogx(s1) - 2 * sum(_xlogx(x) for x in exits) + modules
+
+
 def rescan_greedy_merge(net: RoadNetwork) -> Partition:
     """greedy_mod's pair merging with a sorted scan of every pair per merge
     and the cross-community edge counts rebuilt after each merge."""

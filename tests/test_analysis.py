@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_net, clique_edges, connected_graphs
 from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity,
                      edge_loop_mixing_kernel, exact_modularity, float_flow_partition,
-                     fraction_betweenness,
+                     float_map_equation_codelength, fraction_betweenness,
                      rescan_greedy_merge, sigma_tot_hierarchical_merge, tensor_kmeans)
 from roadgame.analysis import (Partition, _betweenness_scores, _codelength_cost,
                                _CommunitySearch, _greedy_merge, _hierarchical_merge,
@@ -55,6 +55,11 @@ def search_graph(request, graph):
     if graph.startswith("geo"):
         return generate_city("geometric", seed=int(graph[3:]), n=60, radius_m=250.0)
     return request.getfixturevalue(graph)
+
+
+def stationary_rates(net):
+    """The uniform walk's stationary visit rate deg/2m of every node."""
+    return {v: net.degree(v) / (2 * net.num_edges) for v in net.node_ids}
 
 
 def community_counts(net, labels):
@@ -216,7 +221,7 @@ class TestAgglomerative:
             assert part.num_communities == 2
             assert modularity(two_cliques_bridge, part) == pytest.approx(best_q)
             cut = partition_cutset(two_cliques_bridge, part)
-            assert sorted(cut.ids) == ["xbridge"]
+            assert sorted(cut) == ["xbridge"]
 
     def test_single_edge_merges_to_one_community(self):
         net = build_net([("e0", "A", "B")])
@@ -318,7 +323,7 @@ class TestMixingPartition:
     def test_separates_grid_blocks(self, planted32):
         part = mixing_partition(planted32, seed=5)
         cut = partition_cutset(planted32, part)
-        assert sorted(cut.ids) == ["xbridge0", "xbridge1"]
+        assert sorted(cut) == ["xbridge0", "xbridge1"]
 
     def test_complete_graph_has_no_good_cut(self, k6):
         from roadgame.network import conductance
@@ -339,7 +344,7 @@ class TestMixingPartition:
         bridges = sorted(eid for eid in net.edge_ids if eid.startswith("xbridge"))
         for seed in range(20):
             cut = partition_cutset(net, mixing_partition(net, seed=seed))
-            assert sorted(cut.ids) == bridges, f"seed {seed}"
+            assert sorted(cut) == bridges, f"seed {seed}"
 
 
     @pytest.mark.parametrize("seed", range(6))
@@ -372,17 +377,16 @@ class TestFlowPartition:
     def test_recovers_cliques(self, two_cliques_bridge):
         part = flow_partition(two_cliques_bridge)
         assert part.num_communities == 2
-        assert sorted(partition_cutset(two_cliques_bridge, part).ids) == ["xbridge"]
+        assert sorted(partition_cutset(two_cliques_bridge, part)) == ["xbridge"]
 
     def test_k5_single_community_and_codelength(self, k5):
         part = flow_partition(k5)
         assert part.num_communities == 1
         # the merged description is genuinely shorter than any bisection
-        freq = {v: k5.degree(v) / (2 * k5.num_edges) for v in k5.node_ids}
-        single = map_equation_codelength(k5, freq, {v: 0 for v in k5.node_ids})
+        single = map_equation_codelength(k5, part)
         for cut in (1, 2):
             split = {v: (0 if i < cut else 1) for i, v in enumerate(k5.node_ids)}
-            assert single < map_equation_codelength(k5, freq, split)
+            assert single < map_equation_codelength(k5, Partition.from_assignment(split))
 
     def test_deterministic(self, two_cliques_bridge):
         p1 = flow_partition(two_cliques_bridge)
@@ -403,8 +407,7 @@ class TestFlowPartition:
     @given(connected_graphs(5, 40))
     def test_no_node_move_or_merge_shortens_the_code(self, net):
         part = flow_partition(net)
-        freq = {v: net.degree(v) / (2 * net.num_edges) for v in net.node_ids}
-        base = map_equation_codelength(net, freq, part.assignment)
+        base = map_equation_codelength(net, part)
         candidates = []
         for v in net.node_ids:
             for _, w in net.adjacency[v]:
@@ -415,7 +418,34 @@ class TestFlowPartition:
             if a != b:
                 candidates.append({u: (a if c == b else c) for u, c in part.assignment.items()})
         for assignment in candidates:
-            assert map_equation_codelength(net, freq, assignment) >= base - 1e-9
+            assert map_equation_codelength(net, Partition.from_assignment(assignment)) >= base - 1e-9
+
+    @pytest.mark.parametrize("graph", SEARCH_GRAPHS)
+    def test_codelength_equals_float_reference(self, request, graph):
+        net = search_graph(request, graph)
+        rng = substream(0, "codelength-parts", graph)
+        partitions = [flow_partition(net), agglomerative_modularity(net, "greedy"),
+                      spectral_bisect(net),
+                      Partition.from_assignment({v: 0 for v in net.node_ids}),
+                      Partition.from_assignment({v: i for i, v in enumerate(net.node_ids)})]
+        partitions += [Partition.from_assignment({v: int(rng.integers(0, k))
+                                                  for v in net.node_ids}) for k in (2, 5, 20)]
+        for part in partitions:
+            assert map_equation_codelength(net, part) == pytest.approx(
+                float_map_equation_codelength(net, stationary_rates(net), part.assignment),
+                rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(2, 30), st.data())
+    def test_codelength_equals_float_reference_on_random_partitions(self, net, data):
+        labels = {v: data.draw(st.integers(0, 4)) for v in net.node_ids}
+        assert map_equation_codelength(net, Partition.from_assignment(labels)) == pytest.approx(
+            float_map_equation_codelength(net, stationary_rates(net), labels), rel=1e-12)
+
+    def test_codelength_of_a_network_without_edges_is_a_domain_error(self):
+        net = RoadNetwork([Node("a", 0.0, 0.0)], [])
+        with pytest.raises(DomainError, match="at least one edge"):
+            map_equation_codelength(net, Partition.from_assignment({"a": 0}))
 
 
 class TestPartitionCutset:
@@ -426,7 +456,7 @@ class TestPartitionCutset:
     def test_bridge_only(self, two_triangles_bridge):
         part = Partition.from_assignment(
             {v: (0 if v.startswith("a") else 1) for v in two_triangles_bridge.node_ids})
-        assert sorted(partition_cutset(two_triangles_bridge, part).ids) == ["xbridge"]
+        assert sorted(partition_cutset(two_triangles_bridge, part)) == ["xbridge"]
 
     def test_k4_even_split(self, k4):
         part = Partition.from_assignment({"A": 0, "B": 0, "C": 1, "D": 1})
@@ -451,7 +481,7 @@ class TestCrossDetectorAgreement:
             flow_partition(net),
         ]
         for part in partitions:
-            assert sorted(partition_cutset(net, part).ids) == ["xbridge"]
+            assert sorted(partition_cutset(net, part)) == ["xbridge"]
 
 
 class TestPartitionType:

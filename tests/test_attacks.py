@@ -17,24 +17,24 @@ PARTITION_STRATEGIES = ("infomap", "botgrep", "greedy_mod", "hierarchical_mod", 
 class TestSelection:
     def test_p3_betweenness_tie_breaks_lexicographically(self, p3):
         plan = select_attack_edges(p3, "betweenness", 1, seed=0)
-        assert sorted(plan.edges.ids) == ["e0"]
+        assert sorted(plan.edges) == ["e0"]
 
     def test_star_degree_attack_takes_hub_edges(self, star5):
         plan = select_attack_edges(star5, "degree", 3, seed=0)
-        assert plan.edges.ids <= {f"s{i}" for i in range(5)}
+        assert plan.edges <= {f"s{i}" for i in range(5)}
         assert len(plan.edges) == 3
 
     def test_partition_attacks_find_planted_bridges(self, planted32):
         for strategy in PARTITION_STRATEGIES:
             plan = select_attack_edges(planted32, strategy, 2, seed=0)
-            assert sorted(plan.edges.ids) == ["xbridge0", "xbridge1"], strategy
+            assert sorted(plan.edges) == ["xbridge0", "xbridge1"], strategy
 
     def test_random_pairs_hit_bridges_at_binomial_rate(self, planted32):
         trials = 10_000
         hits = 0
         for seed in range(trials):
             plan = select_attack_edges(planted32, "random", 2, seed=seed)
-            if {"xbridge0", "xbridge1"} <= plan.edges.ids:
+            if {"xbridge0", "xbridge1"} <= plan.edges:
                 hits += 1
         p = 1 / math.comb(planted32.num_edges, 2)
         sigma = math.sqrt(trials * p * (1 - p))
@@ -45,21 +45,21 @@ class TestSelection:
             for k in (1, 2, 7, planted32.num_edges):
                 plan = select_attack_edges(planted32, strategy, k, seed=5)
                 assert len(plan.edges) == k
-                assert plan.edges.ids <= set(planted32.edge_ids)
+                assert plan.edges <= set(planted32.edge_ids)
 
     def test_deterministic_per_seed(self, planted32):
         for strategy in ATTACK_STRATEGIES:
             a = select_attack_edges(planted32, strategy, 5, seed=9)
             b = select_attack_edges(planted32, strategy, 5, seed=9)
-            assert a.edges.ids == b.edges.ids
+            assert a.edges == b.edges
 
     def test_plans_nest_with_growing_budget(self, planted32):
         for strategy in ATTACK_STRATEGIES:
             previous: set[str] = set()
             for k in (1, 3, 8, 20):
                 plan = select_attack_edges(planted32, strategy, k, seed=4)
-                assert previous <= plan.edges.ids
-                previous = plan.edges.ids
+                assert previous <= plan.edges
+                previous = plan.edges
 
     def test_null_cutset_degenerates_to_betweenness_padding(self, k5, caplog):
         # a complete graph has no modularity structure: the whole budget
@@ -67,7 +67,7 @@ class TestSelection:
         with caplog.at_level("WARNING"):
             plan = select_attack_edges(k5, "eigen_mod", 3, seed=0)
         betw = strategy_edge_ranking(k5, "betweenness")
-        assert sorted(plan.edges.ids) == sorted(betw[:3])
+        assert sorted(plan.edges) == sorted(betw[:3])
         assert any("cutset" in record.message for record in caplog.records)
 
     def test_budget_bounds(self, p3):
@@ -85,13 +85,13 @@ class TestSelection:
         assert "xbridge" in plan.edges
         betw = strategy_edge_ranking(two_cliques_bridge, "betweenness")
         pad = [eid for eid in betw if eid != "xbridge"][:2]
-        assert plan.edges.ids == {"xbridge", *pad}
+        assert plan.edges == {"xbridge", *pad}
 
     def test_eigen_c_ranks_by_weaker_endpoint(self, star5):
         ranking = strategy_edge_ranking(star5, "eigen_c")
         assert set(ranking) == set(star5.edge_ids)
         plan = select_attack_edges(star5, "eigen_c", 2, seed=0)
-        assert sorted(plan.edges.ids) == ["s0", "s1"]
+        assert sorted(plan.edges) == ["s0", "s1"]
 
     @pytest.mark.parametrize("graph", ["two_cliques_bridge", "planted64", "bypass_city", "grid16"])
     def test_degree_ranking_equals_node_walk_reference(self, request, graph):
@@ -119,16 +119,16 @@ class TestPlanPlumbing:
         write_attack_plan(plan, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "edge_id"
-        assert lines[1:] == sorted(plan.edges.ids)
+        assert lines[1:] == sorted(plan.edges)
 
     def test_topology_plans_are_round_invariant(self, planted32):
         for strategy in ATTACK_STRATEGIES:
             if strategy == "random":
                 continue
-            plans = {frozenset(select_attack_edges(planted32, strategy, 6, seed=s).edges.ids)
+            plans = {frozenset(select_attack_edges(planted32, strategy, 6, seed=s).edges)
                      for s in range(5)}
             assert len(plans) == 1, strategy
-        random_plans = {frozenset(select_attack_edges(planted32, "random", 6, seed=s).edges.ids)
+        random_plans = {frozenset(select_attack_edges(planted32, "random", 6, seed=s).edges)
                         for s in range(5)}
         assert len(random_plans) > 1
 
@@ -138,7 +138,7 @@ class TestPlanPlumbing:
         for src in ("a00x00", "a03x03", "a01x02"):
             for dst in ("b00x00", "b03x03", "b02x01"):
                 path, _ = shortest_path(planted32, src, dst)
-                assert plan.edges.ids & set(path), (src, dst)
+                assert plan.edges & set(path), (src, dst)
 
     def test_random_uniform_without_replacement(self, planted32):
         counts = {eid: 0 for eid in planted32.edge_ids}

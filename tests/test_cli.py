@@ -68,6 +68,8 @@ def _field_values(name: str, default):
         return st.lists(_TEXT.filter(bool)).map(tuple)
     if name == "k":
         return st.integers(min_value=1)
+    if name == "bypass_count":
+        return st.integers(min_value=0)
     if name == "workers":  # not part of the resolved lines
         return st.just(default)
     if isinstance(default, bool):
@@ -208,6 +210,15 @@ class TestConfig:
         path.write_text(f"{key} = -5\n")
         assert cli_main(["--config", str(path), "gen-city"]) == 1
         assert capsys.readouterr().err == f"error: {key} must be > 0, got -5.0\n"
+
+    def test_negative_bypass_count_names_the_key(self, tmp_path, capsys):
+        # a 16+16 city with 1 bridge and bypass_count = -1 used to get 2 bypasses
+        with pytest.raises(ValidationError, match="bypass_count must be >= 0, got -1"):
+            ExperimentConfig(bypass_count=-1)
+        path = tmp_path / "bad.txt"
+        path.write_text("network_kind = two_cluster\nbridges = 1\nbypass_count = -1\n")
+        assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "gen-city"]) == 1
+        assert capsys.readouterr().err == "error: bypass_count must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("key, axis", [("attacker_counts", "attackers"),
                                            ("window_multipliers", "window")])
@@ -562,6 +573,18 @@ def test_file_errors_exit_1_naming_the_path(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+def test_job_card_stop_off_the_network_names_the_file_and_courier(tmp_path, capsys):
+    cards = tmp_path / "cards.csv"
+    cards.write_text("courier_id,seq,node_id,window_start_s,window_end_s\n"
+                     "c0,0,n00x00,,\nc0,1,nope,0,600\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"grid_rows = 2\ngrid_cols = 2\nfleet_kind = file\njobcards_file = {cards}\n")
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "simulate", "--attack", "random", "--defense", "shortest"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cards}: courier 'c0': job card stop 'nope' is not in the network\n")
+
+
 @pytest.mark.parametrize("command", [["matrix"], ["simulate", "--attack", "random",
                                                     "--defense", "shortest"],
                                      ["sweep", "--axis", "window"],
@@ -586,9 +609,29 @@ _CARDS = ("courier_id,seq,node_id,window_start_s,window_end_s\n"
 
 
 @st.composite
+def _city(draw):
+    """Config keys of a tiny network: ``files`` (the drawn node and edge
+    files) or a generated grid, geometric or two-cluster city."""
+    kind = draw(st.sampled_from(["files", "files", "grid", "geometric", "two_cluster"]))
+    keys = {"network_kind": kind, "city_seed": str(draw(st.integers(0, 3)))}
+    if kind == "grid":
+        keys.update(grid_rows=str(draw(st.integers(1, 3))), grid_cols=str(draw(st.integers(1, 3))))
+    elif kind == "geometric":
+        keys.update(geo_n=str(draw(st.integers(1, 6))),
+                    geo_radius_m=draw(st.sampled_from(["1", "400", "2000"])))
+    elif kind == "two_cluster":
+        keys.update(cluster_size_a=str(draw(st.integers(3, 6))),
+                    cluster_size_b=str(draw(st.integers(3, 6))),
+                    bridges=str(draw(st.integers(0, 3))),
+                    bypass_count=str(draw(st.integers(-2, 3))))
+    return keys
+
+
+@st.composite
 def _fuzz_cases(draw):
-    """A ``files`` network of 0-5 nodes with extreme lengths and speeds, a
-    small config for it, and the strategies the commands name."""
+    """A network of 0-5 nodes, as files with extreme lengths and speeds or
+    as a tiny generated city, a small config for it, and the strategies
+    the commands name."""
     names = [f"n{i}" for i in range(draw(st.integers(0, 5)))]
     chain = list(zip(names, names[1:]))  # mostly kept, so most networks are connected
     pairs = [pair for pair in combinations(names, 2)
@@ -602,6 +645,7 @@ def _fuzz_cases(draw):
         return ",".join(draw(st.lists(elements, min_size=1, max_size=max_size, unique=True)))
 
     config = {
+        **draw(_city()),
         "attacks": items(st.sampled_from(ATTACK_STRATEGIES), 3),
         "defenses": items(st.sampled_from(DEFENSE_STRATEGIES), 2),
         "k": str(draw(st.integers(1, 2))),
@@ -624,15 +668,20 @@ def _fuzz_cases(draw):
     return "\n".join(nodes) + "\n", "\n".join(edges) + "\n", config, strategies
 
 
-_SMALL_CONFIG = {"fleet_couriers": "2", "fleet_stops": "2", "seeds": "0"}
+_SMALL_CONFIG = {"network_kind": "files", "fleet_couriers": "2", "fleet_stops": "2",
+                 "seeds": "0"}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(case=_fuzz_cases())
 @example(case=("node_id,x,y\n", "edge_id,u,v,length_m,speed_mps\n", _SMALL_CONFIG,
                ("random", "1", "shortest", "botgrep")))
 @example(case=("node_id,x,y\nn0,0,0\n", "edge_id,u,v,length_m,speed_mps\n", _SMALL_CONFIG,
                ("betweenness", "1", "mixnet", "infomap")))
+@example(case=("node_id,x,y\n", "edge_id,u,v,length_m,speed_mps\n",
+               {**_SMALL_CONFIG, "network_kind": "two_cluster", "bridges": "1",
+                "bypass_count": "-1"},
+               ("random", "1", "shortest", "botgrep")))
 def test_every_command_on_tiny_networks_exits_0_or_1_quietly(case):
     nodes, edges, config, (attack, attack_k, defense, method) = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -640,8 +689,8 @@ def test_every_command_on_tiny_networks_exits_0_or_1_quietly(case):
         (tmp / "nodes.csv").write_text(nodes)
         (tmp / "edges.csv").write_text(edges)
         (tmp / "cards.csv").write_text(_CARDS)
-        files = {"network_kind": "files", "nodes_file": tmp / "nodes.csv",
-                 "edges_file": tmp / "edges.csv", "jobcards_file": tmp / "cards.csv"}
+        files = {"nodes_file": tmp / "nodes.csv", "edges_file": tmp / "edges.csv",
+                 "jobcards_file": tmp / "cards.csv"}
         (tmp / "cfg.txt").write_text(
             "".join(f"{key} = {value}\n" for key, value in {**files, **config}.items()))
         commands = [["simulate", "--attack", attack, "--defense", defense], ["matrix"],
@@ -661,6 +710,9 @@ def test_every_command_on_tiny_networks_exits_0_or_1_quietly(case):
             if code == 0:
                 for path in out.iterdir():
                     assert not re.search(r"\bnan\b", path.read_text()), (command, path.name)
+            if code == 0 and command == ["gen-city"] and config["network_kind"] == "two_cluster":
+                bypasses = re.findall(r"^xbypass", (out / "edges.csv").read_text(), re.M)
+                assert len(bypasses) == int(config["bypass_count"])
 
 
 @pytest.mark.parametrize("name, row, field", [

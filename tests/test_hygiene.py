@@ -1,0 +1,59 @@
+"""Source hygiene checks that need only the standard library."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import roadgame
+
+SOURCES = sorted(Path(roadgame.__file__).parent.glob("*.py"))
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names inside quoted annotations such as ``card: "JobCard"``."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the source imports and never reads, ``from __future__`` aside."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _annotation_names(tree)
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_finder_sees_names_and_quoted_annotations():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from typing import TYPE_CHECKING, Mapping\nif TYPE_CHECKING:\n"
+              "    from x import Card\ndef f(card: \"Card\") -> Mapping:\n    return np\n")
+    assert unused_imports(source) == ["line 2: os"]
+
+
+# __init__ imports only to re-export
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

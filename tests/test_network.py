@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_net
 from oracles import brute_min_edge_cut
 from roadgame.errors import DomainError, ParseError, ValidationError
-from roadgame.network import (EdgeSet, conductance, edge_disjoint_paths,
-                              load_network, save_network, shortest_path)
+from roadgame.network import (conductance, edge_disjoint_paths, load_network, save_network,
+                              shortest_path)
 from roadgame.synth import generate_city
 
 
@@ -256,11 +256,3 @@ class TestConductance:
             value = conductance(planted32, part)
             assert 0.0 <= value <= 1.0
 
-
-class TestEdgeSet:
-    def test_validates_membership(self, p3):
-        with pytest.raises(ValidationError):
-            EdgeSet.for_network(p3, ["nope"])
-        es = EdgeSet.for_network(p3, ["e1", "e0", "e1"])
-        assert len(es) == 2
-        assert list(es) == ["e0", "e1"]

@@ -10,17 +10,16 @@ from conftest import build_net
 from oracles import reference_tour
 from roadgame.attacks import AttackPlan, empty_attack_plan, select_attack_edges
 from roadgame.errors import DomainError, ValidationError
-from roadgame.network import EdgeSet
 from roadgame.routing import DEFENSE_STRATEGIES, RoutePlan, plan_route
 from roadgame.rng import derive_seed
 from roadgame.simulate import (CRITICALLY_LATE, LATE, ON_TIME, JobCard,
                                Stop, TourResult, apply_window_multiplier,
-                               metrics_from_tours, reclassify_with_multiplier,
+                               metrics_from_tours, reclassify_with_windows,
                                run_round_details, run_rounds, run_tour)
 
 
-def manual_attack(net, edge_ids):
-    return AttackPlan("random", EdgeSet.for_network(net, edge_ids), seed=0)
+def manual_attack(edge_ids):
+    return AttackPlan("random", frozenset(edge_ids), seed=0)
 
 
 class TestRunTour:
@@ -38,7 +37,7 @@ class TestRunTour:
         net = build_net([("e0", "W", "S")], times={"e0": 300.0})
         card = JobCard("c0", "W", (Stop("S", 600.0, 1400.0),), day_start_s=1000.0)
         plan = plan_route(net, card, "shortest", 0)
-        tour = run_tour(net, plan, card, manual_attack(net, ["e0"]), 600.0)
+        tour = run_tour(net, plan, card, manual_attack(["e0"]), 600.0)
         assert tour.arrivals == (1900.0,)
         assert tour.statuses == (CRITICALLY_LATE,)
 
@@ -46,7 +45,7 @@ class TestRunTour:
         net = build_net([("e0", "W", "S")], times={"e0": 300.0})
         card = JobCard("c0", "W", (Stop("S", 0.0, 700.0),), day_start_s=0.0)
         plan = plan_route(net, card, "shortest", 0)
-        tour = run_tour(net, plan, card, manual_attack(net, ["e0"]), 600.0)
+        tour = run_tour(net, plan, card, manual_attack(["e0"]), 600.0)
         # arrival 900, window end 700: 200 late on a 700 window
         assert tour.statuses == (LATE,)
 
@@ -56,7 +55,7 @@ class TestRunTour:
                         times={"e0": 100.0, "e1": 50.0})
         card = JobCard("c0", "W", (Stop("S", 0.0, 5000.0),))
         plan = plan_route(net, card, "shortest", 0)
-        tour = run_tour(net, plan, card, manual_attack(net, ["e0"]), 600.0)
+        tour = run_tour(net, plan, card, manual_attack(["e0"]), 600.0)
         assert tour.ambush_count == 2
         assert tour.tour_time_s == 300.0 + 2 * 600.0
 
@@ -101,7 +100,7 @@ class TestRunTour:
         used = {eid for leg in plan.legs for eid in leg}
         far = [eid for eid in planted32.edge_ids if eid not in used][:6]
         baseline = run_tour(planted32, plan, card, empty_attack_plan(planted32))
-        disjoint = run_tour(planted32, plan, card, manual_attack(planted32, far))
+        disjoint = run_tour(planted32, plan, card, manual_attack(far))
         assert baseline == disjoint
 
     def test_superset_attack_never_reduces_tour_time(self, planted32):
@@ -109,7 +108,7 @@ class TestRunTour:
         plan = plan_route(planted32, card, "shortest", 0)
         small = select_attack_edges(planted32, "betweenness", 3, seed=0)
         large = select_attack_edges(planted32, "betweenness", 12, seed=0)
-        assert small.edges.ids <= large.edges.ids
+        assert small.edges <= large.edges
         t_small = run_tour(planted32, plan, card, small)
         t_large = run_tour(planted32, plan, card, large)
         assert t_large.tour_time_s >= t_small.tour_time_s
@@ -196,7 +195,7 @@ class TestRunRound:
         b = run_round_details(planted32, fleet, "botgrep", "mixnet", 4, 600.0, 9)
         assert a.metrics == b.metrics
         assert a.routes == b.routes
-        assert a.attack.edges.ids == b.attack.edges.ids
+        assert a.attack.edges == b.attack.edges
 
     def test_empty_fleet_rejected(self, planted32):
         with pytest.raises(DomainError):
@@ -208,9 +207,10 @@ class TestRunRound:
         details = run_round_details(planted32, fleet, "betweenness", "shortest",
                                     6, 600.0, 1)
         for mult in (1.0, 1.75, 3.5):
-            direct = run_round_details(planted32, apply_window_multiplier(fleet, mult),
-                                       "betweenness", "shortest", 6, 600.0, 1).metrics
-            assert reclassify_with_multiplier(fleet, details, mult) == direct
+            scaled = apply_window_multiplier(fleet, mult)
+            direct = run_round_details(planted32, scaled, "betweenness", "shortest",
+                                       6, 600.0, 1).metrics
+            assert reclassify_with_windows(scaled, details) == direct
 
 
 class TestMetrics:
@@ -308,7 +308,7 @@ def tour_cases(draw):
     for edges in draw(st.lists(edge_sets, min_size=1, max_size=4)):
         if detour is not None and draw(st.booleans()):
             edges = edges | {detour}
-        attacks.append(AttackPlan("random", EdgeSet.for_network(net, edges), seed=0))
+        attacks.append(AttackPlan("random", frozenset(edges), seed=0))
     delay = draw(st.floats(0.5, 5000.0, allow_nan=False, allow_infinity=False))
     return net, card, plan, attacks, delay
 
@@ -355,7 +355,7 @@ class TestRoundEngine:
     def test_attack_edge_missing_from_network_raises_domain_error(self, p3):
         card = JobCard("c0", "A", (Stop("B", 0.0, 100.0),))
         plan = plan_route(p3, card, "shortest", 0)
-        attack = AttackPlan("random", EdgeSet(frozenset({"e0", "zz"})), 0)
+        attack = AttackPlan("random", frozenset({"e0", "zz"}), 0)
         with pytest.raises(DomainError, match=r"not in the network: \['zz'\]"):
             run_tour(p3, plan, card, attack)
         with pytest.raises(DomainError, match="not in the network"):

@@ -48,6 +48,19 @@ class TestJobcardFiles:
         with pytest.raises(ValidationError, match="stops"):
             parse_jobcards(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("c0,0,W,,\nc0,1,A,30,20\n", "cards.csv:3: courier 'c0' seq 1: window start 30 >= end 20"),
+        ("c0,1,A,0,10\n", "cards.csv:2: courier 'c0': missing warehouse row (seq 0)"),
+        ("c0,0,W,,\nc0,1,A,0,10\nc0,1,B,0,10\n", "cards.csv:4: courier 'c0': duplicate seq 1"),
+        ("c1,1,A,0,10\nc0,0,W,,\n", "cards.csv:3: courier 'c0': no delivery stops"),
+    ], ids=["window", "no-warehouse", "duplicate-seq", "no-stops"])
+    def test_errors_name_the_file_and_line(self, tmp_path, rows, message):
+        path = tmp_path / "cards.csv"
+        path.write_text("courier_id,seq,node_id,window_start_s,window_end_s\n" + rows)
+        with pytest.raises(ValidationError) as caught:
+            parse_jobcards(path)
+        assert str(caught.value) == f"{tmp_path / message}"
+
     def test_non_utf8_file_is_parse_error(self, tmp_path):
         path = tmp_path / "cards.csv"
         path.write_bytes(b"courier_id,seq,node_id,window_start_s,window_end_s\n"
@@ -158,6 +171,11 @@ class TestGenerateCity:
             for dst in ("b00x00", "b03x03"):
                 path, _ = shortest_path(net, src, dst)
                 assert not any(e.startswith("xbypass") for e in path)
+
+    def test_negative_bypass_count_is_rejected(self):
+        # slicing [:bypass_count] used to build 2 bypasses for bypass_count = -1
+        with pytest.raises(DomainError, match="bypass_count must be >= 0, got -1"):
+            generate_city("two_cluster", size_a=16, size_b=16, bridges=1, bypass_count=-1)
 
     def test_geometric_connected_and_deterministic(self):
         net1 = generate_city("geometric", seed=3, n=40, radius_m=260.0)
