@@ -85,6 +85,7 @@ def _adjacency_matrix(net: RoadNetwork) -> np.ndarray:
     return a
 
 
+@memoised
 def _eigenvector_scores(net: RoadNetwork) -> dict[str, float]:
     """Power iteration on A + I (keeps bipartite graphs convergent)."""
     a = _adjacency_matrix(net)
@@ -105,26 +106,35 @@ def _eigenvector_scores(net: RoadNetwork) -> dict[str, float]:
         f"iterations (residual {residual:.3e})", residual=residual)
 
 
+@memoised
 def _betweenness_scores(net: RoadNetwork) -> tuple[dict[str, float], dict[str, float]]:
     """Node and edge betweenness over travel-time shortest paths.
 
     Equal-cost paths split evenly and the sums are exact, so results
-    match brute-force path enumeration.  A predecessor of ``w`` is a
-    neighbour ``v`` settled before it with ``dist[v] + tt[e] == dist[w]``.
+    match brute-force path enumeration.
+    """
+    return _round_betweenness(_betweenness_sums(net, net.node_ids))
 
-    Brandes' dependency is ``delta(v) = sigma(v) * c(v) - 1`` with
-    ``c(v) = 1/sigma(v) + sum of c(w) over successors w``, and edge
-    (v, w) carries ``sigma(v) * c(w)``.  Scaling c by ``L = lcm(sigma)``
-    makes every per-source term an integer ``C``; the totals are kept as
-    integer numerators over one running denominator ``D``, and each is
-    rounded to float once, at the end.
+
+def _betweenness_sums(net: RoadNetwork, sources) -> tuple[int, dict[str, int], dict[str, int]]:
+    """Exact integer partial sums ``(denom, node_num, edge_num)`` of the
+    dependencies of ``sources``: each total is its numerator over ``denom``.
+
+    A predecessor of ``w`` is a neighbour ``v`` settled before it with
+    ``dist[v] + tt[e] == dist[w]``.  Brandes' dependency is
+    ``delta(v) = sigma(v) * c(v) - 1`` with ``c(v) = 1/sigma(v) + sum of
+    c(w) over successors w``, and edge (v, w) carries ``sigma(v) * c(w)``.
+    Scaling c by ``L = lcm(sigma)`` makes every per-source term an
+    integer ``C``; the totals are kept as integer numerators over one
+    running denominator.  Betweenness is a sum over sources, so sums over
+    disjoint source sets merge exactly with :func:`_merge_betweenness`.
     """
     tt = net.travel_times()
     adjacency = net.adjacency
     node_num: dict[str, int] = {v: 0 for v in net.node_ids}
     edge_num: dict[str, int] = {e: 0 for e in net.edge_ids}
     denom = 1
-    for s in net.node_ids:
+    for s in sources:
         order, dist = _dijkstra(net, s, tt)
         sigma: dict[str, int] = {s: 1}
         preds: dict[str, list[tuple[str, str]]] = {s: []}
@@ -151,11 +161,28 @@ def _betweenness_scores(net: RoadNetwork) -> tuple[dict[str, float], dict[str, f
                 edge_num[eid] += sigma[v] * lifted
             if w != s:
                 node_num[w] += sigma[w] * lifted - denom
+    return denom, node_num, edge_num
+
+
+def _merge_betweenness(parts) -> tuple[int, dict[str, int], dict[str, int]]:
+    """The sums over the union of disjoint source sets: each part's
+    numerators lifted to the lcm of the parts' denominators, then added."""
+    denom = math.lcm(*(part[0] for part in parts))
+    lifts = [denom // part[0] for part in parts]
+
+    def total(field: int) -> dict[str, int]:
+        return {key: sum(lift * part[field][key] for lift, part in zip(lifts, parts))
+                for key in parts[0][field]}
+    return denom, total(1), total(2)
+
+
+def _round_betweenness(sums) -> tuple[dict[str, float], dict[str, float]]:
+    """Node and edge betweenness floats of the sums over every source."""
+    denom, node_num, edge_num = sums
     # each unordered pair was counted from both endpoints
     # int / int rounds the exact quotient once, correctly
-    nodes = {v: x / (2 * denom) for v, x in node_num.items()}
-    edges = {e: x / (2 * denom) for e, x in edge_num.items()}
-    return nodes, edges
+    return ({v: x / (2 * denom) for v, x in node_num.items()},
+            {e: x / (2 * denom) for e, x in edge_num.items()})
 
 
 def _min_over_ends(net: RoadNetwork, node_scores: Mapping[str, float]) -> dict[str, float]:

@@ -48,6 +48,7 @@ def _by_score(scores: dict[str, float], ids) -> list[str]:
     return sorted(ids, key=lambda eid: (-scores[eid], eid))
 
 
+@memoised
 def _partition_for(net: RoadNetwork, strategy: str) -> Partition:
     if strategy == "botgrep":
         return mixing_partition(net, seed=PARTITION_KMEANS_SEED)

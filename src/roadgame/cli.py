@@ -22,8 +22,8 @@ from .experiment import (ROUND_HEADER, ExperimentConfig, emit_reports, format_ro
                          run_matrix, run_sweep)
 from .network import load_network, save_network
 from .routing import DEFENSE_STRATEGIES
-from .synth import (TraceTolerance, parse_jobcards, synthesize_traces,
-                    write_jobcards, write_leg_audit)
+from .synth import (TraceTolerance, check_cards_on_network, parse_jobcards,
+                    synthesize_traces, write_jobcards, write_leg_audit)
 
 # analyze writes the partition whose cutset the same-named attack takes
 ANALYZE_METHODS = PARTITION_STRATEGIES
@@ -158,6 +158,7 @@ def _cmd_analyze(cfg: ExperimentConfig, args) -> int:
 def _cmd_synth(cfg: ExperimentConfig, args) -> int:
     base_net = load_network(args.base_nodes, args.base_edges)
     base_cards = parse_jobcards(args.base_cards)
+    check_cards_on_network(base_cards, base_net, args.base_cards)
     target = cfg.build_network()
     tol = TraceTolerance(relative_tolerance=args.tolerance)
     cards, audits = synthesize_traces(base_cards, base_net, target, tol, seed=cfg.seeds[0])

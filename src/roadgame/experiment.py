@@ -3,12 +3,16 @@
 Configs are flat ``key = value`` text (lists comma-separated) so a run is
 fully described by bytes that hash stably; every output is a pure
 function of (config, seeds).  One runner, ``_run_rows``, plays the rounds
-of the CLI's simulate, matrix and both sweeps.  Work is scheduled per
-(defense, seed): a route depends on neither the attack nor k, so each
-task plans every courier's route once and scores every attack and k
-against it.  Tasks are independent and may be dispatched to a process
-pool; their rows are returned in attack-major order, so worker count
-never changes any output byte.
+of the CLI's simulate, matrix and both sweeps, in two stages on one
+process pool.  The analysis stage computes, once per run, what the
+config's attacks and defenses read: exact betweenness split into source
+chunks whose integer sums merge exactly, each partition detector and
+the eigenvector.  The rankings and ``inverse`` weights built from them
+travel with every round task.  Rounds are scheduled per (defense,
+seed): a route depends on neither the attack nor k, so each task plans
+every courier's route once and scores every attack and k against it.
+Rows are returned in attack-major order, so worker count never changes
+any output byte.
 """
 
 from __future__ import annotations
@@ -21,14 +25,16 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
-from .attacks import ATTACK_STRATEGIES
+from .analysis import (_betweenness_scores, _betweenness_sums, _eigenvector_scores,
+                       _merge_betweenness, _round_betweenness)
+from .attacks import ATTACK_STRATEGIES, PARTITION_STRATEGIES, _graph_ranking, _partition_for
 from .errors import DomainError, ParseError, ValidationError
 from .game import Equilibrium, PayoffMatrix, find_pure_nash, solve_zero_sum
-from .network import RoadNetwork, _read_utf8, load_network
-from .routing import DEFENSE_STRATEGIES
+from .network import RoadNetwork, _read_utf8, load_network, preload
+from .routing import DEFENSE_STRATEGIES, inverse_centrality_scores
 from .simulate import (JobCard, RoundMetrics, apply_window_multiplier,
                        reclassify_with_windows, run_rounds)
-from .synth import generate_city, make_fleet, parse_jobcards
+from .synth import check_cards_on_network, generate_city, make_fleet, parse_jobcards
 
 DEFAULT_DEFENSES = ("shortest", "inverse", "mixnet")
 DEFAULT_WINDOW_MULTIPLIERS = tuple(round(1.0 + 0.25 * i, 2) for i in range(11))  # 1.0 .. 3.5
@@ -246,12 +252,7 @@ class ExperimentConfig:
             if not self.jobcards_file:
                 raise ValidationError("fleet_kind=file needs jobcards_file")
             cards = parse_jobcards(self.jobcards_file)
-            for card in cards:
-                for node in (card.warehouse, *(stop.node_id for stop in card.stops)):
-                    if node not in net.nodes:
-                        raise ValidationError(
-                            f"{self.jobcards_file}: courier {card.courier_id!r}: "
-                            f"job card stop {node!r} is not in the network")
+            check_cards_on_network(cards, net, self.jobcards_file)
             return cards
         if self.fleet_kind == "random":
             warehouse = None if self.fleet_warehouse == "auto" else self.fleet_warehouse
@@ -268,15 +269,83 @@ def _scenario(cfg: ExperimentConfig) -> tuple[RoadNetwork, list[JobCard]]:
     return net, cfg.build_fleet(net)
 
 
+# -- analysis stage -------------------------------------------------------------
+
+
+def _analysis_tasks(cfg: ExperimentConfig, net: RoadNetwork) -> list[tuple]:
+    """The analyses the config's attacks and defenses read, as pool tasks.
+
+    Betweenness, which every partition attack and ``inverse`` read too,
+    is split into one source chunk per worker; each partition detector
+    and the eigenvector are one task.  Chunks come first, as the longest.
+    """
+    partitions = [attack for attack in cfg.attacks if attack in PARTITION_STRATEGIES]
+    tasks = []
+    if partitions or "betweenness" in cfg.attacks or "inverse" in cfg.defenses:
+        chunks = min(cfg.workers, net.num_nodes)
+        tasks += [(cfg, "betweenness", net.node_ids[i::chunks]) for i in range(chunks)]
+    tasks += [(cfg, "partition", attack) for attack in partitions]
+    if "eigen_c" in cfg.attacks or "inverse" in cfg.defenses:
+        tasks.append((cfg, "eigenvector", None))
+    return tasks
+
+
+def _analysis_task(args):
+    """One analysis task's result: betweenness sums, a partition or eigenvector scores."""
+    cfg, kind, arg = args
+    net, _ = _scenario(cfg)
+    if kind == "betweenness":
+        return _betweenness_sums(net, arg)
+    if kind == "partition":
+        return _partition_for(net, arg)
+    return _eigenvector_scores(net)
+
+
+def _analysis_stage(cfg: ExperimentConfig, net: RoadNetwork, tasks: list[tuple],
+                    pool) -> tuple:
+    """The memo entries a round task reads: every graph attack's ranking
+    and, for ``inverse``, its edge weights, built once in this process.
+
+    With a pool the analysis ``tasks`` run there first; the betweenness
+    chunks' exact sums merge here, and the results fill this process's
+    memo.  Without one, the rankings are built through the memoised
+    analysis functions in this process.
+    """
+    if pool is not None:
+        entries, sums = [], []
+        for (_, kind, arg), result in zip(tasks, pool.map(_analysis_task, tasks)):
+            if kind == "betweenness":
+                sums.append(result)
+            elif kind == "partition":
+                entries.append((_partition_for, (arg,), result))
+            else:
+                entries.append((_eigenvector_scores, (), result))
+        if sums:
+            entries.append((_betweenness_scores, (),
+                            _round_betweenness(_merge_betweenness(sums))))
+        preload(net, entries)
+    bundle = [(_graph_ranking, (attack,), _graph_ranking(net, attack))
+              for attack in cfg.attacks if attack != "random"]
+    if "inverse" in cfg.defenses:
+        bundle.append((inverse_centrality_scores, (), inverse_centrality_scores(net)))
+    return tuple(bundle)
+
+
+# -- round stage ------------------------------------------------------------------
+
+
 def _rounds_task(args) -> list[list[tuple[int, float, RoundMetrics]]]:
     """Every round of one (defense, seed): per attack, its (k, window_mult, metrics) rows.
 
     ``axis`` is ``matrix`` (k = cfg.k), ``window`` (k = cfg.k, each round
     reclassified per window multiplier) or ``attackers`` (every attacker
-    count).  An attack's rows come in k order, then multiplier.
+    count).  An attack's rows come in k order, then multiplier.  The
+    analysis ``bundle`` goes into the network's memo first, so no round
+    computes any analysis.
     """
-    cfg, axis, defense, seed = args
+    cfg, axis, defense, seed, bundle = args
     net, fleet = _scenario(cfg)
+    preload(net, bundle)
     ks = cfg.attacker_counts if axis == "attackers" else (cfg.k,)
     rounds = run_rounds(net, fleet, cfg.attacks, defense, ks, cfg.ambush_delay_s,
                         seed, cfg.nested_plans)
@@ -287,28 +356,35 @@ def _rounds_task(args) -> list[list[tuple[int, float, RoundMetrics]]]:
     return [[(k, 1.0, rounds[attack, k].metrics) for k in ks] for attack in cfg.attacks]
 
 
-def _map_tasks(fn, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    # the fork start method forks every worker at the first submit
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _run_rows(cfg: ExperimentConfig, axis: str) -> list[tuple]:
     """(attack, defense, k, window_mult, seed, metrics) rows of every round.
 
-    The one runner of rounds.  Work is dispatched per (defense, seed); the
-    rows come back in attack-major order, then defense, seed, k and
-    multiplier, whatever the workers.
+    The one runner of rounds, in two stages on one pool of at most
+    ``workers`` processes, sized to the larger stage: the analysis, then
+    one task per (defense, seed).  The pool starts before any analysis
+    runs, so its workers fork from a process that holds only the
+    scenario.  The rows come back in attack-major order, then defense,
+    seed, k and multiplier, whatever the workers.
     """
     if axis not in ("matrix", "window", "attackers"):
         raise DomainError(f"unknown sweep axis {axis!r}")
-    tasks = [(cfg, axis, defense, seed) for defense in cfg.defenses for seed in cfg.seeds]
-    results = _map_tasks(_rounds_task, tasks, cfg.workers)
+    net, _ = _scenario(cfg)
+    analyses = _analysis_tasks(cfg, net)
+    keys = [(defense, seed) for defense in cfg.defenses for seed in cfg.seeds]
+    size = min(cfg.workers, max(len(analyses), len(keys)))
+    # the fork start method forks every worker at the first submit
+    pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    try:
+        bundle = _analysis_stage(cfg, net, analyses, pool)
+        tasks = [(cfg, axis, defense, seed, bundle) for defense, seed in keys]
+        results = (list(pool.map(_rounds_task, tasks)) if pool is not None
+                   else [_rounds_task(task) for task in tasks])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return [(attack, defense, k, mult, seed, metrics)
             for a, attack in enumerate(cfg.attacks)
-            for (_, _, defense, seed), by_attack in zip(tasks, results)
+            for (defense, seed), by_attack in zip(keys, results)
             for k, mult, metrics in by_attack[a]]
 
 

@@ -71,6 +71,17 @@ def memoised(fn):
     return cached
 
 
+def preload(net: "RoadNetwork", entries) -> None:
+    """Store values of :func:`memoised` functions computed elsewhere.
+
+    ``entries`` holds ``(fn, args, value)`` triples, ``value`` being what
+    ``fn(net, *args)`` returns, as another process or a merge of partial
+    results computed it; later calls return that value without computing.
+    """
+    for fn, args, value in entries:
+        net._cache[(fn.__module__, fn.__qualname__) + args] = value
+
+
 class RoadNetwork:
     """Validated, immutable undirected road graph.
 

@@ -93,6 +93,16 @@ def parse_jobcards(path) -> list[JobCard]:
     return cards
 
 
+def check_cards_on_network(cards: Sequence[JobCard], net: RoadNetwork, path) -> None:
+    """Raise ValidationError naming the cards file ``path`` and the courier
+    when a card's warehouse or a stop is not a node of ``net``."""
+    for card in cards:
+        for node in (card.warehouse, *(stop.node_id for stop in card.stops)):
+            if node not in net.nodes:
+                raise ValidationError(f"{path}: courier {card.courier_id!r}: "
+                                      f"job card stop {node!r} is not in the network")
+
+
 def write_jobcards(fleet: Sequence[JobCard], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

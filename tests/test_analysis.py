@@ -1,3 +1,4 @@
+import functools
 from collections import defaultdict
 
 import numpy as np
@@ -9,9 +10,11 @@ from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity
                      edge_loop_mixing_kernel, exact_modularity, float_flow_partition,
                      float_map_equation_codelength, fraction_betweenness,
                      rescan_greedy_merge, sigma_tot_hierarchical_merge, tensor_kmeans)
-from roadgame.analysis import (Partition, _betweenness_scores, _codelength_cost,
+from roadgame.analysis import (Partition, _betweenness_scores, _betweenness_sums,
+                               _codelength_cost,
                                _CommunitySearch, _greedy_merge, _hierarchical_merge,
-                               _kmeans, _link_counts, _modularity_cost,
+                               _kmeans, _link_counts, _merge_betweenness,
+                               _modularity_cost, _round_betweenness,
                                agglomerative_modularity, centrality,
                                default_short_walk_len, flow_partition,
                                map_equation_codelength, mixing_partition,
@@ -21,6 +24,29 @@ from roadgame.errors import DomainError
 from roadgame.network import Node, RoadNetwork
 from roadgame.rng import substream
 from roadgame.synth import generate_city
+
+
+def tied_grid(rows, cols, data):
+    """Grid whose edges take 1 or 2 s, drawn: many equal-cost paths."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((f"h{r}{c}", f"n{r}{c}", f"n{r}{c + 1}"))
+            if r + 1 < rows:
+                edges.append((f"v{r}{c}", f"n{r}{c}", f"n{r + 1}{c}"))
+    times = {eid: float(data.draw(st.integers(1, 2), label=eid)) for eid, _, _ in edges}
+    return build_net(edges, times=times)
+
+
+def chunked_betweenness(net, chunks):
+    """Betweenness from the exact sums of each source chunk, merged."""
+    return _round_betweenness(_merge_betweenness([_betweenness_sums(net, c) for c in chunks]))
+
+
+@functools.lru_cache(maxsize=None)  # per network object: the fixtures are session-wide
+def cached_fraction_betweenness(net):
+    return fraction_betweenness(net)
 
 
 def random_connected_net(seed, n=10, p=0.35, max_weight=5):
@@ -122,16 +148,33 @@ class TestCentrality:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 5), st.data())
     def test_betweenness_equals_fraction_reference_on_tied_grids(self, rows, cols, data):
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                if c + 1 < cols:
-                    edges.append((f"h{r}{c}", f"n{r}{c}", f"n{r}{c + 1}"))
-                if r + 1 < rows:
-                    edges.append((f"v{r}{c}", f"n{r}{c}", f"n{r + 1}{c}"))
-        times = {eid: float(data.draw(st.integers(1, 2), label=eid)) for eid, _, _ in edges}
-        net = build_net(edges, times=times)
+        net = tied_grid(rows, cols, data)
         assert _betweenness_scores(net) == fraction_betweenness(net)
+
+    @pytest.mark.parametrize("chunking", ["one", "per-source", "uneven"])
+    @pytest.mark.parametrize("graph", ["planted64", "bypass_city"])
+    def test_chunked_betweenness_is_exact(self, request, graph, chunking):
+        # one source per chunk gives chunks of different denominators, so
+        # a merge that skipped lifting them to their lcm would differ
+        net = request.getfixturevalue(graph)
+        ids = net.node_ids
+        chunks = {"one": [ids],
+                  "per-source": [[s] for s in ids],
+                  "uneven": [ids[-1:], ids[:3], ids[3:40:2], ids[4:40:2], ids[40:-1]]}[chunking]
+        merged = chunked_betweenness(net, chunks)
+        assert merged == _betweenness_scores(net)
+        assert merged == cached_fraction_betweenness(net)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 5), st.data())
+    def test_chunked_betweenness_is_exact_on_tied_grids(self, rows, cols, data):
+        net = tied_grid(rows, cols, data)
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=net.num_nodes,
+                                    max_size=net.num_nodes), label="chunk of each source")
+        chunks = [[s for s, label in zip(net.node_ids, labels) if label == chunk]
+                  for chunk in sorted(set(labels))]
+        merged = chunked_betweenness(net, chunks)
+        assert merged == _betweenness_scores(net) == fraction_betweenness(net)
 
     def test_betweenness_leaf_of_tree_is_zero(self):
         net = build_net([("e0", "r", "a"), ("e1", "r", "b"), ("e2", "a", "c")])

@@ -41,6 +41,27 @@ k = 3
 seeds = 0,1
 """
 
+# The 128-node bypass city's matrix dispatches every kind of analysis task.
+# Its sources' path counts have 29 different lcms, so every betweenness
+# chunk's denominator grows; on SMALL_CFG at 3 workers the chunks' lcms
+# differ (4,324,320 twice and 1,441,440), so the merge lifts across processes.
+BYPASS128_CFG = """\
+network_kind = two_cluster
+cluster_size_a = 64
+cluster_size_b = 64
+bridges = 2
+edge_time_s = 20
+bypass_count = 6
+bypass_time_s = 300
+fleet_couriers = 8
+fleet_stops = 3
+fleet_slack_s = 1800
+fleet_warehouse = a00x00
+fleet_stop_prefixes = b,a
+k = 12
+seeds = 0,1
+"""
+
 
 def run_cli(args, cwd=None, env=None):
     return subprocess.run([sys.executable, "-m", "roadgame.cli", *args],
@@ -355,7 +376,16 @@ class TestRunMatrix:
         assert Counter(calls).most_common(1)[0][1] == 1
         assert Counter(strategy for strategy, _, _ in calls) == {"shortest": 10, "mixnet": 10}
 
-    def test_pool_is_capped_at_the_task_count(self, small_cfg_file, monkeypatch):
+    @pytest.mark.parametrize("workers, changes, size", [
+        (64, {}, 32),                                  # one betweenness chunk per node
+        (3, {}, 3),
+        (64, {"attacks": ("random",)}, 4),              # 2 defenses x 2 seeds, no analysis
+        (64, {"attacks": ("random",), "seeds": (0,)}, 2),
+        (64, {"attacks": ("random",), "defenses": ("shortest",), "seeds": (0,)}, None),
+    ], ids=["chunks", "workers", "rounds", "two-rounds", "one-task-in-process"])
+    def test_pool_is_capped_at_the_task_count(self, small_cfg_file, monkeypatch,
+                                              workers, changes, size):
+        # the larger of the analysis stage's and the round stage's task counts;
         # the fork start method forks every worker at the first submit
         sizes = []
 
@@ -363,40 +393,38 @@ class TestRunMatrix:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-        assert experiment._map_tasks(abs, [-1, -2], workers=64) == [1, 2]
-        assert experiment._map_tasks(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
-        cfg = replace(ExperimentConfig.from_file(small_cfg_file), workers=64)
-        run_matrix(cfg)  # 2 defenses x 2 seeds
-        assert sizes == [2, 2, 4]
+        cfg = replace(ExperimentConfig.from_file(small_cfg_file), workers=workers, **changes)
+        run_matrix(cfg)
+        assert sizes == ([] if size is None else [size])
 
 
 class TestCliCommands:
-    @pytest.mark.parametrize("command", [
-        ("matrix",), ("sweep", "--axis", "attackers"), ("sweep", "--axis", "window"),
-        ("simulate", "--attack", "betweenness", "--defense", "mixnet")],
-        ids=["matrix", "sweep-attackers", "sweep-window", "simulate"])
-    def test_matrix_determinism_across_workers(self, small_cfg_file, tmp_path, command):
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        r1 = run_cli(["--config", str(small_cfg_file), "--out", str(out1),
-                      "--workers", "1", *command])
-        r2 = run_cli(["--config", str(small_cfg_file), "--out", str(out2),
-                      "--workers", "2", *command])
-        assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
-        assert r1.stdout == r2.stdout
-        names = sorted(path.name for path in out1.iterdir())
-        assert names == sorted(path.name for path in out2.iterdir())
-        for name in names:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    @pytest.mark.parametrize("config, command", [
+        (SMALL_CFG, ("matrix",)), (SMALL_CFG, ("sweep", "--axis", "attackers")),
+        (SMALL_CFG, ("sweep", "--axis", "window")),
+        (SMALL_CFG, ("simulate", "--attack", "betweenness", "--defense", "mixnet")),
+        (BYPASS128_CFG, ("matrix",)),
+        (BYPASS128_CFG, ("simulate", "--attack", "botgrep", "--defense", "inverse"))],
+        ids=["matrix", "sweep-attackers", "sweep-window", "simulate",
+             "bypass128-matrix", "bypass128-simulate"])
+    def test_matrix_determinism_across_workers(self, tmp_path, config, command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        runs = {}
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"r{workers}"
+            result = run_cli(["--config", str(cfg), "--out", str(out),
+                              "--workers", workers, *command])
+            assert result.returncode == 0, result.stderr
+            runs[workers] = result.stdout, {p.name: p.read_bytes() for p in out.iterdir()}
+        assert runs["1"] == runs["2"] == runs["3"]
 
     def test_attack_subcommand(self, small_cfg_file, tmp_path):
         out = tmp_path / "o"
@@ -583,6 +611,25 @@ def test_job_card_stop_off_the_network_names_the_file_and_courier(tmp_path, caps
                      "simulate", "--attack", "random", "--defense", "shortest"]) == 1
     assert capsys.readouterr().err == (
         f"error: {cards}: courier 'c0': job card stop 'nope' is not in the network\n")
+
+
+def test_synth_base_card_stop_off_the_base_network_names_the_file_and_courier(tmp_path,
+                                                                             capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("grid_rows = 2\ngrid_cols = 2\n")
+    base = tmp_path / "base"
+    assert cli_main(["--config", str(cfg), "--out", str(base), "gen-city"]) == 0
+    cards = base / "cards.csv"
+    cards.write_text("courier_id,seq,node_id,window_start_s,window_end_s\n"
+                     "c0,0,n00x00,,\nc0,1,n01x01,0,600\n"
+                     "c1,0,n00x00,,\nc1,1,nope,0,600\n")
+    capsys.readouterr()
+    assert cli_main(["--config", str(cfg), "--out", str(tmp_path / "o"), "synth",
+                     "--base-nodes", str(base / "nodes.csv"),
+                     "--base-edges", str(base / "edges.csv"),
+                     "--base-cards", str(cards)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cards}: courier 'c1': job card stop 'nope' is not in the network\n")
 
 
 @pytest.mark.parametrize("command", [["matrix"], ["simulate", "--attack", "random",

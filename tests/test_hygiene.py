@@ -57,3 +57,12 @@ def test_unused_import_finder_sees_names_and_quoted_annotations():
                          ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_network_memo_is_named_only_in_network_py():
+    # every other module reaches the memo through network.memoised and network.preload
+    def names(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+    assert [path.name for path in SOURCES if "_cache" in names(path)] == ["network.py"]
