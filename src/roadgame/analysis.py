@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .blas import one_thread
 from .errors import ConvergenceError, DomainError, ValidationError
 from .network import RoadNetwork, _dijkstra, conductance, memoised
 from .rng import substream
@@ -227,7 +228,8 @@ def spectral_bisect(net: RoadNetwork) -> Partition:
         return Partition.from_assignment({v: 0 for v in net.node_ids})
     b = a - np.outer(deg, deg) / two_m
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(b)
+        with one_thread():
+            eigenvalues, eigenvectors = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"modularity-matrix eigendecomposition failed: {exc}") from exc
     lead = float(eigenvalues[-1])

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from roadgame.analysis import Partition, _xlogx
 from roadgame.attacks import AttackPlan
@@ -141,6 +142,26 @@ def closed_form_2x2_value(a: float, b: float, c: float, d: float) -> float:
 
 
 # -- reference implementations replaced by faster library code ---------------
+
+
+def highs_maximin(a: np.ndarray) -> np.ndarray:
+    """The row player's maximin strategy of ``a`` from the HiGHS float LP.
+
+    Skips the calling test when scipy is not installed.
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = a.shape
+    # variables: x_0..x_{m-1}, v ; maximise v s.t. A^T x >= v, sum x = 1
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-a.T, np.ones((n, 1))])
+    a_eq = np.zeros((1, m + 1))
+    a_eq[0, :m] = 1.0
+    result = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=np.ones(1),
+                     bounds=[(0.0, None)] * m + [(None, None)], method="highs")
+    assert result.success, result.message
+    x = np.maximum(result.x[:m], 0.0)
+    return x / x.sum()
 
 
 def fraction_betweenness(net: RoadNetwork):

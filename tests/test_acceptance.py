@@ -150,7 +150,6 @@ def test_criterion_2_planted_cut_recovery(tmp_path):
 
 
 def test_criterion_3_game_solver_oracles():
-    import scipy.optimize  # noqa: F401 -- the budget times the solves, not the library load
     started = time.monotonic()
     eps = 1e-6
 

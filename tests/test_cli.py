@@ -794,9 +794,10 @@ def test_non_finite_input_field_exits_1_naming_it(tmp_path, capsys, name, row, f
             f"error: {path}:{row}: {field} must be finite, got {text!r}\n")
 
 
-@pytest.mark.parametrize("method", ["botgrep", "infomap"])
+@pytest.mark.parametrize("method", ["botgrep", "infomap", "eigen_mod"])
 def test_analyze_is_byte_identical_across_blas_threads(tmp_path, method):
-    # a 16x16 grid makes P^t large enough for OpenBLAS to split the work
+    # a 16x16 grid makes P^t large enough for OpenBLAS to split the work;
+    # eigen_mod's eigendecomposition runs on one thread either way
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("network_kind = grid\ngrid_rows = 16\ngrid_cols = 16\n")
     outputs = []
@@ -810,14 +811,19 @@ def test_analyze_is_byte_identical_across_blas_threads(tmp_path, method):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # no scipy module at all: importing any of it costs set-up time and memory
+    # no scipy module at all: importing any of it costs set-up time and memory,
+    # and the matrix game is solved without it
+    commands = [["analyze", "--method", method] for method in ANALYZE_METHODS]
+    commands += [["matrix"], ["simulate", "--attack", "betweenness", "--defense", "inverse"],
+                 ["--seed", "0", "sweep", "--axis", "window"],
+                 ["--seed", "0", "sweep", "--axis", "attackers"]]
     code = (
         "import sys, roadgame.cli\n"
         "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
-        f"for method in {ANALYZE_METHODS!r}:\n"
-        f"    assert roadgame.cli.main(['--out', {str(tmp_path)!r}, 'analyze', '--method', method]) == 0\n"
+        f"for command in {commands!r}:\n"
+        f"    assert roadgame.cli.main(['--out', {str(tmp_path)!r}, *command]) == 0\n"
         "    loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(loaded)\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == repr([[]] * (len(ANALYZE_METHODS) + 1))
+    assert result.stdout.splitlines()[-1] == repr([[]] * (len(commands) + 1))

@@ -1,18 +1,27 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import closed_form_2x2_value
+from oracles import closed_form_2x2_value, highs_maximin
 from roadgame.errors import DomainError, ValidationError
 from roadgame.experiment import ExperimentConfig, run_matrix
-from roadgame.game import MIXED, PURE, find_pure_nash, solve_zero_sum
+from roadgame.game import MIXED, PURE, exact_equilibrium, find_pure_nash, solve_zero_sum
 from roadgame.simulate import run_round_details
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 SADDLE = np.array([[3.0, 1.0], [5.0, 2.0]])
+
+
+def games(cells):
+    """Games of up to 9 attacks x 5 defenses, the CLI's largest, drawn from ``cells``."""
+    return st.tuples(st.integers(1, 9), st.integers(1, 5)).flatmap(
+        lambda shape: st.lists(cells, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]).map(
+            lambda entries: np.array(entries, dtype=float).reshape(shape)))
 
 
 class TestSolveZeroSum:
@@ -97,11 +106,27 @@ class TestSolveZeroSum:
         with pytest.raises(DomainError, match=re.escape(f"cell {cell} is not finite")):
             solver(matrix)
 
+    # {0, 1} games are heavily degenerate, so they exercise Bland's rule
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(games(st.floats(min_value=0.0, max_value=1.0)),
+                     games(st.sampled_from([0.0, 1.0]))))
+    def test_exact_solve_certifies_in_fractions_and_matches_highs(self, a):
+        x, y, value = exact_equilibrium(a)
+        exact = [[Fraction(cell) for cell in row] for row in a.tolist()]
+        assert min(x) >= 0 and min(y) >= 0 and sum(x) == sum(y) == 1
+        attacker_floor = min(sum(x[i] * exact[i][j] for i in range(len(x)))
+                             for j in range(len(y)))
+        defender_ceiling = max(sum(exact[i][j] * y[j] for j in range(len(y)))
+                               for i in range(len(x)))
+        assert attacker_floor == value == defender_ceiling
+        assert abs(float(value) - float((highs_maximin(a) @ a).min())) <= 1e-9
+        assert abs(float(value) - float((a @ highs_maximin(-a.T)).max())) <= 1e-9
+
     def test_uncertifiable_tolerance_reports_best_achieved(self):
         from roadgame.errors import SolverError
-        m = np.random.default_rng(1).random((50, 60))
+        m = np.random.default_rng(2).random((9, 5))
         baseline = solve_zero_sum(m, epsilon=1e-6)
-        assert baseline.epsilon > 0  # LP rounding leaves a certifiable gap
+        assert baseline.epsilon > 0  # rounding the exact strategies to floats leaves a gap
         with pytest.raises(SolverError) as exc:
             solve_zero_sum(m, epsilon=baseline.epsilon / 10)
         assert exc.value.achieved_epsilon == baseline.epsilon

@@ -66,3 +66,15 @@ def test_the_network_memo_is_named_only_in_network_py():
         return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
                 | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
     assert [path.name for path in SOURCES if "_cache" in names(path)] == ["network.py"]
+
+
+def test_no_source_imports_scipy():
+    # the matrix game is solved exactly in game.py; scipy is a test-only oracle
+    def imported(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return ({alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+                | {node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module})
+    assert [path.name for path in SOURCES
+            if any(name.split(".")[0] == "scipy" for name in imported(path))] == []
