@@ -9,6 +9,7 @@ structures compare equal.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .blas import one_thread
 from .errors import ConvergenceError, DomainError, ValidationError
-from .network import RoadNetwork, _dijkstra, conductance, memoised
+from .network import RoadNetwork, conductance, memoised
 from .rng import substream
 
 CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
@@ -121,48 +122,75 @@ def _betweenness_sums(net: RoadNetwork, sources) -> tuple[int, dict[str, int], d
     """Exact integer partial sums ``(denom, node_num, edge_num)`` of the
     dependencies of ``sources``: each total is its numerator over ``denom``.
 
-    A predecessor of ``w`` is a neighbour ``v`` settled before it with
-    ``dist[v] + tt[e] == dist[w]``.  Brandes' dependency is
-    ``delta(v) = sigma(v) * c(v) - 1`` with ``c(v) = 1/sigma(v) + sum of
-    c(w) over successors w``, and edge (v, w) carries ``sigma(v) * c(w)``.
-    Scaling c by ``L = lcm(sigma)`` makes every per-source term an
-    integer ``C``; the totals are kept as integer numerators over one
-    running denominator.  Betweenness is a sum over sources, so sums over
-    disjoint source sets merge exactly with :func:`_merge_betweenness`.
+    One Brandes search per source over integer node and edge indices
+    fills the path counts sigma and the predecessor lists as it settles
+    nodes: a predecessor of ``w`` is a neighbour ``v`` settled before it
+    with ``dist[v] + tt[e] == dist[w]``.  Nodes are indexed in node-id
+    order, so ties settle as in ``network._dijkstra``.  Brandes'
+    dependency is ``delta(v) = sigma(v) * c(v) - 1`` with
+    ``c(v) = 1/sigma(v) + sum of c(w) over successors w``, and edge
+    (v, w) carries ``sigma(v) * c(w)``.  Scaling c by ``L = lcm(sigma)``
+    makes every per-source term an integer ``C``; the totals are kept as
+    integer numerators over one running denominator.  Betweenness is a
+    sum over sources, so sums over disjoint source sets merge exactly
+    with :func:`_merge_betweenness`.
     """
+    index = {v: i for i, v in enumerate(net.node_ids)}
     tt = net.travel_times()
-    adjacency = net.adjacency
-    node_num: dict[str, int] = {v: 0 for v in net.node_ids}
-    edge_num: dict[str, int] = {e: 0 for e in net.edge_ids}
+    edge_index = {e: k for k, e in enumerate(net.edge_ids)}
+    # per node: (neighbour, edge, travel time) in adjacency order
+    adjacency = [[(index[v], edge_index[eid], tt[eid]) for eid, v in net.adjacency[u]]
+                 for u in net.node_ids]
+    n = len(adjacency)
+    node_num = [0] * n
+    edge_num = [0] * len(edge_index)
     denom = 1
-    for s in sources:
-        order, dist = _dijkstra(net, s, tt)
-        sigma: dict[str, int] = {s: 1}
-        preds: dict[str, list[tuple[str, str]]] = {s: []}
-        for w in order[1:]:
-            dw = dist[w]
-            preds[w] = [(v, eid) for eid, v in adjacency[w]
-                        if v in sigma and dist[v] + tt[eid] == dw]
-            sigma[w] = sum(sigma[v] for v, _ in preds[w])
-        scale = math.lcm(*sigma.values())
+    for s in map(index.__getitem__, sources):
+        dist = [math.inf] * n
+        sigma = [0] * n
+        preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        done = [False] * n
+        dist[s], sigma[s] = 0.0, 1
+        order: list[int] = []
+        heap = [(0.0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            order.append(u)
+            su = sigma[u]
+            for v, e, t in adjacency[u]:
+                if done[v]:
+                    continue
+                nd = d + t
+                if nd < dist[v]:
+                    dist[v], sigma[v], preds[v] = nd, su, [(u, e)]
+                    heapq.heappush(heap, (nd, v))
+                elif nd == dist[v]:
+                    sigma[v] += su
+                    preds[v].append((u, e))
+        scale = math.lcm(*map(sigma.__getitem__, order))
         if denom % scale:
             grow = math.lcm(denom, scale) // denom
             denom *= grow
-            for v in node_num:
-                node_num[v] *= grow
-            for e in edge_num:
-                edge_num[e] *= grow
+            # in place, so the old and new totals are never all held at once
+            for totals in (node_num, edge_num):
+                for i, x in enumerate(totals):
+                    totals[i] = x * grow
         lift = denom // scale
-        c: dict[str, int] = {v: scale // sigma[v] for v in order}
+        c = [0] * n
+        for v in order:
+            c[v] = scale // sigma[v]
         for w in reversed(order):
             cw = c[w]
             lifted = lift * cw
-            for v, eid in preds[w]:
+            for v, e in preds[w]:
                 c[v] += cw
-                edge_num[eid] += sigma[v] * lifted
+                edge_num[e] += sigma[v] * lifted
             if w != s:
                 node_num[w] += sigma[w] * lifted - denom
-    return denom, node_num, edge_num
+    return denom, dict(zip(net.node_ids, node_num)), dict(zip(net.edge_ids, edge_num))
 
 
 def _merge_betweenness(parts) -> tuple[int, dict[str, int], dict[str, int]]:
@@ -363,8 +391,9 @@ class _CommunitySearch:
         return moved
 
     def merge_best(self) -> bool:
-        """Merge the adjacent pair a < b (b into a) whose merge lowers the
-        cost most, ties to the smallest pair; False if no merge lowers it."""
+        """Merge the adjacent pair a < b whose merge lowers the cost most,
+        found by pricing every pair, ties to the smallest pair; False if
+        no merge lowers it."""
         step, length = self.cost.step, self.cost.length
         cut, vol, total = self.cut, self.vol, self.total
         baseline = length(total)
@@ -375,6 +404,12 @@ class _CommunitySearch:
             default=(self.cost.tol, 0, 0))
         if delta >= self.cost.tol:
             return False
+        self.merge(a, b)
+        return True
+
+    def merge(self, a: int, b: int) -> None:
+        """Merge community b into the adjacent community a."""
+        cut, vol = self.cut, self.vol
         self._set(a, cut[a] + cut[b] - 2 * self.between[a][b], vol[a] + vol[b])
         self._set(b, 0, 0)
         row, self.between[b] = self.between[b], {}
@@ -383,15 +418,39 @@ class _CommunitySearch:
             if c != a:
                 self._link(a, c, count)
         self.comm[:] = [a if c == b else c for c in self.comm]
-        return True
 
 
 def _greedy_merge(net: RoadNetwork) -> Partition:
     """Pairwise community merging, largest modularity gain first
-    (Clauset, Newman & Moore 2004), until no merge raises modularity."""
-    search = _CommunitySearch(_link_counts(net), _modularity_cost(2 * net.num_edges))
-    while search.merge_best():
-        pass
+    (Clauset, Newman & Moore 2004), until no merge raises modularity.
+
+    A merge changes the cost by ``2*vol_a*vol_b - 4m*L_ab`` whatever the
+    running total, so the pairs wait in a heap of ``(delta, a, b)`` and a
+    merge reprices only the pairs of the merged community.  An entry
+    whose communities changed since it was priced carries an old stamp
+    and is dropped, so the pick and its ties match a rescan of every pair.
+    """
+    two_m = 2 * net.num_edges
+    search = _CommunitySearch(_link_counts(net), _modularity_cost(two_m))
+    vol, between = search.vol, search.between
+    stamp = [0] * net.num_nodes
+
+    def priced(a: int, b: int) -> tuple[int, int, int, int, int]:
+        return 2 * vol[a] * vol[b] - 2 * two_m * between[a][b], a, b, stamp[a], stamp[b]
+
+    heap = [priced(a, b) for a, row in enumerate(between) for b in row if a < b]
+    heapq.heapify(heap)
+    while heap:
+        delta, a, b, stamp_a, stamp_b = heapq.heappop(heap)
+        if stamp_a != stamp[a] or stamp_b != stamp[b]:
+            continue
+        if delta >= 0:
+            break
+        search.merge(a, b)
+        stamp[a] += 1
+        stamp[b] += 1
+        for c in between[a]:
+            heapq.heappush(heap, priced(min(a, c), max(a, c)))
     return Partition.from_assignment(dict(zip(net.node_ids, search.comm)))
 
 

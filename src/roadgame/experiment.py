@@ -278,8 +278,12 @@ def _analysis_tasks(cfg: ExperimentConfig, net: RoadNetwork) -> list[tuple]:
     Betweenness, which every partition attack and ``inverse`` read too,
     is split into one source chunk per worker; each partition detector
     and the eigenvector are one task.  Chunks come first, as the longest.
+    botgrep and eigen_mod, which hold several dense n x n arrays each,
+    come next: workers free at about the same time take one each, so one
+    process does not add both to its peak memory.
     """
-    partitions = [attack for attack in cfg.attacks if attack in PARTITION_STRATEGIES]
+    partitions = sorted((attack for attack in cfg.attacks if attack in PARTITION_STRATEGIES),
+                        key=lambda attack: attack not in ("botgrep", "eigen_mod"))
     tasks = []
     if partitions or "betweenness" in cfg.attacks or "inverse" in cfg.defenses:
         chunks = min(cfg.workers, net.num_nodes)

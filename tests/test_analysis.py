@@ -26,8 +26,8 @@ from roadgame.rng import substream
 from roadgame.synth import generate_city
 
 
-def tied_grid(rows, cols, data):
-    """Grid whose edges take 1 or 2 s, drawn: many equal-cost paths."""
+def tied_grid(rows, cols, data, choices=(1.0, 2.0)):
+    """Grid whose edge times are drawn from ``choices``: many equal-cost paths."""
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -35,7 +35,7 @@ def tied_grid(rows, cols, data):
                 edges.append((f"h{r}{c}", f"n{r}{c}", f"n{r}{c + 1}"))
             if r + 1 < rows:
                 edges.append((f"v{r}{c}", f"n{r}{c}", f"n{r + 1}{c}"))
-    times = {eid: float(data.draw(st.integers(1, 2), label=eid)) for eid, _, _ in edges}
+    times = {eid: data.draw(st.sampled_from(choices), label=eid) for eid, _, _ in edges}
     return build_net(edges, times=times)
 
 
@@ -175,6 +175,19 @@ class TestCentrality:
                   for chunk in sorted(set(labels))]
         merged = chunked_betweenness(net, chunks)
         assert merged == _betweenness_scores(net) == fraction_betweenness(net)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 5), st.data())
+    def test_betweenness_is_exact_on_tied_grids_with_rounded_times(self, rows, cols, data):
+        # with times of 0.1, 0.2 and 0.3 s, whether two path lengths tie
+        # depends on how each float sum rounds (0.1 + 0.2 != 0.3)
+        net = tied_grid(rows, cols, data, choices=(0.1, 0.2, 0.3))
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=net.num_nodes,
+                                    max_size=net.num_nodes), label="chunk of each source")
+        chunks = [[s for s, label in zip(net.node_ids, labels) if label == chunk]
+                  for chunk in sorted(set(labels))]
+        assert _betweenness_scores(net) == fraction_betweenness(net)
+        assert chunked_betweenness(net, chunks) == _betweenness_scores(net)
 
     def test_betweenness_leaf_of_tree_is_zero(self):
         net = build_net([("e0", "r", "a"), ("e1", "r", "b"), ("e2", "a", "c")])
