@@ -78,12 +78,9 @@ def _check_partition(net: RoadNetwork, part: Partition) -> None:
 
 @memoised
 def _adjacency_matrix(net: RoadNetwork) -> np.ndarray:
-    index = {v: i for i, v in enumerate(net.node_ids)}
     a = np.zeros((net.num_nodes, net.num_nodes))
-    for e in net.edges.values():
-        i, j = index[e.u], index[e.v]
-        a[i, j] = 1.0
-        a[j, i] = 1.0
+    for i, row in enumerate(net.links):
+        a[i, [j for j, _ in row]] = 1.0
     return a
 
 
@@ -122,12 +119,12 @@ def _betweenness_sums(net: RoadNetwork, sources) -> tuple[int, dict[str, int], d
     """Exact integer partial sums ``(denom, node_num, edge_num)`` of the
     dependencies of ``sources``: each total is its numerator over ``denom``.
 
-    One Brandes search per source over integer node and edge indices
-    fills the path counts sigma and the predecessor lists as it settles
-    nodes: a predecessor of ``w`` is a neighbour ``v`` settled before it
-    with ``dist[v] + tt[e] == dist[w]``.  Nodes are indexed in node-id
-    order, so ties settle as in ``network._dijkstra``.  Brandes'
-    dependency is ``delta(v) = sigma(v) * c(v) - 1`` with
+    One Brandes search per source fills the path counts sigma and the
+    predecessor lists as it settles nodes: a predecessor of ``w`` is a
+    neighbour ``v`` settled before it with ``dist[v] + travel[e] ==
+    dist[w]``.  Like every search, it walks the network's one integer
+    view, ``net.links`` and ``net.travel``.  Brandes' dependency is
+    ``delta(v) = sigma(v) * c(v) - 1`` with
     ``c(v) = 1/sigma(v) + sum of c(w) over successors w``, and edge
     (v, w) carries ``sigma(v) * c(w)``.  Scaling c by ``L = lcm(sigma)``
     makes every per-source term an integer ``C``; the totals are kept as
@@ -135,17 +132,12 @@ def _betweenness_sums(net: RoadNetwork, sources) -> tuple[int, dict[str, int], d
     sum over sources, so sums over disjoint source sets merge exactly
     with :func:`_merge_betweenness`.
     """
-    index = {v: i for i, v in enumerate(net.node_ids)}
-    tt = net.travel_times()
-    edge_index = {e: k for k, e in enumerate(net.edge_ids)}
-    # per node: (neighbour, edge, travel time) in adjacency order
-    adjacency = [[(index[v], edge_index[eid], tt[eid]) for eid, v in net.adjacency[u]]
-                 for u in net.node_ids]
-    n = len(adjacency)
+    links, travel = net.links, net.travel
+    n = net.num_nodes
     node_num = [0] * n
-    edge_num = [0] * len(edge_index)
+    edge_num = [0] * net.num_edges
     denom = 1
-    for s in map(index.__getitem__, sources):
+    for s in map(net.node_index.__getitem__, sources):
         dist = [math.inf] * n
         sigma = [0] * n
         preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -160,10 +152,10 @@ def _betweenness_sums(net: RoadNetwork, sources) -> tuple[int, dict[str, int], d
             done[u] = True
             order.append(u)
             su = sigma[u]
-            for v, e, t in adjacency[u]:
+            for v, e in links[u]:
                 if done[v]:
                     continue
-                nd = d + t
+                nd = d + travel[e]
                 if nd < dist[v]:
                     dist[v], sigma[v], preds[v] = nd, su, [(u, e)]
                     heapq.heappush(heap, (nd, v))
@@ -279,14 +271,8 @@ def spectral_bisect(net: RoadNetwork) -> Partition:
 
 
 def _link_counts(net: RoadNetwork) -> list[dict[int, int]]:
-    """Edge count between each pair of adjacent nodes, numbered in node-id order."""
-    index = {v: i for i, v in enumerate(net.node_ids)}
-    links: list[dict[int, int]] = [{} for _ in range(net.num_nodes)]
-    for e in net.edges.values():
-        i, j = index[e.u], index[e.v]
-        links[i][j] = links[i].get(j, 0) + 1
-        links[j][i] = links[j].get(i, 0) + 1
-    return links
+    """Edge count, 1 in a simple graph, between each pair of adjacent node indices."""
+    return [dict.fromkeys((j for j, _ in row), 1) for row in net.links]
 
 
 # A partition cost over community (cut, vol) counts: ``start(cuts, vols)``

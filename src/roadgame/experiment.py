@@ -306,28 +306,26 @@ def _analysis_task(args):
 
 
 def _analysis_stage(cfg: ExperimentConfig, net: RoadNetwork, tasks: list[tuple],
-                    pool) -> tuple:
+                    run) -> tuple:
     """The memo entries a round task reads: every graph attack's ranking
     and, for ``inverse``, its edge weights, built once in this process.
 
-    With a pool the analysis ``tasks`` run there first; the betweenness
-    chunks' exact sums merge here, and the results fill this process's
-    memo.  Without one, the rankings are built through the memoised
-    analysis functions in this process.
+    ``run`` maps the analysis ``tasks`` first, on the pool or in this
+    process; the betweenness chunks' exact sums merge here, and the
+    results fill this process's memo.
     """
-    if pool is not None:
-        entries, sums = [], []
-        for (_, kind, arg), result in zip(tasks, pool.map(_analysis_task, tasks)):
-            if kind == "betweenness":
-                sums.append(result)
-            elif kind == "partition":
-                entries.append((_partition_for, (arg,), result))
-            else:
-                entries.append((_eigenvector_scores, (), result))
-        if sums:
-            entries.append((_betweenness_scores, (),
-                            _round_betweenness(_merge_betweenness(sums))))
-        preload(net, entries)
+    entries, sums = [], []
+    for (_, kind, arg), result in zip(tasks, run(_analysis_task, tasks)):
+        if kind == "betweenness":
+            sums.append(result)
+        elif kind == "partition":
+            entries.append((_partition_for, (arg,), result))
+        else:
+            entries.append((_eigenvector_scores, (), result))
+    if sums:
+        entries.append((_betweenness_scores, (),
+                        _round_betweenness(_merge_betweenness(sums))))
+    preload(net, entries)
     bundle = [(_graph_ranking, (attack,), _graph_ranking(net, attack))
               for attack in cfg.attacks if attack != "random"]
     if "inverse" in cfg.defenses:
@@ -378,11 +376,11 @@ def _run_rows(cfg: ExperimentConfig, axis: str) -> list[tuple]:
     size = min(cfg.workers, max(len(analyses), len(keys)))
     # the fork start method forks every worker at the first submit
     pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    run = pool.map if pool is not None else map
     try:
-        bundle = _analysis_stage(cfg, net, analyses, pool)
+        bundle = _analysis_stage(cfg, net, analyses, run)
         tasks = [(cfg, axis, defense, seed, bundle) for defense, seed in keys]
-        results = (list(pool.map(_rounds_task, tasks)) if pool is not None
-                   else [_rounds_task(task) for task in tasks])
+        results = list(run(_rounds_task, tasks))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

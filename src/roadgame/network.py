@@ -17,7 +17,7 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ParseError, ValidationError
 
@@ -136,6 +136,16 @@ class RoadNetwork:
         # incident edges kept in edge-id order: deterministic iteration
         self.adjacency: dict[str, tuple[tuple[str, str], ...]] = {
             v: tuple(inc) for v, inc in adjacency.items()}
+        # the integer view every search walks: nodes and edges numbered in
+        # id order, so index order breaks ties as id order does
+        self.node_index: dict[str, int] = {v: i for i, v in enumerate(self.node_ids)}
+        self.edge_index: dict[str, int] = {e: k for k, e in enumerate(self.edge_ids)}
+        # node i's (neighbour index, edge index) pairs, in adjacency order
+        self.links: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((self.node_index[v], self.edge_index[eid]) for eid, v in self.adjacency[u])
+            for u in self.node_ids)
+        self.travel: tuple[float, ...] = tuple(
+            edge_map[eid].travel_time_s for eid in self.edge_ids)
 
         if require_connected and not self._is_connected():
             raise ValidationError("graph is not connected")
@@ -157,7 +167,7 @@ class RoadNetwork:
 
     @memoised
     def travel_times(self) -> dict[str, float]:
-        return {eid: self.edges[eid].travel_time_s for eid in self.edge_ids}
+        return dict(zip(self.edge_ids, self.travel))
 
     def _is_connected(self) -> bool:
         if not self.nodes:
@@ -271,39 +281,46 @@ def save_network(net: RoadNetwork, nodes_file, edges_file) -> None:
 # -- shortest paths ------------------------------------------------------
 
 
-def _check_weights(net: RoadNetwork, weights: Mapping[str, float] | None) -> Mapping[str, float]:
+def _check_weights(net: RoadNetwork, weights: Mapping[str, float] | None) -> Sequence[float]:
+    """The weights in edge-index order; travel times when ``weights`` is None."""
     if weights is None:
-        return net.travel_times()
+        return net.travel
+    ordered = []
     for eid in net.edge_ids:
         w = weights.get(eid)
         if w is None:
             raise DomainError(f"weight map missing edge {eid!r}")
         if not (w >= 0 and math.isfinite(w)):
             raise DomainError(f"weight for edge {eid!r} must be finite and >= 0")
-    return weights
+        ordered.append(w)
+    return ordered
 
 
-def _dijkstra(net: RoadNetwork, source: str, weights: Mapping[str, float],
-              floor: float = 0.0) -> tuple[list[str], dict[str, float]]:
-    """Single-source shortest paths as (settled order, distance map).
+def _dijkstra(net: RoadNetwork, source: int, weights: Sequence[float],
+              floor: float = 0.0) -> tuple[list[int], list[float]]:
+    """Single-source shortest paths over node indices as (settled order,
+    distance per node index).
 
-    Each edge costs its weight raised to at least ``floor``; the order
-    lists nodes by nondecreasing distance.
+    Edge k costs ``weights[k]`` raised to at least ``floor``; the order
+    lists nodes by nondecreasing distance, and a node that no finite
+    distance reaches stays at ``math.inf``.
     """
-    dist = {source: 0.0}
-    order: list[str] = []
-    done: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, source)]
+    links = net.links
+    dist = [math.inf] * net.num_nodes
+    done = [False] * net.num_nodes
+    dist[source] = 0.0
+    order: list[int] = []
+    heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
-        if u in done:
+        if done[u]:
             continue
-        done.add(u)
+        done[u] = True
         order.append(u)
-        for eid, v in net.adjacency[u]:
-            w = weights[eid]
+        for v, e in links[u]:
+            w = weights[e]
             nd = d + (w if w > floor else floor)
-            if v not in dist or nd < dist[v]:
+            if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return order, dist
@@ -314,7 +331,8 @@ def shortest_path(net: RoadNetwork, src: str, dst: str,
     """Minimum-weight path from src to dst as (edge id list, total weight).
 
     Among equal-weight paths the lexicographically smallest edge-id
-    sequence is returned.  Weights default to travel times.
+    sequence is returned.  Weights default to travel times.  Raises
+    DomainError when no path's total stays within the float range.
     """
     for node in (src, dst):
         if node not in net.nodes:
@@ -323,29 +341,24 @@ def shortest_path(net: RoadNetwork, src: str, dst: str,
     if src == dst:
         return [], 0.0
 
-    _, dist_to_dst = _dijkstra(net, dst, weights, _WEIGHT_FLOOR)
-    if src not in dist_to_dst:
-        raise DomainError(f"no path between {src!r} and {dst!r}")
+    target = net.node_index[dst]
+    _, dist_to_dst = _dijkstra(net, target, weights, _WEIGHT_FLOOR)
+    u = net.node_index[src]
+    if dist_to_dst[u] == math.inf:
+        raise DomainError(f"no finite-weight path between {src!r} and {dst!r}")
 
     path: list[str] = []
-    u = src
+    total = 0.0
     guard = net.num_nodes + net.num_edges + 1
-    while u != dst:
-        best: tuple[float, str, str] | None = None
-        for eid, v in net.adjacency[u]:
-            w = weights[eid]
-            cand = ((w if w > _WEIGHT_FLOOR else _WEIGHT_FLOOR) + dist_to_dst[v], eid, v)
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
-        path.append(best[1])
-        u = best[2]
+    while u != target:
+        # edge and node indices run in id order: the lexicographic pick
+        _, e, u = min((max(weights[e], _WEIGHT_FLOOR) + dist_to_dst[v], e, v)
+                      for v, e in net.links[u])
+        path.append(net.edge_ids[e])
+        total += float(weights[e])
         guard -= 1
         if guard <= 0:
             raise DomainError("path reconstruction failed to terminate")
-    total = 0.0
-    for eid in path:
-        total += float(weights[eid])
     return path, total
 
 

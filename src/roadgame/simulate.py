@@ -106,15 +106,9 @@ def apply_window_multiplier(fleet: Sequence[JobCard], multiplier: float) -> list
 
 
 @memoised
-def _edge_index(net: RoadNetwork) -> dict[str, int]:
-    """Position of each edge id in ``net.edge_ids``."""
-    return {eid: i for i, eid in enumerate(net.edge_ids)}
-
-
-@memoised
 def _travel_time_vector(net: RoadNetwork) -> np.ndarray:
     """Travel time of each edge, in ``net.edge_ids`` order."""
-    return np.array([net.edges[eid].travel_time_s for eid in net.edge_ids])
+    return np.array(net.travel)
 
 
 def _compile_route(net: RoadNetwork, plan: RoutePlan, card: JobCard) -> tuple[np.ndarray, ...]:
@@ -133,7 +127,7 @@ def _compile_route(net: RoadNetwork, plan: RoutePlan, card: JobCard) -> tuple[np
     elif len(plan.legs) != plan.failed_leg:
         raise DomainError("failed route carries legs beyond the failure point")
 
-    index = _edge_index(net)
+    index = net.edge_index
     node = card.warehouse
     compiled = []
     for i, leg in enumerate(plan.legs):
@@ -170,7 +164,7 @@ def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
 
     Raises DomainError when a plan names an edge the network lacks.
     """
-    index = _edge_index(net)
+    index = net.edge_index
     delays = np.zeros((len(plans), net.num_edges))
     for row, plan in enumerate(plans):
         unknown = plan.edges.difference(index)

@@ -135,8 +135,7 @@ def synthesize_traces(base_cards: Sequence[JobCard], base_net: RoadNetwork,
     Returns the synthetic cards plus a per-leg audit recording base and
     synthetic leg times and the tolerance finally used (after widening).
     """
-    target_nodes = list(target_net.node_ids)
-    times = target_net.travel_times()
+    target_nodes = target_net.node_ids
     cards: list[JobCard] = []
     audits: list[LegAudit] = []
 
@@ -150,13 +149,13 @@ def synthesize_traces(base_cards: Sequence[JobCard], base_net: RoadNetwork,
 
         synth_points = [target_nodes[int(rng.integers(len(target_nodes)))]]
         for seq, base_time in enumerate(base_leg_times, start=1):
-            _, dist = _dijkstra(target_net, synth_points[-1], times)
+            _, dist = _dijkstra(target_net, target_net.node_index[synth_points[-1]],
+                                target_net.travel)
             tol_used = tol.relative_tolerance
-            candidates: list[str] = []
+            candidates: list[int] = []
             for _ in range(_MAX_TOLERANCE_DOUBLINGS + 1):
                 slack = tol_used * base_time
-                candidates = [v for v in target_nodes
-                              if abs(dist.get(v, math.inf) - base_time) <= slack]
+                candidates = [v for v, d in enumerate(dist) if abs(d - base_time) <= slack]
                 if candidates:
                     break
                 tol_used *= 2
@@ -167,7 +166,7 @@ def synthesize_traces(base_cards: Sequence[JobCard], base_net: RoadNetwork,
             candidates.sort(key=lambda v: (abs(dist[v] - base_time), v))
             candidates = candidates[:_MAX_CANDIDATES]
             choice = candidates[int(rng.integers(len(candidates)))]
-            synth_points.append(choice)
+            synth_points.append(target_nodes[choice])
             audits.append(LegAudit(card.courier_id, seq, base_time, dist[choice], tol_used))
 
         stops = tuple(Stop(node, s.window_start_s, s.window_end_s)
@@ -302,8 +301,8 @@ def generate_city(kind: str, seed: int = 0, **params) -> RoadNetwork:
 
 def central_node(net: RoadNetwork) -> str:
     """Node minimising total travel time to all others (ties: smallest id)."""
-    times = net.travel_times()
-    return min((sum(_dijkstra(net, v, times)[1].values()), v) for v in net.node_ids)[1]
+    return net.node_ids[min(range(net.num_nodes),
+                            key=lambda i: sum(_dijkstra(net, i, net.travel)[1]))]
 
 
 def make_fleet(net: RoadNetwork, couriers: int, stops_per_card: int,

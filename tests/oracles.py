@@ -170,7 +170,9 @@ def fraction_betweenness(net: RoadNetwork):
     node_acc = {v: Fraction(0) for v in net.node_ids}
     edge_acc = {e: Fraction(0) for e in net.edge_ids}
     for s in net.node_ids:
-        order, dist = _dijkstra(net, s, tt)
+        order, dist = _dijkstra(net, net.node_index[s], net.travel)
+        order = [net.node_ids[i] for i in order]
+        dist = dict(zip(net.node_ids, dist))
         sigma = {s: 1}
         preds = {s: []}
         for w in order[1:]:
@@ -224,7 +226,7 @@ def float_flow_partition(net: RoadNetwork) -> Partition:
     """
     if net.num_edges == 0:
         return Partition.from_assignment({v: 0 for v in net.node_ids})
-    index = {v: i for i, v in enumerate(net.node_ids)}
+    index = net.node_index
     n = net.num_nodes
     freq = [net.degree(v) / (2 * net.num_edges) for v in net.node_ids]
     node_flow = [[] for _ in range(n)]
@@ -419,7 +421,7 @@ def sigma_tot_hierarchical_merge(net: RoadNetwork) -> Partition:
     community's degree total ``sigma_tot`` kept per level and every level
     coarsened by a pass over the node links."""
     m = net.num_edges
-    index = {v: i for i, v in enumerate(net.node_ids)}
+    index = net.node_index
     neigh = {i: {} for i in range(net.num_nodes)}
     for e in net.edges.values():
         i, j = index[e.u], index[e.v]
@@ -468,7 +470,7 @@ def node_walk_degree_ranking(net: RoadNetwork) -> list[str]:
 def edge_loop_mixing_kernel(net: RoadNetwork) -> np.ndarray:
     """The mixing walk kernel built one edge at a time, then one diagonal
     entry per row: P[i, j] = min(1/d_i, 1/d_j) for adjacent i, j."""
-    index = {v: i for i, v in enumerate(net.node_ids)}
+    index = net.node_index
     n = net.num_nodes
     p = np.zeros((n, n))
     for e in net.edges.values():

@@ -3,12 +3,19 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_net
+from conftest import build_net, connected_graphs
 from oracles import brute_min_edge_cut
 from roadgame.errors import DomainError, ParseError, ValidationError
 from roadgame.network import (conductance, edge_disjoint_paths, load_network, save_network,
                               shortest_path)
 from roadgame.synth import generate_city
+
+
+# graphs on 6 nodes: the edge subset of K6 given by a 15-bit mask
+K6_PAIRS = [(f"n{i}", f"n{j}") for i in range(6) for j in range(i + 1, 6)]
+k6_edge_sets = st.integers(min_value=0, max_value=2**15 - 1).map(
+    lambda mask: [(f"e{idx:02d}", u, v) for idx, (u, v) in enumerate(K6_PAIRS)
+                  if mask >> idx & 1])
 
 
 def write_files(tmp_path, nodes_text, edges_text):
@@ -178,6 +185,38 @@ class TestShortestPath:
                     assert path == shortest_path(net, src, dst, ones)[0]
                     assert weight == 0.0 and math.copysign(1.0, weight) == 1.0
 
+    @pytest.mark.parametrize("dst", ["n00x02", "n02x02"])
+    def test_total_past_the_float_range_is_no_path(self, dst):
+        # two edges of 1e308 already sum to inf, so no path has a finite total
+        grid3 = generate_city("grid", rows=3, cols=3, edge_time_s=60.0)
+        huge = {eid: 1e308 for eid in grid3.edge_ids}
+        assert shortest_path(grid3, "n00x00", "n00x01", huge)[1] == 1e308
+        with pytest.raises(DomainError) as exc:
+            shortest_path(grid3, "n00x00", dst, huge)
+        assert str(exc.value) == f"no finite-weight path between 'n00x00' and {dst!r}"
+
+    def test_unreached_node_is_no_path(self):
+        net = build_net([("e0", "A", "B"), ("e1", "C", "D")], require_connected=False)
+        with pytest.raises(DomainError, match="no finite-weight path between 'A' and 'C'"):
+            shortest_path(net, "A", "C")
+
+
+class TestIntegerView:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        k6_edge_sets.map(lambda edges: build_net(
+            edges, times={eid: 1.0 + int(eid[1:]) for eid, _, _ in edges},
+            require_connected=False)),
+        connected_graphs()))
+    def test_links_and_travel_mirror_adjacency(self, net):
+        assert [net.node_index[v] for v in net.node_ids] == list(range(net.num_nodes))
+        assert [net.edge_index[e] for e in net.edge_ids] == list(range(net.num_edges))
+        assert len(net.links) == net.num_nodes
+        for i, row in enumerate(net.links):
+            assert list(row) == [(net.node_index[v], net.edge_index[e])
+                                 for e, v in net.adjacency[net.node_ids[i]]]
+        assert list(net.travel) == [net.edges[e].travel_time_s for e in net.edge_ids]
+
 
 class TestEdgeDisjointPaths:
     def test_single_edge(self):
@@ -209,18 +248,13 @@ class TestEdgeDisjointPaths:
             assert len(edge_disjoint_paths(net, src, dst)) == brute_min_edge_cut(net, src, dst)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**15 - 1), st.data())
-    def test_menger_on_random_graphs(self, mask, data):
-        # graphs on 6 nodes: edge subset of K6 from the bitmask
-        names = [f"n{i}" for i in range(6)]
-        pairs = [(names[i], names[j]) for i in range(6) for j in range(i + 1, 6)]
-        chosen = [(f"e{idx:02d}", u, v) for idx, (u, v) in enumerate(pairs)
-                  if mask >> idx & 1]
+    @given(k6_edge_sets, st.sampled_from(K6_PAIRS))
+    def test_menger_on_random_graphs(self, chosen, pair):
         try:
             net = build_net(chosen)
         except ValidationError:
             return  # disconnected or empty draw
-        src, dst = data.draw(st.sampled_from(pairs))
+        src, dst = pair
         if src not in net.nodes or dst not in net.nodes:
             return
         assert len(edge_disjoint_paths(net, src, dst)) == brute_min_edge_cut(net, src, dst)
