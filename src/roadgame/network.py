@@ -14,6 +14,7 @@ import csv
 import functools
 import heapq
 import io
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -86,41 +87,54 @@ class RoadNetwork:
     """Validated, immutable undirected road graph.
 
     Construction checks the structural invariants (simple graph, positive
-    lengths and speeds, endpoints present, connectivity); afterwards the
-    object is safe for concurrent read access.  Derived quantities are
-    memoised per network by :func:`memoised`.
+    lengths, speeds and travel times, endpoints present, connectivity);
+    afterwards the object is safe for concurrent read access.  Derived
+    quantities are memoised per network by :func:`memoised`.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge],
-                 require_connected: bool = True):
+                 require_connected: bool = True,
+                 places: tuple[Sequence[str], Sequence[str], str] | None = None):
+        """``places``, for a network read from files, holds each node's and
+        each edge's ``file:line`` in the order given, and the edges file;
+        an error then begins with the place of the row it refuses."""
+        node_places, edge_places, graph_place = places or ((), (), "")
+
+        def refuse(place: str, message: str) -> ValidationError:
+            return ValidationError(f"{place}: {message}" if place else message)
+
         node_map: dict[str, Node] = {}
-        for node in nodes:
+        for node, place in itertools.zip_longest(nodes, node_places, fillvalue=""):
             if node.node_id in node_map:
-                raise ValidationError(f"duplicate node id {node.node_id!r}")
+                raise refuse(place, f"duplicate node id {node.node_id!r}")
             if not (math.isfinite(node.x) and math.isfinite(node.y)):
-                raise ValidationError(f"node {node.node_id!r} has non-finite coordinates")
+                raise refuse(place, f"node {node.node_id!r} has non-finite coordinates")
             node_map[node.node_id] = node
 
         edge_map: dict[str, Edge] = {}
         seen_pairs: dict[tuple[str, str], str] = {}
-        for edge in edges:
+        for edge, place in itertools.zip_longest(edges, edge_places, fillvalue=""):
             if edge.edge_id in edge_map:
-                raise ValidationError(f"duplicate edge id {edge.edge_id!r}")
+                raise refuse(place, f"duplicate edge id {edge.edge_id!r}")
             if edge.u == edge.v:
-                raise ValidationError(f"edge {edge.edge_id!r} is a self-loop on {edge.u!r}")
+                raise refuse(place, f"edge {edge.edge_id!r} is a self-loop on {edge.u!r}")
             for endpoint in (edge.u, edge.v):
                 if endpoint not in node_map:
-                    raise ValidationError(
-                        f"edge {edge.edge_id!r} references unknown node {endpoint!r}")
+                    raise refuse(place,
+                                 f"edge {edge.edge_id!r} references unknown node {endpoint!r}")
             pair = (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
             if pair in seen_pairs:
-                raise ValidationError(
-                    f"edges {seen_pairs[pair]!r} and {edge.edge_id!r} duplicate pair {pair}")
+                raise refuse(place, f"edges {seen_pairs[pair]!r} and {edge.edge_id!r} "
+                                    f"duplicate pair {pair}")
             seen_pairs[pair] = edge.edge_id
             for name, value in (("length_m", edge.length_m), ("speed_mps", edge.speed_mps)):
                 if not (value > 0 and math.isfinite(value)):
-                    raise ValidationError(
-                        f"edge {edge.edge_id!r} {name} must be finite and > 0, got {value!r}")
+                    raise refuse(place, f"edge {edge.edge_id!r} {name} must be finite and > 0, "
+                                        f"got {value!r}")
+            time_s = edge.travel_time_s
+            if not (time_s > 0 and math.isfinite(time_s)):
+                raise refuse(place, f"edge {edge.edge_id!r} travel time length_m / speed_mps "
+                                    f"must be finite and > 0, got {time_s!r}")
             edge_map[edge.edge_id] = edge
 
         self.nodes: dict[str, Node] = node_map
@@ -128,27 +142,22 @@ class RoadNetwork:
         self.node_ids: tuple[str, ...] = tuple(sorted(node_map))
         self.edge_ids: tuple[str, ...] = tuple(sorted(edge_map))
 
-        adjacency: dict[str, list[tuple[str, str]]] = {v: [] for v in node_map}
-        for eid in self.edge_ids:
-            e = edge_map[eid]
-            adjacency[e.u].append((eid, e.v))
-            adjacency[e.v].append((eid, e.u))
-        # incident edges kept in edge-id order: deterministic iteration
-        self.adjacency: dict[str, tuple[tuple[str, str], ...]] = {
-            v: tuple(inc) for v, inc in adjacency.items()}
         # the integer view every search walks: nodes and edges numbered in
         # id order, so index order breaks ties as id order does
         self.node_index: dict[str, int] = {v: i for i, v in enumerate(self.node_ids)}
         self.edge_index: dict[str, int] = {e: k for k, e in enumerate(self.edge_ids)}
-        # node i's (neighbour index, edge index) pairs, in adjacency order
-        self.links: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple((self.node_index[v], self.edge_index[eid]) for eid, v in self.adjacency[u])
-            for u in self.node_ids)
+        # node i's (neighbour index, edge index) pairs, in edge-index order
+        links: list[list[tuple[int, int]]] = [[] for _ in self.node_ids]
+        for k, eid in enumerate(self.edge_ids):
+            i, j = self.node_index[edge_map[eid].u], self.node_index[edge_map[eid].v]
+            links[i].append((j, k))
+            links[j].append((i, k))
+        self.links: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, links))
         self.travel: tuple[float, ...] = tuple(
             edge_map[eid].travel_time_s for eid in self.edge_ids)
 
         if require_connected and not self._is_connected():
-            raise ValidationError("graph is not connected")
+            raise refuse(graph_place, "graph is not connected")
 
         self._cache: dict = {}
 
@@ -163,25 +172,19 @@ class RoadNetwork:
         return len(self.edges)
 
     def degree(self, node_id: str) -> int:
-        return len(self.adjacency[node_id])
-
-    @memoised
-    def travel_times(self) -> dict[str, float]:
-        return dict(zip(self.edge_ids, self.travel))
+        return len(self.links[self.node_index[node_id]])
 
     def _is_connected(self) -> bool:
         if not self.nodes:
             return True
-        start = self.node_ids[0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for _, v in self.adjacency[u]:
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            for v, _ in self.links[frontier.pop()]:
                 if v not in seen:
                     seen.add(v)
-                    queue.append(v)
-        return len(seen) == len(self.nodes)
+                    frontier.append(v)
+        return len(seen) == self.num_nodes
 
 
 # -- file ingestion ------------------------------------------------------
@@ -238,7 +241,7 @@ def load_network(nodes_file, edges_file) -> RoadNetwork:
     A pure function of the file bytes: identical files produce identical
     in-memory structures.
     """
-    nodes = []
+    nodes, node_places = [], []
     for lineno, row in _read_rows(nodes_file, NODES_HEADER):
         node_id, x_raw, y_raw = row
         if not node_id:
@@ -246,9 +249,10 @@ def load_network(nodes_file, edges_file) -> RoadNetwork:
         nodes.append(Node(node_id,
                           _parse_float(nodes_file, lineno, "x", x_raw),
                           _parse_float(nodes_file, lineno, "y", y_raw)))
+        node_places.append(f"{nodes_file}:{lineno}")
     if not nodes:
         raise ParseError(f"{nodes_file}: no node rows")
-    edges = []
+    edges, edge_places = [], []
     for lineno, row in _read_rows(edges_file, EDGES_HEADER):
         edge_id, u, v, length_raw, speed_raw = row
         if not edge_id:
@@ -256,7 +260,9 @@ def load_network(nodes_file, edges_file) -> RoadNetwork:
         edges.append(Edge(edge_id, u, v,
                           _parse_float(edges_file, lineno, "length_m", length_raw),
                           _parse_float(edges_file, lineno, "speed_mps", speed_raw)))
-    return RoadNetwork(nodes, edges, require_connected=True)
+        edge_places.append(f"{edges_file}:{lineno}")
+    return RoadNetwork(nodes, edges, require_connected=True,
+                       places=(node_places, edge_places, str(edges_file)))
 
 
 def save_network(net: RoadNetwork, nodes_file, edges_file) -> None:
@@ -378,46 +384,44 @@ def edge_disjoint_paths(net: RoadNetwork, src: str, dst: str) -> list[list[str]]
     if src == dst:
         raise DomainError("src and dst must differ")
 
-    # flow[(eid, tail)] = 1 when a unit flows tail -> other endpoint
-    flow: dict[tuple[str, str], int] = {}
-
-    def residual(eid: str, u: str, v: str) -> int:
-        return (1 - flow.get((eid, u), 0)) + flow.get((eid, v), 0)
+    links = net.links
+    source, target = net.node_index[src], net.node_index[dst]
+    # tail[k] is the node edge k carries a unit of flow away from, or -1;
+    # a unit against the flow cancels it, so one edge never carries two
+    tail = [-1] * net.num_edges
 
     while True:
-        pred: dict[str, tuple[str, str]] = {}
-        seen = {src}
-        queue = deque([src])
-        while queue and dst not in seen:
+        pred: list[tuple[int, int] | None] = [None] * net.num_nodes
+        seen = [False] * net.num_nodes
+        seen[source] = True
+        queue = deque([source])
+        while queue and not seen[target]:
             u = queue.popleft()
-            for eid, v in net.adjacency[u]:
-                if v not in seen and residual(eid, u, v) > 0:
-                    seen.add(v)
-                    pred[v] = (u, eid)
+            for v, e in links[u]:
+                if not seen[v] and tail[e] != u:
+                    seen[v] = True
+                    pred[v] = (u, e)
                     queue.append(v)
-        if dst not in seen:
+        if not seen[target]:
             break
-        node = dst
-        while node != src:
-            u, eid = pred[node]
-            if flow.get((eid, node), 0) == 1:
-                flow[(eid, node)] = 0
-            else:
-                flow[(eid, u)] = 1
+        node = target
+        while node != source:
+            u, e = pred[node]
+            tail[e] = -1 if tail[e] == node else u
             node = u
 
-    # decompose into paths, consuming flow arcs smallest-edge-id first
+    # decompose into paths, consuming flow arcs smallest-edge-index first
     paths: list[list[str]] = []
-    out_flow = sum(flow.get((eid, src), 0) for eid, _ in net.adjacency[src])
+    out_flow = sum(1 for _, e in links[source] if tail[e] == source)
     for _ in range(out_flow):
         path: list[str] = []
-        u = src
+        u = source
         guard = net.num_edges + 1
-        while u != dst:
-            for eid, v in net.adjacency[u]:
-                if flow.get((eid, u), 0) == 1:
-                    flow[(eid, u)] = 0
-                    path.append(eid)
+        while u != target:
+            for v, e in links[u]:
+                if tail[e] == u:
+                    tail[e] = -1
+                    path.append(net.edge_ids[e])
                     u = v
                     break
             else:

@@ -64,18 +64,17 @@ def inverse_centrality_scores(net: RoadNetwork) -> dict[str, float]:
 
 def _random_walk_leg(net: RoadNetwork, src: str, dst: str, rng,
                      step_cap: int) -> tuple[str, ...] | None:
-    """Uniform neighbour walk until dst; None when the cap is exceeded."""
+    """Uniform walk over incident edges until dst; None when the cap is exceeded."""
     if src == dst:
         return ()
-    path: list[str] = []
-    node = src
+    path: list[int] = []
+    node, target = net.node_index[src], net.node_index[dst]
     for _ in range(step_cap):
-        incident = net.adjacency[node]
-        eid, nxt = incident[int(rng.integers(len(incident)))]
-        path.append(eid)
-        node = nxt
-        if node == dst:
-            return tuple(path)
+        incident = net.links[node]
+        node, e = incident[int(rng.integers(len(incident)))]
+        path.append(e)
+        if node == target:
+            return tuple(net.edge_ids[e] for e in path)
     return None
 
 

@@ -15,25 +15,38 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import roadgame.routing as routing
 from roadgame.analysis import Partition, _xlogx
 from roadgame.attacks import AttackPlan
 from roadgame.errors import DomainError
 from roadgame.network import RoadNetwork, _dijkstra
+from roadgame.rng import substream
 from roadgame.routing import RoutePlan
 from roadgame.simulate import (CRITICALLY_LATE, DEFAULT_AMBUSH_DELAY_S, JobCard,
                                TourResult, _compile_route, classify_arrival)
 
 
+def incident_edges(net: RoadNetwork) -> dict[str, list[tuple[str, str]]]:
+    """Each node's (edge id, neighbour) pairs in edge-id order, from ``net.edges``."""
+    incident = {v: [] for v in net.nodes}
+    for eid in sorted(net.edges):
+        e = net.edges[eid]
+        incident[e.u].append((eid, e.v))
+        incident[e.v].append((eid, e.u))
+    return incident
+
+
 def enumerate_simple_paths(net: RoadNetwork, src: str, dst: str):
     """All simple src->dst paths as (edge tuple, exact weight) pairs."""
     times = {eid: net.edges[eid].travel_time_s for eid in net.edge_ids}
+    incident = incident_edges(net)
     paths = []
 
     def walk(node, visited, edges, weight):
         if node == dst:
             paths.append((tuple(edges), weight))
             return
-        for eid, nxt in net.adjacency[node]:
+        for eid, nxt in incident[node]:
             if nxt not in visited:
                 visited.add(nxt)
                 edges.append(eid)
@@ -166,7 +179,8 @@ def highs_maximin(a: np.ndarray) -> np.ndarray:
 
 def fraction_betweenness(net: RoadNetwork):
     """Brandes node and edge betweenness with a ``Fraction`` per dependency."""
-    tt = net.travel_times()
+    tt = {eid: e.travel_time_s for eid, e in net.edges.items()}
+    incident = incident_edges(net)
     node_acc = {v: Fraction(0) for v in net.node_ids}
     edge_acc = {e: Fraction(0) for e in net.edge_ids}
     for s in net.node_ids:
@@ -176,7 +190,7 @@ def fraction_betweenness(net: RoadNetwork):
         sigma = {s: 1}
         preds = {s: []}
         for w in order[1:]:
-            preds[w] = [(v, eid) for eid, v in net.adjacency[w]
+            preds[w] = [(v, eid) for eid, v in incident[w]
                         if v in sigma and dist[v] + tt[eid] == dist[w]]
             sigma[w] = sum(sigma[v] for v, _ in preds[w])
         delta = {v: Fraction(0) for v in order}
@@ -332,6 +346,7 @@ def float_map_equation_codelength(net: RoadNetwork, freq: dict[str, float],
     communities: dict[int, list[str]] = defaultdict(list)
     for node, label in assignment.items():
         communities[label].append(node)
+    incident = incident_edges(net)
     exits: list[float] = []
     modules = 0.0
     for members in communities.values():
@@ -339,7 +354,7 @@ def float_map_equation_codelength(net: RoadNetwork, freq: dict[str, float],
         exit_c = 0.0
         for v in members:
             leak = freq[v] / net.degree(v)
-            exit_c += leak * sum(1 for _, w in net.adjacency[v] if w not in inside)
+            exit_c += leak * sum(1 for _, w in incident[v] if w not in inside)
         exits.append(exit_c)
         p_circ = exit_c + sum(freq[v] for v in members)
         modules += (_xlogx(p_circ) - _xlogx(exit_c)
@@ -457,14 +472,35 @@ def sigma_tot_hierarchical_merge(net: RoadNetwork) -> Partition:
 def node_walk_degree_ranking(net: RoadNetwork) -> list[str]:
     """The degree attack's ranking: walk the nodes in descending degree
     (node-id order across equal degrees) and take each unseen incident edge."""
+    incident = incident_edges(net)
     ranking = []
     seen = set()
-    for node in sorted(net.node_ids, key=lambda v: (-net.degree(v), v)):
-        for eid, _ in net.adjacency[node]:
+    for node in sorted(net.node_ids, key=lambda v: (-len(incident[v]), v)):
+        for eid, _ in incident[node]:
             if eid not in seen:
                 seen.add(eid)
                 ranking.append(eid)
     return ranking
+
+
+def reference_random_walk(net: RoadNetwork, card: JobCard, seed: int) -> RoutePlan:
+    """``plan_route``'s random_walk plan, each leg a uniform walk over the
+    node's incident edges in edge-id order, abandoned after the step cap
+    that ``routing.WALK_STEP_CAP_FACTOR`` sets at call time."""
+    incident = incident_edges(net)
+    rng = substream(seed, "random-walk")
+    points = [card.warehouse] + [stop.node_id for stop in card.stops] + [card.warehouse]
+    step_cap = routing.WALK_STEP_CAP_FACTOR * net.num_nodes
+    legs = []
+    for i, (a, b) in enumerate(zip(points, points[1:])):
+        path, node = [], a
+        while node != b:
+            if len(path) == step_cap:
+                return RoutePlan("random_walk", tuple(legs), seed, failed_leg=i)
+            eid, node = incident[node][int(rng.integers(len(incident[node])))]
+            path.append(eid)
+        legs.append(tuple(path))
+    return RoutePlan("random_walk", tuple(legs), seed)
 
 
 def edge_loop_mixing_kernel(net: RoadNetwork) -> np.ndarray:

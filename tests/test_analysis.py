@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_net, clique_edges, connected_graphs
 from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity,
                      edge_loop_mixing_kernel, exact_modularity, float_flow_partition,
-                     float_map_equation_codelength, fraction_betweenness,
+                     float_map_equation_codelength, fraction_betweenness, incident_edges,
                      rescan_greedy_merge, sigma_tot_hierarchical_merge, tensor_kmeans)
 from roadgame.analysis import (Partition, _betweenness_scores, _betweenness_sums,
                                _codelength_cost,
@@ -465,8 +465,9 @@ class TestFlowPartition:
         part = flow_partition(net)
         base = map_equation_codelength(net, part)
         candidates = []
+        incident = incident_edges(net)
         for v in net.node_ids:
-            for _, w in net.adjacency[v]:
+            for _, w in incident[v]:
                 if part.label(w) != part.label(v):
                     candidates.append({**part.assignment, v: part.label(w)})
         for e in net.edges.values():

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_net, connected_graphs
-from oracles import brute_min_edge_cut
+from oracles import brute_min_edge_cut, incident_edges
 from roadgame.errors import DomainError, ParseError, ValidationError
-from roadgame.network import (conductance, edge_disjoint_paths, load_network, save_network,
-                              shortest_path)
+from roadgame.network import (Edge, Node, RoadNetwork, conductance, edge_disjoint_paths,
+                              load_network, save_network, shortest_path)
 from roadgame.synth import generate_city
 
 
@@ -92,11 +92,50 @@ class TestLoadNetwork:
         if math.isfinite(float(raw)):
             with pytest.raises(ValidationError) as exc:
                 load_network(nodes, edges)
-            assert str(exc.value) == f"edge 'e0' {field} must be finite and > 0, got {shown}"
+            assert str(exc.value) == (f"{edges}:2: edge 'e0' {field} must be finite and > 0, "
+                                      f"got {shown}")
         else:  # refused while parsing, at its file and line
             with pytest.raises(ParseError) as exc:
                 load_network(nodes, edges)
             assert str(exc.value) == f"{edges}:2: {field} must be finite, got {raw!r}"
+
+    @pytest.mark.parametrize("nodes_text, edges_text, place, message", [
+        ("A,0,0\nB,1,0\nA,2,0\n", "e0,A,B,10,1\n",
+         "nodes.csv:4", "duplicate node id 'A'"),
+        ("A,0,0\nB,1,0\nC,2,0\n", "e0,A,B,10,1\ne1,B,C,10,1\ne0,A,C,10,1\n",
+         "edges.csv:4", "duplicate edge id 'e0'"),
+        ("A,0,0\nB,1,0\n", "e0,A,B,10,1\ne1,B,B,10,1\n",
+         "edges.csv:3", "edge 'e1' is a self-loop on 'B'"),
+        ("A,0,0\nB,1,0\n", "e0,A,B,10,1\ne1,B,A,10,1\n",
+         "edges.csv:3", "edges 'e0' and 'e1' duplicate pair ('A', 'B')"),
+        ("A,0,0\nB,1,0\n", "e0,A,Z,10,1\n",
+         "edges.csv:2", "edge 'e0' references unknown node 'Z'"),
+        ("A,0,0\nB,1,0\nC,2,0\nD,3,0\n", "e0,A,B,10,1\ne1,C,D,10,1\n",
+         "edges.csv", "graph is not connected"),
+    ], ids=["node-id", "edge-id", "self-loop", "pair", "endpoint", "disconnected"])
+    def test_structural_error_names_file_and_line(self, tmp_path, nodes_text, edges_text,
+                                                  place, message):
+        nodes, edges = write_files(tmp_path, "node_id,x,y\n" + nodes_text,
+                                   "edge_id,u,v,length_m,speed_mps\n" + edges_text)
+        with pytest.raises(ValidationError) as exc:
+            load_network(nodes, edges)
+        assert str(exc.value) == f"{tmp_path / place}: {message}"
+
+    @pytest.mark.parametrize("length, speed, shown", [
+        ("1e308", "0.1", "inf"), ("1e-320", "1e10", "0.0")], ids=["overflow", "underflow"])
+    def test_travel_time_out_of_range_is_refused(self, tmp_path, length, speed, shown):
+        # both inputs are finite and positive; only their ratio is not
+        nodes, edges = write_files(
+            tmp_path,
+            "node_id,x,y\nA,0,0\nB,1,0\nC,2,0\n",
+            f"edge_id,u,v,length_m,speed_mps\ne1,B,C,10,1\ne0,A,B,{length},{speed}\n")
+        with pytest.raises(ValidationError) as exc:
+            load_network(nodes, edges)
+        assert str(exc.value) == (f"{edges}:3: edge 'e0' travel time length_m / speed_mps "
+                                  f"must be finite and > 0, got {shown}")
+        with pytest.raises(ValidationError, match=f"^edge 'e0' travel time .* got {shown}$"):
+            RoadNetwork([Node("A", 0.0, 0.0), Node("B", 1.0, 0.0)],
+                        [Edge("e0", "A", "B", float(length), float(speed))])
 
     def test_non_utf8_file_is_parse_error(self, tmp_path):
         nodes, edges = write_files(
@@ -114,7 +153,7 @@ class TestLoadNetwork:
             "edge_id,u,v,length_m,speed_mps\ne0,A,B,10,2\n")
         n1, n2 = load_network(*args), load_network(*args)
         assert n1.nodes == n2.nodes and n1.edges == n2.edges
-        assert n1.adjacency == n2.adjacency
+        assert n1.links == n2.links and n1.travel == n2.travel
 
     def test_save_load_roundtrip(self, tmp_path, planted32):
         nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
@@ -164,7 +203,7 @@ class TestShortestPath:
             shortest_path(p3, "A", "C", {"e0": -1.0, "e1": 1.0})
 
     def test_scaling_invariance(self, planted32):
-        times = planted32.travel_times()
+        times = {eid: e.travel_time_s for eid, e in planted32.edges.items()}
         scaled = {eid: 7.5 * t for eid, t in times.items()}
         for src, dst in [("a00x00", "b03x03"), ("a02x01", "b00x02")]:
             p1, _ = shortest_path(planted32, src, dst)
@@ -208,13 +247,17 @@ class TestIntegerView:
             edges, times={eid: 1.0 + int(eid[1:]) for eid, _, _ in edges},
             require_connected=False)),
         connected_graphs()))
-    def test_links_and_travel_mirror_adjacency(self, net):
+    def test_links_and_travel_mirror_edges(self, net):
+        assert list(net.node_ids) == sorted(net.nodes)
+        assert list(net.edge_ids) == sorted(net.edges)
         assert [net.node_index[v] for v in net.node_ids] == list(range(net.num_nodes))
         assert [net.edge_index[e] for e in net.edge_ids] == list(range(net.num_edges))
+        incident = incident_edges(net)
         assert len(net.links) == net.num_nodes
         for i, row in enumerate(net.links):
-            assert list(row) == [(net.node_index[v], net.edge_index[e])
-                                 for e, v in net.adjacency[net.node_ids[i]]]
+            node = net.node_ids[i]
+            assert list(row) == [(net.node_index[v], net.edge_index[e]) for e, v in incident[node]]
+            assert net.degree(node) == len(incident[node])
         assert list(net.travel) == [net.edges[e].travel_time_s for e in net.edge_ids]
 
 
@@ -236,6 +279,33 @@ class TestEdgeDisjointPaths:
     def test_requires_distinct_endpoints(self, square):
         with pytest.raises(DomainError):
             edge_disjoint_paths(square, "A", "A")
+
+    # the disjoint defense draws an index into this list, so the paths'
+    # order is part of every report that routes it
+    @pytest.mark.parametrize("graph, src, dst, paths", [
+        ("planted32", "a00x00", "b03x03", [
+            ["ah00x00", "ah00x01", "ah00x02", "av00x03", "av01x03", "xbridge1",
+             "bh02x00", "bh02x01", "bh02x02", "bv02x03"],
+            ["av00x00", "ah01x00", "ah01x01", "ah01x02", "xbridge0",
+             "bh01x00", "bh01x01", "bv01x02", "bv02x02", "bh03x02"]]),
+        ("planted32", "b03x03", "a00x00", [
+            ["bh03x02", "bh03x01", "bh03x00", "bv02x00", "bv01x00", "xbridge0",
+             "ah01x02", "ah01x01", "ah01x00", "av00x00"],
+            ["bv02x03", "bh02x02", "bh02x01", "bh02x00", "xbridge1",
+             "ah02x02", "ah02x01", "av01x01", "av00x01", "ah00x00"]]),
+        ("planted32", "a01x02", "a02x01", [
+            ["ah01x01", "av01x01"],
+            ["ah01x02", "av01x03", "ah02x02", "ah02x01"],
+            ["av00x02", "ah00x01", "ah00x00", "av00x00", "av01x00", "ah02x00"],
+            ["av01x02", "av02x02", "ah03x01", "av02x01"]]),
+        ("square", "A", "C", [["e0", "e1"], ["e3", "e2"]]),
+        ("square", "B", "D", [["e0", "e3"], ["e1", "e2"]]),
+        ("square", "A", "B", [["e0"], ["e3", "e2", "e1"]]),
+        ("k4", "A", "C", [["k00", "k03"], ["k01"], ["k02", "k05"]]),
+        ("k4", "D", "B", [["k02", "k00"], ["k04"], ["k05", "k03"]]),
+    ])
+    def test_pinned_paths_and_order(self, request, graph, src, dst, paths):
+        assert edge_disjoint_paths(request.getfixturevalue(graph), src, dst) == paths
 
     def test_deterministic_order(self, planted32):
         first = edge_disjoint_paths(planted32, "a00x00", "b03x03")
@@ -261,7 +331,7 @@ class TestEdgeDisjointPaths:
 
     def test_path_weights_bound_shortest(self, planted32):
         _, best = shortest_path(planted32, "a00x00", "b03x03")
-        times = planted32.travel_times()
+        times = {eid: e.travel_time_s for eid, e in planted32.edges.items()}
         for path in edge_disjoint_paths(planted32, "a00x00", "b03x03"):
             assert sum(times[eid] for eid in path) >= best - 1e-9
 

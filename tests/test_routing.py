@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import roadgame.routing as routing
-from conftest import build_net
+from conftest import build_net, connected_graphs
+from oracles import reference_random_walk
 from roadgame.analysis import centrality
 from roadgame.errors import DomainError
 from roadgame.routing import DEFENSE_STRATEGIES, inverse_centrality_scores, plan_route
@@ -13,6 +16,14 @@ from roadgame.simulate import JobCard, Stop, _compile_route
 def card(warehouse, stops, courier="c0"):
     return JobCard(courier, warehouse,
                    tuple(Stop(s, 0.0, 10_000.0) for s in stops), 0.0)
+
+
+@st.composite
+def walk_cases(draw):
+    """A connected network and a card whose stops may repeat (empty legs)."""
+    net = draw(connected_graphs())
+    nodes = st.sampled_from(net.node_ids)
+    return net, card(draw(nodes), draw(st.lists(nodes, min_size=1, max_size=4)))
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +104,7 @@ class TestPlanRoute:
 
     def test_shortest_leg_never_slower_than_mixnet(self, planted32):
         jc = card("a00x00", ["b03x03"])
-        times = planted32.travel_times()
+        times = {eid: e.travel_time_s for eid, e in planted32.edges.items()}
         best = sum(times[eid] for eid in plan_route(planted32, jc, "shortest", 0).legs[0])
         for seed in range(10):
             drawn = sum(times[eid] for eid in plan_route(planted32, jc, "mixnet", seed).legs[0])
@@ -124,6 +135,16 @@ class TestPlanRoute:
         plan = plan_route(planted32, jc, "random_walk", seed=1)
         assert plan.failed_leg == 0
         assert plan.legs == ()
+
+    @settings(max_examples=40, deadline=None)
+    @given(walk_cases(), st.sampled_from([1, routing.WALK_STEP_CAP_FACTOR]))
+    def test_random_walk_equals_reference(self, case, factor):
+        # a cap of one step per node makes some walks fail part-way
+        net, jc = case
+        with mock.patch.object(routing, "WALK_STEP_CAP_FACTOR", factor):
+            for seed in range(4):
+                expected = reference_random_walk(net, jc, seed)
+                assert plan_route(net, jc, "random_walk", seed) == expected
 
     def test_unknown_stop_and_strategy(self, p3):
         with pytest.raises(DomainError):
