@@ -19,7 +19,7 @@ import numpy as np
 
 from .blas import one_thread
 from .errors import ConvergenceError, DomainError, ValidationError
-from .network import RoadNetwork, conductance, memoised
+from .network import RoadNetwork, _dijkstra, conductance, memoised
 from .rng import substream
 
 CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
@@ -119,12 +119,10 @@ def _betweenness_sums(net: RoadNetwork, sources) -> tuple[int, dict[str, int], d
     """Exact integer partial sums ``(denom, node_num, edge_num)`` of the
     dependencies of ``sources``: each total is its numerator over ``denom``.
 
-    One Brandes search per source fills the path counts sigma and the
-    predecessor lists as it settles nodes: a predecessor of ``w`` is a
-    neighbour ``v`` settled before it with ``dist[v] + travel[e] ==
-    dist[w]``.  Like every search, it walks the network's one integer
-    view, ``net.links`` and ``net.travel``.  Brandes' dependency is
-    ``delta(v) = sigma(v) * c(v) - 1`` with
+    Each source's order and predecessor lists come from the one
+    shortest-path search, :func:`network._dijkstra`, over travel times,
+    and the path counts sigma sum over the predecessors in that order.
+    Brandes' dependency is ``delta(v) = sigma(v) * c(v) - 1`` with
     ``c(v) = 1/sigma(v) + sum of c(w) over successors w``, and edge
     (v, w) carries ``sigma(v) * c(w)``.  Scaling c by ``L = lcm(sigma)``
     makes every per-source term an integer ``C``; the totals are kept as
@@ -132,36 +130,17 @@ def _betweenness_sums(net: RoadNetwork, sources) -> tuple[int, dict[str, int], d
     sum over sources, so sums over disjoint source sets merge exactly
     with :func:`_merge_betweenness`.
     """
-    links, travel = net.links, net.travel
     n = net.num_nodes
     node_num = [0] * n
     edge_num = [0] * net.num_edges
     denom = 1
     for s in map(net.node_index.__getitem__, sources):
-        dist = [math.inf] * n
+        order, _, preds = _dijkstra(net, s, net.travel)
         sigma = [0] * n
-        preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        done = [False] * n
-        dist[s], sigma[s] = 0.0, 1
-        order: list[int] = []
-        heap = [(0.0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            order.append(u)
-            su = sigma[u]
-            for v, e in links[u]:
-                if done[v]:
-                    continue
-                nd = d + travel[e]
-                if nd < dist[v]:
-                    dist[v], sigma[v], preds[v] = nd, su, [(u, e)]
-                    heapq.heappush(heap, (nd, v))
-                elif nd == dist[v]:
-                    sigma[v] += su
-                    preds[v].append((u, e))
+        sigma[s] = 1
+        for w in order[1:]:
+            for v, _ in preds[w]:
+                sigma[w] += sigma[v]
         scale = math.lcm(*map(sigma.__getitem__, order))
         if denom % scale:
             grow = math.lcm(denom, scale) // denom

@@ -212,6 +212,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         kwargs = {}
+        seen: dict[str, int] = {}
         for lineno, line in enumerate(_read_utf8(path), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -219,8 +220,12 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
+            key = key.strip()
+            if key in seen:
+                raise ParseError(f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
+            seen[key] = lineno
             try:
-                kwargs[key.strip()] = cls._parse_value(key.strip(), value)
+                kwargs[key] = cls._parse_value(key, value)
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
         return cls(**kwargs)

@@ -5,7 +5,9 @@ length / speed and is the default routing weight; every routing query
 also accepts an explicit per-edge weight map so defensive routing can
 substitute its own scores.  All queries are pure functions with
 deterministic tie-breaking (lexicographic on edge id), which keeps
-simulations replayable.
+simulations replayable.  One shortest-path search, :func:`_dijkstra`,
+returns the settling order, distances and predecessors; paths, exact
+betweenness, trace synthesis and the fleet's central node all read it.
 """
 
 from __future__ import annotations
@@ -302,18 +304,25 @@ def _check_weights(net: RoadNetwork, weights: Mapping[str, float] | None) -> Seq
     return ordered
 
 
-def _dijkstra(net: RoadNetwork, source: int, weights: Sequence[float],
-              floor: float = 0.0) -> tuple[list[int], list[float]]:
+def _dijkstra(net: RoadNetwork, source: int, weights: Sequence[float], floor: float = 0.0,
+              stop: int = -1) -> tuple[list[int], list[float], list[list[tuple[int, int]]]]:
     """Single-source shortest paths over node indices as (settled order,
-    distance per node index).
+    distance, predecessors) per node index.
 
     Edge k costs ``weights[k]`` raised to at least ``floor``; the order
     lists nodes by nondecreasing distance, and a node that no finite
-    distance reaches stays at ``math.inf``.
+    distance reaches stays at ``math.inf`` with no predecessors.  A
+    predecessor of ``w`` is a pair ``(v, k)``, in settling order of ``v``,
+    with ``v`` settled before ``w`` and ``dist[v] + cost(k) == dist[w]``
+    (Brandes 2001).  Those lists are final once ``w`` settles, so the
+    search may end as soon as node ``stop`` settles; a node not settled
+    by then holds an upper bound.
     """
     links = net.links
-    dist = [math.inf] * net.num_nodes
-    done = [False] * net.num_nodes
+    n = net.num_nodes
+    dist = [math.inf] * n
+    preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    done = [False] * n
     dist[source] = 0.0
     order: list[int] = []
     heap: list[tuple[float, int]] = [(0.0, source)]
@@ -323,13 +332,19 @@ def _dijkstra(net: RoadNetwork, source: int, weights: Sequence[float],
             continue
         done[u] = True
         order.append(u)
+        if u == stop:
+            break
         for v, e in links[u]:
+            if done[v]:
+                continue
             w = weights[e]
             nd = d + (w if w > floor else floor)
             if nd < dist[v]:
-                dist[v] = nd
+                dist[v], preds[v] = nd, [(u, e)]
                 heapq.heappush(heap, (nd, v))
-    return order, dist
+            elif nd == dist[v] < math.inf:
+                preds[v].append((u, e))
+    return order, dist, preds
 
 
 def shortest_path(net: RoadNetwork, src: str, dst: str,
@@ -347,24 +362,19 @@ def shortest_path(net: RoadNetwork, src: str, dst: str,
     if src == dst:
         return [], 0.0
 
-    target = net.node_index[dst]
-    _, dist_to_dst = _dijkstra(net, target, weights, _WEIGHT_FLOOR)
     u = net.node_index[src]
+    _, dist_to_dst, preds = _dijkstra(net, net.node_index[dst], weights, _WEIGHT_FLOOR, stop=u)
     if dist_to_dst[u] == math.inf:
         raise DomainError(f"no finite-weight path between {src!r} and {dst!r}")
 
     path: list[str] = []
     total = 0.0
-    guard = net.num_nodes + net.num_edges + 1
-    while u != target:
-        # edge and node indices run in id order: the lexicographic pick
-        _, e, u = min((max(weights[e], _WEIGHT_FLOOR) + dist_to_dst[v], e, v)
-                      for v, e in net.links[u])
+    # each step moves to a node settled earlier, ending at dst; edge
+    # indices run in id order, so the smallest one is the lexicographic pick
+    while preds[u]:
+        e, u = min((e, v) for v, e in preds[u])
         path.append(net.edge_ids[e])
         total += float(weights[e])
-        guard -= 1
-        if guard <= 0:
-            raise DomainError("path reconstruction failed to terminate")
     return path, total
 
 

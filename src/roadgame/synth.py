@@ -149,8 +149,8 @@ def synthesize_traces(base_cards: Sequence[JobCard], base_net: RoadNetwork,
 
         synth_points = [target_nodes[int(rng.integers(len(target_nodes)))]]
         for seq, base_time in enumerate(base_leg_times, start=1):
-            _, dist = _dijkstra(target_net, target_net.node_index[synth_points[-1]],
-                                target_net.travel)
+            _, dist, _ = _dijkstra(target_net, target_net.node_index[synth_points[-1]],
+                                   target_net.travel)
             tol_used = tol.relative_tolerance
             candidates: list[int] = []
             for _ in range(_MAX_TOLERANCE_DOUBLINGS + 1):

@@ -19,9 +19,10 @@ def build_net(edges, times=None, require_connected=True) -> RoadNetwork:
 
 
 @st.composite
-def connected_graphs(draw, min_nodes=5, max_nodes=40):
+def connected_graphs(draw, min_nodes=5, max_nodes=40, times=None):
     """Random connected network: a random spanning tree plus extra edges,
-    with node and edge ids shuffled against the order they were drawn in."""
+    with node and edge ids shuffled against the order they were drawn in;
+    unit travel times unless ``times`` is a strategy for each edge's."""
     n = draw(st.integers(min_nodes, max_nodes))
     names = [f"n{i:02d}" for i in draw(st.permutations(range(n)))]
     pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
@@ -29,8 +30,10 @@ def connected_graphs(draw, min_nodes=5, max_nodes=40):
                           max_size=2 * n))
     pairs |= {(min(i, j), max(i, j)) for i, j in extra if i != j}
     ids = draw(st.permutations(range(len(pairs))))
-    return build_net([(f"e{ids[k]:03d}", names[i], names[j])
-                      for k, (i, j) in enumerate(sorted(pairs))])
+    edges = [(f"e{ids[k]:03d}", names[i], names[j]) for k, (i, j) in enumerate(sorted(pairs))]
+    if times is not None:
+        times = {eid: draw(times) for eid, _, _ in edges}
+    return build_net(edges, times=times)
 
 
 def clique_edges(prefix, names):

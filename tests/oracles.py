@@ -184,7 +184,7 @@ def fraction_betweenness(net: RoadNetwork):
     node_acc = {v: Fraction(0) for v in net.node_ids}
     edge_acc = {e: Fraction(0) for e in net.edge_ids}
     for s in net.node_ids:
-        order, dist = _dijkstra(net, net.node_index[s], net.travel)
+        order, dist, _ = _dijkstra(net, net.node_index[s], net.travel)
         order = [net.node_ids[i] for i in order]
         dist = dict(zip(net.node_ids, dist))
         sigma = {s: 1}

@@ -182,11 +182,25 @@ class TestConfig:
         # seeds = 0,0 used to halve the cell mean; attacks = random,random
         # used to add an all-zero row that fed the LP
         path = tmp_path / "dup.txt"
-        path.write_text(SMALL_CFG + line + "\n")
+        lines = [line if text.startswith(f"{key} =") else text
+                 for text in SMALL_CFG.splitlines()]
+        assert line in lines
+        path.write_text("\n".join(lines) + "\n")
         result = run_cli(["--config", str(path), "--out", str(tmp_path / "o"), "matrix"])
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert f"error: {key} lists" in result.stderr
+
+    def test_repeated_key_is_parse_error(self, tmp_path):
+        # the later value used to win silently
+        path = tmp_path / "repeat.txt"
+        path.write_text("k = 30\n# a comment\nattacks = random\nk = 40\n")
+        with pytest.raises(ParseError) as exc:
+            ExperimentConfig.from_file(path)
+        assert str(exc.value) == f"{path}:4: config key 'k' repeats line 1"
+        result = run_cli(["--config", str(path), "--out", str(tmp_path / "o"), "gen-city"])
+        assert result.returncode == 1
+        assert result.stderr == f"error: {path}:4: config key 'k' repeats line 1\n"
 
     def test_non_numeric_value_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -78,3 +78,16 @@ def test_no_source_imports_scipy():
                    if isinstance(node, ast.ImportFrom) and node.module})
     assert [path.name for path in SOURCES
             if any(name.split(".")[0] == "scipy" for name in imported(path))] == []
+
+
+def test_one_function_runs_the_shortest_path_search():
+    # paths, exact betweenness, trace synthesis and the fleet's central node
+    # all read network._dijkstra instead of keeping a heap loop of their own
+    def searches(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                attrs = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+                if {"heappop", "links"} <= attrs:
+                    yield f"{path.stem}.{fn.name}"
+    assert [name for path in SOURCES for name in searches(path)] == ["network._dijkstra"]

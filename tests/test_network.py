@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_net, connected_graphs
-from oracles import brute_min_edge_cut, incident_edges
+from oracles import brute_min_edge_cut, enumerate_simple_paths, incident_edges
 from roadgame.errors import DomainError, ParseError, ValidationError
-from roadgame.network import (Edge, Node, RoadNetwork, conductance, edge_disjoint_paths,
-                              load_network, save_network, shortest_path)
+from roadgame.network import (Edge, Node, RoadNetwork, _dijkstra, conductance,
+                              edge_disjoint_paths, load_network, save_network, shortest_path)
 from roadgame.synth import generate_city
 
 
@@ -234,10 +234,82 @@ class TestShortestPath:
             shortest_path(grid3, "n00x00", dst, huge)
         assert str(exc.value) == f"no finite-weight path between 'n00x00' and {dst!r}"
 
+    @pytest.mark.parametrize("weights", [{"e0": 0.0, "e1": 2e4}, {"e0": 1e-13, "e1": 3e5}])
+    def test_floor_absorbed_by_a_large_distance_still_ends_at_dst(self, weights):
+        # from B, the floored e0 back to A costs no more than staying: the
+        # walk must still step only towards dst
+        net = build_net([("e0", "A", "B"), ("e1", "B", "D")])
+        assert shortest_path(net, "A", "D", weights) == (["e0", "e1"], weights["e1"])
+
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graphs(2, 12), st.data())
+    def test_any_weights_give_a_simple_src_dst_path(self, net, data):
+        weights = {eid: data.draw(st.sampled_from([0.0, 1e-13, 1.0, 2e4, 3e5]), label=eid)
+                   for eid in net.edge_ids}
+        for src in net.node_ids:
+            for dst in net.node_ids:
+                path, total = shortest_path(net, src, dst, weights)
+                nodes = [src]
+                for eid in path:
+                    edge = net.edges[eid]
+                    assert nodes[-1] in (edge.u, edge.v)
+                    nodes.append(edge.other(nodes[-1]))
+                assert nodes[-1] == dst and len(set(nodes)) == len(nodes)
+                assert total == sum((weights[eid] for eid in path), 0.0)
+
     def test_unreached_node_is_no_path(self):
         net = build_net([("e0", "A", "B"), ("e1", "C", "D")], require_connected=False)
         with pytest.raises(DomainError, match="no finite-weight path between 'A' and 'C'"):
             shortest_path(net, "A", "C")
+
+
+class TestDijkstra:
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graphs(2, 8, times=st.sampled_from([1.0, 2.0])), st.data())
+    def test_sigma_and_preds_count_every_shortest_path(self, net, data):
+        # times of 1 and 2 make equal-cost paths common
+        src = data.draw(st.sampled_from(net.node_ids), label="src")
+        order, dist, preds = _dijkstra(net, net.node_index[src], net.travel)
+        assert sorted(order) == list(range(net.num_nodes))
+        assert [dist[v] for v in order] == sorted(dist)
+        assert order[0] == net.node_index[src] and preds[order[0]] == []
+        # path counts summed over the predecessors in settling order
+        sigma = {order[0]: 1}
+        for w in order[1:]:
+            sigma[w] = sum(sigma[v] for v, _ in preds[w])
+        for dst in net.node_ids:
+            if dst == src:
+                continue
+            paths = enumerate_simple_paths(net, src, dst)
+            best = min(weight for _, weight in paths)
+            shortest = [edges for edges, weight in paths if weight == best]
+            v = net.node_index[dst]
+            assert dist[v] == best
+            assert sigma[v] == len(shortest)
+            last = {(net.node_index[net.edges[edges[-1]].other(dst)], net.edge_index[edges[-1]])
+                    for edges in shortest}
+            assert sorted(preds[v]) == sorted(last)
+
+    def test_a_total_past_the_float_range_leaves_the_node_unreached(self):
+        grid3 = generate_city("grid", rows=3, cols=3, edge_time_s=60.0)
+        order, dist, preds = _dijkstra(grid3, 0, [1e308] * grid3.num_edges)
+        near = [0] + [v for v, _ in grid3.links[0]]
+        assert sorted(order) == sorted(near)
+        for v in range(grid3.num_nodes):
+            if v not in near:
+                assert (dist[v], preds[v]) == (math.inf, [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(2, 8, times=st.sampled_from([1.0, 2.0])), st.data())
+    def test_stop_keeps_every_settled_nodes_preds(self, net, data):
+        src = data.draw(st.sampled_from(net.node_ids), label="src")
+        stop = data.draw(st.sampled_from(range(net.num_nodes)), label="stop")
+        s = net.node_index[src]
+        order, dist, preds = _dijkstra(net, s, net.travel)
+        cut, cut_dist, cut_preds = _dijkstra(net, s, net.travel, stop=stop)
+        assert cut == order[:order.index(stop) + 1]
+        for v in cut:
+            assert (cut_dist[v], cut_preds[v]) == (dist[v], preds[v])
 
 
 class TestIntegerView:
