@@ -21,7 +21,8 @@ import functools
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -422,7 +423,8 @@ def run_matrix(cfg: ExperimentConfig) -> MatrixResult:
 def run_sweep(cfg: ExperimentConfig, axis: str) -> list[tuple]:
     """Rows (attack, defense, k, window_mult, seed, metrics...) along ``axis``:
     ``window``, ``attackers``, or ``matrix`` (one round per cell, at k)."""
-    return [row[:5] + astuple(row[5]) for row in _run_rows(cfg, axis)]
+    values = attrgetter(*(f.name for f in fields(RoundMetrics)))  # a shallow astuple
+    return [row[:5] + values(row[5]) for row in _run_rows(cfg, axis)]
 
 
 # -- report emission -----------------------------------------------------------

@@ -11,12 +11,21 @@ One evaluator, ``_evaluate_tours``, applies these rules to a courier's
 tour under every attack plan of a round at once; ``run_tour`` is its
 one-plan form.  Its reference, the plain edge-by-edge walk, is
 ``tests/oracles.py::reference_tour``.
+
+Rounds are scored on arrays: the evaluator's plans x stops arrivals,
+ambush counts and tour times go to one scorer, ``_score``, which gives
+every plan's ``RoundMetrics`` at once; ``metrics_from_tours`` and
+``reclassify_with_windows`` score through it too.  ``TourResult`` is the
+library's per-tour view, built by ``run_tour`` and by
+``RoundDetails.tours`` when that is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -155,7 +164,16 @@ def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
         raise DomainError("ambush delay must be > 0")
     legs = _compile_route(net, plan, card)
     delays = _delay_matrix(net, [attack], ambush_delay_s)
-    return _evaluate_tours(card, legs, _travel_time_vector(net), delays)[0]
+    arrivals, ambushes, tour_time = _evaluate_tours(card, legs, _travel_time_vector(net), delays)
+    return _tour_result(card, arrivals[0], ambushes[0], tour_time[0])
+
+
+def _tour_result(card: JobCard, arrivals: np.ndarray, ambushes: int,
+                 tour_time_s: float) -> TourResult:
+    """The per-tour view of one courier's row of evaluator arrays."""
+    times = tuple(arrivals.tolist())
+    statuses = tuple(classify_arrival(t, stop) for t, stop in zip(times, card.stops))
+    return TourResult(card.courier_id, times, statuses, int(ambushes), float(tour_time_s))
 
 
 def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
@@ -175,19 +193,22 @@ def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
 
 
 def _evaluate_tours(card: JobCard, legs: tuple[np.ndarray, ...], travel: np.ndarray,
-                    delays: np.ndarray) -> list[TourResult]:
+                    delays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One courier's tour under every row of ``delays`` (plans x edges).
 
-    Each leg adds, in walking order, every edge's travel time and then its
-    delay (0.0 off the plan, which is exact) to the clock:
-    ``np.add.accumulate`` over ``[clock, t1, d1, t2, d2, ...]`` performs
-    those IEEE additions one after another, unlike a pairwise sum, so the
-    result equals an edge-by-edge walk bit for bit.
+    Returns the plans x stops arrivals (``inf`` at a stop a failed walk
+    never reaches), and per plan the ambush count and the tour time
+    (``inf`` for a failed walk).  Each leg adds, in walking order, every
+    edge's travel time and then its delay (0.0 off the plan, which is
+    exact) to the clock: ``np.add.accumulate`` over
+    ``[clock, t1, d1, t2, d2, ...]`` performs those IEEE additions one
+    after another, unlike a pairwise sum, so the result equals an
+    edge-by-edge walk bit for bit.
     """
     plans = delays.shape[0]
     clock = np.full(plans, card.day_start_s, dtype=float)
     ambushes = np.zeros(plans, dtype=np.int64)
-    arrivals = []
+    arrivals = np.full((plans, len(card.stops)), math.inf)
     tour_time = np.full(plans, math.inf)
     for i, idx in enumerate(legs):
         leg_delays = delays[:, idx]
@@ -201,61 +222,96 @@ def _evaluate_tours(card: JobCard, legs: tuple[np.ndarray, ...], travel: np.ndar
         if i < len(card.stops):
             start = card.stops[i].window_start_s
             clock = np.where(start > clock, start, clock)  # max(clock, start)
-            arrivals.append(clock)
+            arrivals[:, i] = clock
         else:
             tour_time = clock - card.day_start_s
-
-    missing = [math.inf] * (len(card.stops) - len(arrivals))
-    by_plan = np.array(arrivals).T.tolist() if arrivals else [[] for _ in range(plans)]
-    tours = []
-    for row, times in enumerate(by_plan):
-        times = tuple(times + missing)
-        statuses = tuple(classify_arrival(t, stop) for t, stop in zip(times, card.stops))
-        tours.append(TourResult(card.courier_id, times, statuses,
-                                int(ambushes[row]), float(tour_time[row])))
-    return tours
+    return arrivals, ambushes, tour_time
 
 
-def _p95(times: np.ndarray) -> float:
-    """95th percentile (linear interpolation); inf when a neighbouring order
-    statistic is inf, where interpolating would give NaN."""
-    if not len(times):
-        return 0.0
-    ordered = np.sort(times)
-    position = 0.95 * (len(ordered) - 1)
-    if math.isinf(ordered[math.floor(position)]) or math.isinf(ordered[math.ceil(position)]):
-        return math.inf
-    return float(np.percentile(times, 95))
+def _lateness(arrivals: np.ndarray, stops: Sequence[Stop]) -> tuple[np.ndarray, np.ndarray]:
+    """``classify_arrival`` on arrays: the late and the critically late
+    masks of ``arrivals`` (plans x stops) against ``stops``' windows, on
+    the same per-stop floats."""
+    ends = np.array([stop.window_end_s for stop in stops])
+    sizes = np.array([stop.window_size_s for stop in stops])
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: not critical, as in Python
+        return ~(arrivals <= ends), arrivals - ends > 0.5 * sizes
+
+
+def _score(late: np.ndarray, critical: np.ndarray, ambushes: np.ndarray,
+           times: np.ndarray) -> list[RoundMetrics]:
+    """One RoundMetrics per plan row, the one scoring rule of every round.
+
+    ``late`` and ``critical`` are plans x deliveries masks, ``ambushes``
+    the plans' ambush totals and ``times`` the plans x couriers tour
+    times, C-ordered so that each row's mean is the pairwise sum a 1-D
+    array of those times gets.  A finite row whose sum passes the float
+    range is averaged as a sum of quotients instead.  The 95th percentile
+    interpolates linearly, and is inf where a neighbouring order statistic
+    is inf, where interpolating would give NaN.
+    """
+    times = np.ascontiguousarray(times, dtype=float)
+    plans, couriers = times.shape
+    if couriers:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = times.mean(axis=1)
+            for row in np.flatnonzero((mean == math.inf) & np.isfinite(times).all(axis=1)):
+                mean[row] = (times[row] / couriers).sum()
+            p95 = np.percentile(times, 95, axis=1)
+        position = 0.95 * (couriers - 1)
+        neighbours = np.sort(times, axis=1)[:, [math.floor(position), math.ceil(position)]]
+        p95[np.isinf(neighbours).any(axis=1)] = math.inf
+    else:
+        mean = p95 = np.zeros(plans)
+    deliveries = late.shape[1]
+    rows = zip(np.count_nonzero(late, axis=1).tolist(),
+               np.count_nonzero(critical, axis=1).tolist(),
+               mean.tolist(), p95.tolist(), np.asarray(ambushes).tolist())
+    return [RoundMetrics(
+        late_fraction=n_late / deliveries if deliveries else 0.0,
+        critical_fraction_of_late=n_critical / n_late if n_late else 0.0,
+        mean_tour_time_s=row_mean,
+        p95_tour_time_s=row_p95,
+        total_deliveries=deliveries,
+        total_ambushes=row_ambushes,
+    ) for n_late, n_critical, row_mean, row_p95, row_ambushes in rows]
 
 
 def metrics_from_tours(tours: Iterable[TourResult]) -> RoundMetrics:
     tours = list(tours)
-    total = sum(len(t.statuses) for t in tours)
-    late = sum(1 for t in tours for s in t.statuses if s != ON_TIME)
-    critical = sum(1 for t in tours for s in t.statuses if s == CRITICALLY_LATE)
-    times = np.array([t.tour_time_s for t in tours])
-    with np.errstate(over="ignore"):
-        mean = float(times.mean()) if len(times) else 0.0
-        if mean == math.inf and np.isfinite(times).all():  # the sum passed the float range
-            mean = float((times / len(times)).sum())
-    return RoundMetrics(
-        late_fraction=late / total if total else 0.0,
-        critical_fraction_of_late=critical / late if late else 0.0,
-        mean_tour_time_s=mean,
-        p95_tour_time_s=_p95(times),
-        total_deliveries=total,
-        total_ambushes=sum(t.ambush_count for t in tours),
-    )
+    statuses = [status for tour in tours for status in tour.statuses]
+    return _score(np.array([[status != ON_TIME for status in statuses]], dtype=bool),
+                  np.array([[status == CRITICALLY_LATE for status in statuses]], dtype=bool),
+                  [sum(tour.ambush_count for tour in tours)],
+                  np.array([[tour.tour_time_s for tour in tours]], dtype=float))[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundDetails:
-    """Everything one round produced; metrics plus replayable pieces."""
+    """Everything one round produced; metrics plus replayable pieces.
+
+    ``cards`` are the round's job cards in courier id order.  ``arrivals``
+    holds their stops' arrivals in that order (``inf`` at a stop a failed
+    walk never reaches), and ``ambushes`` and ``tour_times_s`` one entry
+    per card.  ``tours`` is the per-tour view of those arrays, built when
+    first read.  Rounds compare by identity, as arrays have no single
+    truth value under ``==``.
+    """
 
     attack: AttackPlan
     routes: dict[str, RoutePlan]
-    tours: dict[str, TourResult]
     metrics: RoundMetrics
+    cards: tuple[JobCard, ...]
+    arrivals: np.ndarray
+    ambushes: np.ndarray
+    tour_times_s: np.ndarray
+
+    @cached_property
+    def tours(self) -> dict[str, TourResult]:
+        bounds = list(accumulate((len(card.stops) for card in self.cards), initial=0))
+        return {card.courier_id: _tour_result(card, self.arrivals[lo:hi], ambushes, time)
+                for card, lo, hi, ambushes, time
+                in zip(self.cards, bounds, bounds[1:], self.ambushes, self.tour_times_s)}
 
 
 def run_rounds(net: RoadNetwork, fleet: Sequence[JobCard], attacks: Sequence[str],
@@ -265,7 +321,8 @@ def run_rounds(net: RoadNetwork, fleet: Sequence[JobCard], attacks: Sequence[str
     """Every (attack, k) round of one (defense, seed), keyed by (attack, k).
 
     A courier's route depends on neither the attack nor k, so each one is
-    planned and checked once and every attack plan is scored against it.
+    planned and checked once and every attack plan is scored against it,
+    all rounds in one pass over plans x stops arrays.
     Bit-reproducible given the seed: attack and per-courier route RNG are
     independent substreams keyed by purpose and courier id, so results do
     not depend on execution order.  With ``nested_plans`` the per-seed
@@ -280,7 +337,7 @@ def run_rounds(net: RoadNetwork, fleet: Sequence[JobCard], attacks: Sequence[str
     if not ambush_delay_s > 0:
         raise DomainError("ambush delay must be > 0")
 
-    cards = sorted(fleet, key=lambda c: c.courier_id)
+    cards = tuple(sorted(fleet, key=lambda c: c.courier_id))
     routes: dict[str, RoutePlan] = {}
     for card in cards:
         route_seed = derive_seed(seed, "route", card.courier_id)
@@ -293,13 +350,16 @@ def run_rounds(net: RoadNetwork, fleet: Sequence[JobCard], attacks: Sequence[str
     plans = [select_attack_edges(net, attack, k, seed=attack_seeds[k]) for attack, k in keys]
     delays = _delay_matrix(net, plans, ambush_delay_s)
     travel = _travel_time_vector(net)
-    per_card = [_evaluate_tours(card, legs, travel, delays)
-                for card, legs in zip(cards, compiled)]
-    rounds = {}
-    for row, (key, plan) in enumerate(zip(keys, plans)):
-        tours = {card.courier_id: results[row] for card, results in zip(cards, per_card)}
-        rounds[key] = RoundDetails(plan, routes, tours, metrics_from_tours(tours.values()))
-    return rounds
+    card_arrivals, card_ambushes, card_times = zip(*(
+        _evaluate_tours(card, legs, travel, delays) for card, legs in zip(cards, compiled)))
+    arrivals = np.hstack(card_arrivals)
+    ambushes = np.stack(card_ambushes, axis=1)
+    times = np.stack(card_times, axis=1)
+    stops = [stop for card in cards for stop in card.stops]
+    metrics = _score(*_lateness(arrivals, stops), ambushes.sum(axis=1), times)
+    return {key: RoundDetails(plan, routes, row_metrics, cards,
+                              arrivals[row], ambushes[row], times[row])
+            for row, (key, plan, row_metrics) in enumerate(zip(keys, plans, metrics))}
 
 
 def run_round_details(net: RoadNetwork, fleet: Sequence[JobCard], attack_strategy: str,
@@ -318,12 +378,11 @@ def reclassify_with_windows(fleet: Sequence[JobCard], details: RoundDetails) -> 
     ``fleet`` is the round's fleet with its windows scaled, as
     ``apply_window_multiplier`` gives it.  Valid because arrivals never
     depend on window ends and window starts are unchanged by scaling;
-    only the lateness classification moves.
+    only the lateness classification moves.  The couriers are taken in the
+    round's id order, as a full rerun takes them.
     """
-    tours = []
-    for card in fleet:
-        old = details.tours[card.courier_id]
-        statuses = tuple(classify_arrival(arrival, stop)
-                         for arrival, stop in zip(old.arrivals, card.stops))
-        tours.append(replace(old, statuses=statuses))
-    return metrics_from_tours(tours)
+    by_id = {card.courier_id: card for card in fleet}
+    stops = [stop for card in details.cards for stop in by_id[card.courier_id].stops]
+    late, critical = _lateness(details.arrivals[np.newaxis], stops)
+    return _score(late, critical, [details.metrics.total_ambushes],
+                  details.tour_times_s[np.newaxis])[0]

@@ -22,8 +22,8 @@ from roadgame.errors import DomainError
 from roadgame.network import RoadNetwork, _dijkstra
 from roadgame.rng import substream
 from roadgame.routing import RoutePlan
-from roadgame.simulate import (CRITICALLY_LATE, DEFAULT_AMBUSH_DELAY_S, JobCard,
-                               TourResult, _compile_route, classify_arrival)
+from roadgame.simulate import (CRITICALLY_LATE, DEFAULT_AMBUSH_DELAY_S, ON_TIME, JobCard,
+                               RoundMetrics, TourResult, _compile_route, classify_arrival)
 
 
 def incident_edges(net: RoadNetwork) -> dict[str, list[tuple[str, str]]]:
@@ -562,3 +562,37 @@ def reference_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
 
     return TourResult(card.courier_id, tuple(arrivals), tuple(statuses),
                       ambushes, tour_time)
+
+
+def reference_metrics(tours: list[TourResult]) -> RoundMetrics:
+    """One round's metrics from its per-tour results, on 1-D arrays.
+
+    The per-round form that the library's plans x couriers scorer
+    replaced: a 1-D ``mean`` (a sum of quotients when the finite sum
+    passes the float range) and a 1-D ``np.percentile``, inf when a
+    neighbouring order statistic is inf.
+    """
+    total = sum(len(t.statuses) for t in tours)
+    late = sum(1 for t in tours for s in t.statuses if s != ON_TIME)
+    critical = sum(1 for t in tours for s in t.statuses if s == CRITICALLY_LATE)
+    times = np.array([t.tour_time_s for t in tours])
+    with np.errstate(over="ignore"):
+        mean = float(times.mean()) if len(times) else 0.0
+        if mean == math.inf and np.isfinite(times).all():
+            mean = float((times / len(times)).sum())
+    p95 = 0.0
+    if len(times):
+        ordered = np.sort(times)
+        position = 0.95 * (len(ordered) - 1)
+        if math.isinf(ordered[math.floor(position)]) or math.isinf(ordered[math.ceil(position)]):
+            p95 = math.inf
+        else:
+            p95 = float(np.percentile(times, 95))
+    return RoundMetrics(
+        late_fraction=late / total if total else 0.0,
+        critical_fraction_of_late=critical / late if late else 0.0,
+        mean_tour_time_s=mean,
+        p95_tour_time_s=p95,
+        total_deliveries=total,
+        total_ambushes=sum(t.ambush_count for t in tours),
+    )

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 import roadgame.routing as routing
 import roadgame.simulate as simulate
 from conftest import build_net
-from oracles import reference_tour
+from oracles import reference_metrics, reference_tour
 from roadgame.attacks import AttackPlan, empty_attack_plan, select_attack_edges
 from roadgame.errors import DomainError, ValidationError
 from roadgame.routing import DEFENSE_STRATEGIES, RoutePlan, plan_route
 from roadgame.rng import derive_seed
-from roadgame.simulate import (CRITICALLY_LATE, LATE, ON_TIME, JobCard,
+from roadgame.simulate import (CRITICALLY_LATE, LATE, ON_TIME, JobCard, RoundMetrics,
                                Stop, TourResult, apply_window_multiplier,
                                metrics_from_tours, reclassify_with_windows,
                                run_round_details, run_rounds, run_tour)
@@ -259,6 +259,56 @@ class TestMetrics:
         assert p95 == float(np.percentile(times, 95))
         assert p95 == pytest.approx(37.05)
 
+    def test_no_tours_score_zero(self):
+        assert metrics_from_tours([]) == RoundMetrics(0.0, 0.0, 0.0, 0.0, 0, 0)
+
+    def test_lateness_masks_follow_classify_arrival(self):
+        # arrivals on each boundary: the window end, half a window past it,
+        # just beyond both, and inf, also against a window that never closes
+        stops = [Stop("S", 0.0, 100.0), Stop("S", 50.0, 60.0), Stop("S", 0.0, math.inf)]
+        arrivals = np.array([[100.0, 60.0, 5.0], [150.0, 65.0, math.inf],
+                             [150.5, 65.5, 1e308], [math.inf, math.inf, 0.0]])
+        late, critical = simulate._lateness(arrivals, stops)
+        statuses = [[simulate.classify_arrival(a, stop) for a, stop in zip(row, stops)]
+                    for row in arrivals.tolist()]
+        assert {s for row in statuses for s in row} == {ON_TIME, LATE, CRITICALLY_LATE}
+        assert late.tolist() == [[s != ON_TIME for s in row] for row in statuses]
+        assert critical.tolist() == [[s == CRITICALLY_LATE for s in row] for row in statuses]
+
+    def test_scorer_rows_equal_the_1d_reference(self):
+        # 40 couriers: numpy's pairwise sum takes its unrolled eight-way
+        # branch, and the 95th percentile falls between order statistics
+        # 37 and 38, so an inf at 38 sits beside it and one at 39 beyond it
+        rng = np.random.default_rng(21)
+        couriers = 40
+
+        def spread(low, high):
+            return 10.0 ** rng.uniform(low, high, couriers)
+
+        overflows, fits = spread(306, 307.6), spread(300, 306)
+        inf_beside, inf_beyond = spread(-3, 300), spread(-3, 300)
+        inf_beside[rng.choice(couriers, 2, replace=False)] = math.inf
+        inf_beyond[rng.integers(couriers)] = math.inf
+        times = np.array([spread(-3, 300), overflows, fits, inf_beside, inf_beyond,
+                          spread(-3, 3), spread(290, 300)])
+        rounds = [[TourResult(f"c{i:02d}", (),
+                              tuple(rng.choice([ON_TIME, LATE, CRITICALLY_LATE], 2).tolist()),
+                              int(rng.integers(0, 5)), t)
+                   for i, t in enumerate(row.tolist())] for row in times]
+        expected = [reference_metrics(tours) for tours in rounds]
+        with np.errstate(over="ignore"):
+            assert np.sum(overflows) == math.inf and np.sum(fits) < math.inf
+        assert math.isfinite(expected[1].mean_tour_time_s)
+        assert expected[3].p95_tour_time_s == math.inf
+        assert math.isfinite(expected[4].p95_tour_time_s)
+
+        statuses = np.array([[s for tour in tours for s in tour.statuses] for tours in rounds])
+        ambushes = [sum(tour.ambush_count for tour in tours) for tours in rounds]
+        scored = simulate._score(statuses != ON_TIME, statuses == CRITICALLY_LATE,
+                                 ambushes, times)
+        assert scored == expected
+        assert [metrics_from_tours(tours) for tours in rounds] == expected
+
 
 # -- the tour engine against the edge-by-edge reference ------------------------
 
@@ -320,11 +370,13 @@ class TestRoundEngine:
     def test_batched_tours_equal_run_tour(self, case):
         net, card, plan, attacks, delay = case
         legs = simulate._compile_route(net, plan, card)
-        batched = simulate._evaluate_tours(
+        arrivals, ambushes, tour_times = simulate._evaluate_tours(
             card, legs, simulate._travel_time_vector(net),
             simulate._delay_matrix(net, attacks, delay))
         reference = [reference_tour(net, plan, card, attack, delay) for attack in attacks]
-        assert batched == reference
+        assert arrivals.tolist() == [list(tour.arrivals) for tour in reference]
+        assert ambushes.tolist() == [tour.ambush_count for tour in reference]
+        assert tour_times.tolist() == [tour.tour_time_s for tour in reference]
         assert [run_tour(net, plan, card, attack, delay) for attack in attacks] == reference
 
     @pytest.mark.parametrize("nested", [False, True])
@@ -361,3 +413,50 @@ class TestRoundEngine:
             run_tour(p3, plan, card, attack)
         with pytest.raises(DomainError, match="not in the network"):
             simulate._delay_matrix(p3, [empty_attack_plan(p3), attack], 600.0)
+
+    def test_failed_walks_score_and_reclassify_like_the_reference(self, planted32, monkeypatch):
+        # with no steps allowed every walk between distinct nodes fails:
+        # c0 reaches its first stop (at the warehouse) and never its second,
+        # c1 never leaves the warehouse, c2 fails on its first leg
+        monkeypatch.setattr(routing, "WALK_STEP_CAP_FACTOR", 0)
+        fleet = [
+            JobCard("c2", "a00x00", (Stop("b03x03", 0.0, 5000.0),)),
+            JobCard("c1", "a00x00", (Stop("a00x00", 0.0, 900.0),
+                                     Stop("a00x00", 0.0, 500.0)), day_start_s=1000.0),
+            JobCard("c0", "a00x00", (Stop("a00x00", 0.0, 900.0),
+                                     Stop("b03x03", 0.0, 5000.0)), day_start_s=1000.0),
+        ]
+        cards = sorted(fleet, key=lambda c: c.courier_id)
+        attacks, ks = ("random", "betweenness"), (1, 4)
+        rounds = run_rounds(planted32, fleet, attacks, "random_walk", ks, 600.0, 2)
+        for details in rounds.values():
+            assert [details.routes[c.courier_id].failed_leg for c in cards] == [1, None, 0]
+            tours = [reference_tour(planted32, details.routes[c.courier_id], c,
+                                    details.attack, 600.0) for c in cards]
+            assert details.metrics == metrics_from_tours(tours) == reference_metrics(tours)
+            assert details.metrics.mean_tour_time_s == math.inf
+        for mult in (1.0, 1.75, 3.5):
+            scaled = apply_window_multiplier(fleet, mult)
+            direct = run_rounds(planted32, scaled, attacks, "random_walk", ks, 600.0, 2)
+            for key, details in rounds.items():
+                assert reclassify_with_windows(scaled, details) == direct[key].metrics
+        # at 3.5 only the unreached stops (c0's second, c2's) stay late
+        assert {d.metrics.late_fraction for d in direct.values()} == {0.4}
+
+    def test_rounds_score_without_per_tour_objects(self, planted32, monkeypatch):
+        from roadgame.synth import make_fleet
+        fleet = make_fleet(planted32, 4, 3, 500.0, seed=6)
+        args = (planted32, fleet, ("random", "degree"), "shortest", (1, 4), 450.0, 3)
+        expected = {key: details.metrics for key, details in run_rounds(*args).items()}
+
+        def refuse(*_):
+            raise AssertionError("a round was scored through per-tour objects")
+
+        monkeypatch.setattr(simulate, "TourResult", refuse)
+        monkeypatch.setattr(simulate, "classify_arrival", refuse)
+        rounds = run_rounds(*args)
+        assert {key: details.metrics for key, details in rounds.items()} == expected
+        scaled = apply_window_multiplier(fleet, 2.0)
+        assert reclassify_with_windows(scaled, rounds["degree", 4]).total_deliveries == 12
+        with pytest.raises(AssertionError, match="per-tour objects"):
+            rounds["degree", 4].tours
