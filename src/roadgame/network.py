@@ -1,9 +1,10 @@
 """Road-network model, file ingestion, and core path/cut queries.
 
 The graph is undirected and simple.  Edge travel time is derived as
-length / speed and is the default routing weight; every routing query
-also accepts an explicit per-edge weight map so defensive routing can
-substitute its own scores.  All queries are pure functions with
+length / speed and is the default routing weight; :func:`shortest_path`
+also accepts an explicit per-edge weight map.  The public queries speak
+ids; their cores :func:`_path` and :func:`_disjoint_paths` speak the
+indices that planned routes hold.  All queries are pure functions with
 deterministic tie-breaking (lexicographic on edge id), which keeps
 simulations replayable.  One shortest-path search, :func:`_dijkstra`,
 returns the settling order, distances and predecessors; paths, exact
@@ -51,9 +52,6 @@ class Edge:
     @property
     def travel_time_s(self) -> float:
         return self.length_m / self.speed_mps
-
-    def other(self, node_id: str) -> str:
-        return self.v if node_id == self.u else self.u
 
 
 def memoised(fn):
@@ -347,6 +345,21 @@ def _dijkstra(net: RoadNetwork, source: int, weights: Sequence[float], floor: fl
     return order, dist, preds
 
 
+def _path(net: RoadNetwork, src: int, dst: int, weights: Sequence[float]) -> list[int]:
+    """:func:`shortest_path` on indices: weights in edge order, edge indices out."""
+    _, dist_to_dst, preds = _dijkstra(net, dst, weights, _WEIGHT_FLOOR, stop=src)
+    if dist_to_dst[src] == math.inf:
+        raise DomainError(f"no finite-weight path between {net.node_ids[src]!r} "
+                          f"and {net.node_ids[dst]!r}")
+    path: list[int] = []
+    # each step moves to a node settled earlier, ending at dst; edge
+    # indices run in id order, so the smallest one is the lexicographic pick
+    while preds[src]:
+        e, src = min((e, v) for v, e in preds[src])
+        path.append(e)
+    return path
+
+
 def shortest_path(net: RoadNetwork, src: str, dst: str,
                   weights: Mapping[str, float] | None = None) -> tuple[list[str], float]:
     """Minimum-weight path from src to dst as (edge id list, total weight).
@@ -359,23 +372,10 @@ def shortest_path(net: RoadNetwork, src: str, dst: str,
         if node not in net.nodes:
             raise DomainError(f"unknown node {node!r}")
     weights = _check_weights(net, weights)
-    if src == dst:
-        return [], 0.0
-
-    u = net.node_index[src]
-    _, dist_to_dst, preds = _dijkstra(net, net.node_index[dst], weights, _WEIGHT_FLOOR, stop=u)
-    if dist_to_dst[u] == math.inf:
-        raise DomainError(f"no finite-weight path between {src!r} and {dst!r}")
-
-    path: list[str] = []
-    total = 0.0
-    # each step moves to a node settled earlier, ending at dst; edge
-    # indices run in id order, so the smallest one is the lexicographic pick
-    while preds[u]:
-        e, u = min((e, v) for v, e in preds[u])
-        path.append(net.edge_ids[e])
-        total += float(weights[e])
-    return path, total
+    path = _path(net, net.node_index[src], net.node_index[dst], weights)
+    # added left to right in walking order; the builtin sum() may compensate
+    total = functools.reduce(lambda acc, e: acc + float(weights[e]), path, 0.0)
+    return [net.edge_ids[e] for e in path], total
 
 
 # -- edge-disjoint paths (max-flow with unit capacities) ------------------
@@ -393,9 +393,13 @@ def edge_disjoint_paths(net: RoadNetwork, src: str, dst: str) -> list[list[str]]
             raise DomainError(f"unknown node {node!r}")
     if src == dst:
         raise DomainError("src and dst must differ")
+    return [[net.edge_ids[e] for e in path]
+            for path in _disjoint_paths(net, net.node_index[src], net.node_index[dst])]
 
+
+def _disjoint_paths(net: RoadNetwork, source: int, target: int) -> list[list[int]]:
+    """:func:`edge_disjoint_paths` between distinct node indices, in edge indices."""
     links = net.links
-    source, target = net.node_index[src], net.node_index[dst]
     # tail[k] is the node edge k carries a unit of flow away from, or -1;
     # a unit against the flow cancels it, so one edge never carries two
     tail = [-1] * net.num_edges
@@ -421,24 +425,20 @@ def edge_disjoint_paths(net: RoadNetwork, src: str, dst: str) -> list[list[str]]
             node = u
 
     # decompose into paths, consuming flow arcs smallest-edge-index first
-    paths: list[list[str]] = []
+    paths: list[list[int]] = []
     out_flow = sum(1 for _, e in links[source] if tail[e] == source)
     for _ in range(out_flow):
-        path: list[str] = []
+        path: list[int] = []
         u = source
-        guard = net.num_edges + 1
-        while u != target:
+        while u != target:  # each step consumes an arc, so the walk ends
             for v, e in links[u]:
                 if tail[e] == u:
                     tail[e] = -1
-                    path.append(net.edge_ids[e])
+                    path.append(e)
                     u = v
                     break
             else:
                 raise DomainError("flow decomposition failed (conservation violated)")
-            guard -= 1
-            if guard <= 0:
-                raise DomainError("flow decomposition failed to terminate")
         paths.append(path)
     return paths
 

@@ -1,9 +1,10 @@
 """Courier routing strategies: job card -> realised route over the network.
 
 A route is a sequence of legs, one per consecutive stop pair
-(warehouse -> stops... -> warehouse), each leg an edge-id path.  All
-strategies are deterministic given their seed; the caller keys that seed
-by (courier, round) so fleet routing is order-insensitive.
+(warehouse -> stops... -> warehouse), each leg a tuple of edge indices.
+All strategies are deterministic given their seed; the caller keys that
+seed by (courier, round) so fleet routing is order-insensitive, and legs
+that no seed changes are found once per network.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from .analysis import _min_over_ends, centrality
 from .errors import DomainError
-from .network import RoadNetwork, edge_disjoint_paths, memoised, shortest_path
+from .network import RoadNetwork, _disjoint_paths, _path, memoised
 from .rng import substream
 
 if TYPE_CHECKING:
@@ -28,10 +29,11 @@ WALK_STEP_CAP_FACTOR = 50
 
 @dataclass(frozen=True)
 class RoutePlan:
-    """Planned legs for one courier; ``failed_leg`` marks an abandoned walk."""
+    """Planned legs for one courier, each a tuple of edge indices into
+    ``net.edge_ids``; ``failed_leg`` marks an abandoned walk."""
 
     strategy: str
-    legs: tuple[tuple[str, ...], ...]
+    legs: tuple[tuple[int, ...], ...]
     seed: int
     failed_leg: int | None = None
 
@@ -62,20 +64,17 @@ def inverse_centrality_scores(net: RoadNetwork) -> dict[str, float]:
     return _min_over_ends(net, {v: oriented(v) for v in net.node_ids})
 
 
-def _random_walk_leg(net: RoadNetwork, src: str, dst: str, rng,
-                     step_cap: int) -> tuple[str, ...] | None:
-    """Uniform walk over incident edges until dst; None when the cap is exceeded."""
-    if src == dst:
-        return ()
-    path: list[int] = []
-    node, target = net.node_index[src], net.node_index[dst]
-    for _ in range(step_cap):
-        incident = net.links[node]
-        node, e = incident[int(rng.integers(len(incident)))]
-        path.append(e)
-        if node == target:
-            return tuple(net.edge_ids[e] for e in path)
-    return None
+@memoised
+def _seed_free_leg(net: RoadNetwork, strategy: str, src: str, dst: str) -> tuple:
+    """What no seed changes, as edge indices: the shortest or inverse leg
+    from src to dst, or for disjoint the tuple of options between them."""
+    a, b = net.node_index[src], net.node_index[dst]
+    if strategy == "disjoint":
+        return tuple(map(tuple, _disjoint_paths(net, a, b)))
+    if strategy == "inverse":
+        scores = inverse_centrality_scores(net)
+        return tuple(_path(net, a, b, [scores[e] for e in net.edge_ids]))
+    return tuple(_path(net, a, b, net.travel))
 
 
 def plan_route(net: RoadNetwork, card: "JobCard", strategy: str, seed: int = 0) -> RoutePlan:
@@ -91,36 +90,36 @@ def plan_route(net: RoadNetwork, card: "JobCard", strategy: str, seed: int = 0) 
         if node not in net.nodes:
             raise DomainError(f"job card stop {node!r} is not in the network")
 
-    legs: list[tuple[str, ...]] = []
+    pairs = list(zip(points, points[1:]))
+    legs: list[tuple[int, ...]] = []
     failed_leg: int | None = None
 
-    if strategy in ("shortest", "inverse", "mixnet"):
-        weights = None
-        if strategy == "inverse":
-            weights = inverse_centrality_scores(net)
-        elif strategy == "mixnet":
-            draws = substream(seed, "mixnet-scores").random(net.num_edges)
-            weights = dict(zip(net.edge_ids, draws.tolist()))
-        for a, b in zip(points, points[1:]):
-            path, _ = shortest_path(net, a, b, weights)
-            legs.append(tuple(path))
+    if strategy in ("shortest", "inverse"):
+        legs = [_seed_free_leg(net, strategy, a, b) for a, b in pairs]
+    elif strategy == "mixnet":
+        weights = substream(seed, "mixnet-scores").random(net.num_edges).tolist()
+        legs = [tuple(_path(net, net.node_index[a], net.node_index[b], weights))
+                for a, b in pairs]
     elif strategy == "disjoint":
         rng = substream(seed, "disjoint-choice")
-        for a, b in zip(points, points[1:]):
+        for a, b in pairs:
             if a == b:
                 legs.append(())
                 continue
-            options = edge_disjoint_paths(net, a, b)
-            choice = options[int(rng.integers(len(options)))]
-            legs.append(tuple(choice))
-    else:  # random_walk
+            options = _seed_free_leg(net, strategy, a, b)
+            legs.append(options[int(rng.integers(len(options)))])
+    else:  # random_walk: uniform steps over incident edges, abandoned at the cap
         rng = substream(seed, "random-walk")
         step_cap = WALK_STEP_CAP_FACTOR * net.num_nodes
-        for i, (a, b) in enumerate(zip(points, points[1:])):
-            leg = _random_walk_leg(net, a, b, rng, step_cap)
-            if leg is None:
+        for i, (a, b) in enumerate(pairs):
+            node, target, path = net.node_index[a], net.node_index[b], []
+            while node != target and len(path) < step_cap:
+                incident = net.links[node]
+                node, e = incident[int(rng.integers(len(incident)))]
+                path.append(e)
+            if node != target:
                 failed_leg = i
                 break
-            legs.append(leg)
+            legs.append(tuple(path))
 
     return RoutePlan(strategy=strategy, legs=tuple(legs), seed=seed, failed_leg=failed_leg)

@@ -14,10 +14,9 @@ one-plan form.  Its reference, the plain edge-by-edge walk, is
 
 Rounds are scored on arrays: the evaluator's plans x stops arrivals,
 ambush counts and tour times go to one scorer, ``_score``, which gives
-every plan's ``RoundMetrics`` at once; ``metrics_from_tours`` and
-``reclassify_with_windows`` score through it too.  ``TourResult`` is the
-library's per-tour view, built by ``run_tour`` and by
-``RoundDetails.tours`` when that is read.
+every plan's ``RoundMetrics`` at once, for ``metrics_from_tours`` too;
+``reclassify_with_windows`` recounts only lateness.  ``TourResult``, the
+per-tour view, is built by ``run_tour`` and by ``RoundDetails.tours``.
 """
 
 from __future__ import annotations
@@ -136,19 +135,19 @@ def _compile_route(net: RoadNetwork, plan: RoutePlan, card: JobCard) -> tuple[np
     elif len(plan.legs) != plan.failed_leg:
         raise DomainError("failed route carries legs beyond the failure point")
 
-    index = net.edge_index
-    node = card.warehouse
-    compiled = []
+    if card.warehouse not in net.nodes:
+        raise DomainError(f"warehouse {card.warehouse!r} is not in the network")
+    node = net.node_index[card.warehouse]
     for i, leg in enumerate(plan.legs):
-        for eid in leg:
-            edge = net.edges.get(eid)
-            if edge is None or node not in (edge.u, edge.v):
-                raise DomainError(f"leg {i} does not continue from {node!r}")
-            node = edge.other(node)
-        if node != points[i + 1]:
-            raise DomainError(f"leg {i} ends at {node!r}, card expects {points[i + 1]!r}")
-        compiled.append(np.array([index[eid] for eid in leg], dtype=np.intp))
-    return tuple(compiled)
+        for e in leg:
+            step = next((v for v, k in net.links[node] if k == e), None)
+            if step is None:
+                raise DomainError(f"leg {i} does not continue from {net.node_ids[node]!r}")
+            node = step
+        if net.node_ids[node] != points[i + 1]:
+            raise DomainError(f"leg {i} ends at {net.node_ids[node]!r}, "
+                              f"card expects {points[i + 1]!r}")
+    return tuple(np.array(leg, dtype=np.intp) for leg in plan.legs)
 
 
 def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
@@ -263,18 +262,21 @@ def _score(late: np.ndarray, critical: np.ndarray, ambushes: np.ndarray,
         p95[np.isinf(neighbours).any(axis=1)] = math.inf
     else:
         mean = p95 = np.zeros(plans)
+    return [RoundMetrics(**fractions, mean_tour_time_s=row_mean, p95_tour_time_s=row_p95,
+                         total_deliveries=late.shape[1], total_ambushes=row_ambushes)
+            for fractions, row_mean, row_p95, row_ambushes
+            in zip(_late_fractions(late, critical), mean.tolist(), p95.tolist(),
+                   np.asarray(ambushes).tolist())]
+
+
+def _late_fractions(late: np.ndarray, critical: np.ndarray) -> list[dict[str, float]]:
+    """The two RoundMetrics fractions per row of the plans x deliveries
+    masks: late of all deliveries, and critically late of the late ones."""
     deliveries = late.shape[1]
-    rows = zip(np.count_nonzero(late, axis=1).tolist(),
-               np.count_nonzero(critical, axis=1).tolist(),
-               mean.tolist(), p95.tolist(), np.asarray(ambushes).tolist())
-    return [RoundMetrics(
-        late_fraction=n_late / deliveries if deliveries else 0.0,
-        critical_fraction_of_late=n_critical / n_late if n_late else 0.0,
-        mean_tour_time_s=row_mean,
-        p95_tour_time_s=row_p95,
-        total_deliveries=deliveries,
-        total_ambushes=row_ambushes,
-    ) for n_late, n_critical, row_mean, row_p95, row_ambushes in rows]
+    return [{"late_fraction": n_late / deliveries if deliveries else 0.0,
+             "critical_fraction_of_late": n_critical / n_late if n_late else 0.0}
+            for n_late, n_critical in zip(np.count_nonzero(late, axis=1).tolist(),
+                                          np.count_nonzero(critical, axis=1).tolist())]
 
 
 def metrics_from_tours(tours: Iterable[TourResult]) -> RoundMetrics:
@@ -376,13 +378,12 @@ def reclassify_with_windows(fleet: Sequence[JobCard], details: RoundDetails) -> 
     """Metrics the same round would yield under ``fleet``'s delivery windows.
 
     ``fleet`` is the round's fleet with its windows scaled, as
-    ``apply_window_multiplier`` gives it.  Valid because arrivals never
-    depend on window ends and window starts are unchanged by scaling;
-    only the lateness classification moves.  The couriers are taken in the
-    round's id order, as a full rerun takes them.
+    ``apply_window_multiplier`` gives it.  Valid because arrivals and tour
+    times never depend on window ends and window starts are unchanged by
+    scaling; only the late and critical counts move.  The couriers are
+    taken in the round's id order, as a full rerun takes them.
     """
     by_id = {card.courier_id: card for card in fleet}
     stops = [stop for card in details.cards for stop in by_id[card.courier_id].stops]
     late, critical = _lateness(details.arrivals[np.newaxis], stops)
-    return _score(late, critical, [details.metrics.total_ambushes],
-                  details.tour_times_s[np.newaxis])[0]
+    return replace(details.metrics, **_late_fractions(late, critical)[0])

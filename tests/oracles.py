@@ -72,7 +72,8 @@ def brute_betweenness(net: RoadNetwork):
             interior = set()
             node = src
             for eid in edges:
-                node = net.edges[eid].other(node)
+                e = net.edges[eid]
+                node = e.v if node == e.u else e.u
                 if node != dst:
                     interior.add(node)
                 edge_acc[eid] += share
@@ -486,7 +487,8 @@ def node_walk_degree_ranking(net: RoadNetwork) -> list[str]:
 def reference_random_walk(net: RoadNetwork, card: JobCard, seed: int) -> RoutePlan:
     """``plan_route``'s random_walk plan, each leg a uniform walk over the
     node's incident edges in edge-id order, abandoned after the step cap
-    that ``routing.WALK_STEP_CAP_FACTOR`` sets at call time."""
+    that ``routing.WALK_STEP_CAP_FACTOR`` sets at call time; legs hold
+    edge indices, as plans do."""
     incident = incident_edges(net)
     rng = substream(seed, "random-walk")
     points = [card.warehouse] + [stop.node_id for stop in card.stops] + [card.warehouse]
@@ -498,7 +500,7 @@ def reference_random_walk(net: RoadNetwork, card: JobCard, seed: int) -> RoutePl
             if len(path) == step_cap:
                 return RoutePlan("random_walk", tuple(legs), seed, failed_leg=i)
             eid, node = incident[node][int(rng.integers(len(incident[node])))]
-            path.append(eid)
+            path.append(net.edge_index[eid])
         legs.append(tuple(path))
     return RoutePlan("random_walk", tuple(legs), seed)
 
@@ -540,7 +542,7 @@ def reference_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
     tour_time = math.inf
 
     for i, leg in enumerate(plan.legs):
-        for eid in leg:
+        for eid in (net.edge_ids[e] for e in leg):
             clock += net.edges[eid].travel_time_s
             if eid in attacked:
                 clock += ambush_delay_s

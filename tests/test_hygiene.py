@@ -91,3 +91,17 @@ def test_one_function_runs_the_shortest_path_search():
                 if {"heappop", "links"} <= attrs:
                     yield f"{path.stem}.{fn.name}"
     assert [name for path in SOURCES for name in searches(path)] == ["network._dijkstra"]
+
+
+
+def test_only_shortest_path_checks_a_weight_map():
+    # internal searches take weights already in edge-index order; the one
+    # public entry that takes a mapping validates it
+    def uses(tree):
+        return sum(getattr(node, "id", getattr(node, "attr", None)) == "_check_weights"
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    entry = next(fn for fn in ast.walk(trees["network.py"])
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "shortest_path")
+    assert uses(entry) == 1
+    assert sum(uses(tree) for tree in trees.values()) == 1

@@ -253,9 +253,17 @@ class TestShortestPath:
                 for eid in path:
                     edge = net.edges[eid]
                     assert nodes[-1] in (edge.u, edge.v)
-                    nodes.append(edge.other(nodes[-1]))
+                    nodes.append(edge.v if nodes[-1] == edge.u else edge.u)
                 assert nodes[-1] == dst and len(set(nodes)) == len(nodes)
                 assert total == sum((weights[eid] for eid in path), 0.0)
+
+    def test_total_adds_left_to_right_in_walking_order(self):
+        # from A the large weight comes first and absorbs both units; from D
+        # the units add up first.  A compensated sum gives 1e16 + 2 both ways.
+        net = build_net([("e0", "A", "B"), ("e1", "B", "C"), ("e2", "C", "D")])
+        weights = {"e0": 1e16, "e1": 1.0, "e2": 1.0}
+        assert shortest_path(net, "A", "D", weights)[1] == ((0.0 + 1e16) + 1.0) + 1.0 == 1e16
+        assert shortest_path(net, "D", "A", weights)[1] == ((0.0 + 1.0) + 1.0) + 1e16 == 1e16 + 2
 
     def test_unreached_node_is_no_path(self):
         net = build_net([("e0", "A", "B"), ("e1", "C", "D")], require_connected=False)
@@ -286,7 +294,8 @@ class TestDijkstra:
             v = net.node_index[dst]
             assert dist[v] == best
             assert sigma[v] == len(shortest)
-            last = {(net.node_index[net.edges[edges[-1]].other(dst)], net.edge_index[edges[-1]])
+            across = {k: u for u, k in net.links[v]}  # edge index -> dst's neighbour
+            last = {(across[net.edge_index[edges[-1]]], net.edge_index[edges[-1]])
                     for edges in shortest}
             assert sorted(preds[v]) == sorted(last)
 

@@ -4,18 +4,27 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import roadgame.network as network
 import roadgame.routing as routing
 from conftest import build_net, connected_graphs
 from oracles import reference_random_walk
 from roadgame.analysis import centrality
 from roadgame.errors import DomainError
+from roadgame.network import edge_disjoint_paths, shortest_path
+from roadgame.rng import substream
 from roadgame.routing import DEFENSE_STRATEGIES, inverse_centrality_scores, plan_route
 from roadgame.simulate import JobCard, Stop, _compile_route
+from roadgame.synth import make_fleet
 
 
 def card(warehouse, stops, courier="c0"):
     return JobCard(courier, warehouse,
                    tuple(Stop(s, 0.0, 10_000.0) for s in stops), 0.0)
+
+
+def ids(net, leg):
+    """A planned leg's edge indices as edge ids."""
+    return tuple(net.edge_ids[e] for e in leg)
 
 
 @st.composite
@@ -62,7 +71,7 @@ class TestPlanRoute:
         for strategy in DEFENSE_STRATEGIES:
             plan = plan_route(net, jc, strategy, seed=3)
             assert plan.failed_leg is None
-            assert all(leg == ("e0",) for leg in plan.legs)
+            assert all(ids(net, leg) == ("e0",) for leg in plan.legs)
 
     def test_legs_chain_through_stops(self, planted32):
         jc = card("a00x00", ["b03x03", "a02x02"])
@@ -77,7 +86,7 @@ class TestPlanRoute:
         trials = 10_000
         for seed in range(trials):
             plan = plan_route(parallel_routes, jc, "mixnet", seed=seed)
-            if plan.legs[0][0] == "e0":
+            if ids(parallel_routes, plan.legs[0])[0] == "e0":
                 upper += 1
         sigma = math.sqrt(trials * 0.25)
         assert abs(upper - trials / 2) <= 3 * sigma
@@ -100,14 +109,18 @@ class TestPlanRoute:
     def test_barbell_inverse_must_cross_bridge(self, two_cliques_bridge):
         jc = card("a1", ["b2"])
         plan = plan_route(two_cliques_bridge, jc, "inverse", seed=0)
-        assert "xbridge" in plan.legs[0]
+        assert "xbridge" in ids(two_cliques_bridge, plan.legs[0])
 
     def test_shortest_leg_never_slower_than_mixnet(self, planted32):
         jc = card("a00x00", ["b03x03"])
         times = {eid: e.travel_time_s for eid, e in planted32.edges.items()}
-        best = sum(times[eid] for eid in plan_route(planted32, jc, "shortest", 0).legs[0])
+
+        def leg_time(strategy, seed):
+            leg = plan_route(planted32, jc, strategy, seed).legs[0]
+            return sum(times[eid] for eid in ids(planted32, leg))
+        best = leg_time("shortest", 0)
         for seed in range(10):
-            drawn = sum(times[eid] for eid in plan_route(planted32, jc, "mixnet", seed).legs[0])
+            drawn = leg_time("mixnet", seed)
             assert best <= drawn + 1e-9
 
     def test_disjoint_picks_one_of_the_disjoint_paths(self, square):
@@ -117,7 +130,7 @@ class TestPlanRoute:
         seen = set()
         for seed in range(40):
             plan = plan_route(square, jc, "disjoint", seed=seed)
-            assert plan.legs[0] in options
+            assert ids(square, plan.legs[0]) in options
             seen.add(plan.legs[0])
         assert len(seen) == 2
 
@@ -158,3 +171,55 @@ class TestPlanRoute:
             assert (plan_route(planted32, jc, strategy, seed=11).legs
                     == plan_route(planted32, jc, strategy, seed=11).legs)
 
+
+class TestFastPathMatchesSlowPath:
+    @pytest.mark.parametrize("fixture", ["planted32", "bypass_city"])
+    def test_legs_equal_the_public_queries(self, request, fixture):
+        net = request.getfixturevalue(fixture)
+        fleet = make_fleet(net, 3, 3, 500.0, seed=4, warehouse="a00x00",
+                           stop_prefixes=("b", "a"))
+        fleet.append(card("a00x00", ["a00x00", "b01x01", "b01x01"], "repeats"))
+        scores = inverse_centrality_scores(net)
+        for jc in fleet:
+            points = [jc.warehouse] + [stop.node_id for stop in jc.stops] + [jc.warehouse]
+            pairs = list(zip(points, points[1:]))
+            for seed in (0, 7, 1234):
+                draws = substream(seed, "mixnet-scores").random(net.num_edges).tolist()
+                weights = {"shortest": None, "inverse": scores,
+                           "mixnet": dict(zip(net.edge_ids, draws))}
+                for strategy in DEFENSE_STRATEGIES:
+                    plan = plan_route(net, jc, strategy, seed)
+                    legs = [ids(net, leg) for leg in plan.legs]
+                    if strategy == "random_walk":
+                        assert plan == reference_random_walk(net, jc, seed)
+                    elif strategy == "disjoint":
+                        assert len(legs) == len(pairs)
+                        for leg, (a, b) in zip(legs, pairs):
+                            options = edge_disjoint_paths(net, a, b) if a != b else [[]]
+                            assert list(leg) in options
+                    else:
+                        assert legs == [tuple(shortest_path(net, a, b, weights[strategy])[0])
+                                        for a, b in pairs]
+
+    @pytest.mark.parametrize("fixture", ["planted32", "bypass_city"])
+    def test_seed_free_legs_are_searched_once(self, request, fixture, monkeypatch):
+        net = request.getfixturevalue(fixture)
+        jc = card("a00x00", ["b03x03", "a02x01", "a02x01"], "once")
+        calls = []
+
+        def counted(fn):
+            def count(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return count
+        monkeypatch.setattr(network, "_dijkstra", counted(network._dijkstra))
+        for module in (network, routing):
+            monkeypatch.setattr(module, "_disjoint_paths", counted(network._disjoint_paths))
+        for strategy in ("shortest", "inverse", "disjoint", "mixnet"):
+            plan_route(net, jc, strategy, seed=1)
+            calls.clear()
+            plan_route(net, jc, strategy, seed=2)
+            if strategy == "mixnet":  # fresh scores: one search per leg
+                assert calls == ["_dijkstra"] * 4
+            else:
+                assert calls == []

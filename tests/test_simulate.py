@@ -97,7 +97,7 @@ class TestRunTour:
     def test_plans_disjoint_from_routes_change_nothing(self, planted32):
         card = JobCard("c0", "a00x00", (Stop("a03x03", 0.0, 5000.0),))
         plan = plan_route(planted32, card, "shortest", 0)
-        used = {eid for leg in plan.legs for eid in leg}
+        used = {planted32.edge_ids[e] for leg in plan.legs for e in leg}
         far = [eid for eid in planted32.edge_ids if eid not in used][:6]
         baseline = run_tour(planted32, plan, card, empty_attack_plan(planted32))
         disjoint = run_tour(planted32, plan, card, manual_attack(far))
@@ -348,7 +348,7 @@ def tour_cases(draw):
         start_node = card.warehouse if i == 0 else card.stops[i - 1].node_id
         detour = draw(st.sampled_from(sorted(eid for eid, e in net.edges.items()
                                              if start_node in (e.u, e.v))))
-        legs[i] = (detour, detour) + legs[i]
+        legs[i] = (net.edge_index[detour],) * 2 + legs[i]
     failed_leg = draw(st.none() | st.integers(0, len(legs) - 1))
     if failed_leg is not None:
         legs = legs[:failed_leg]
@@ -404,6 +404,23 @@ class TestRoundEngine:
             simulate._compile_route(p3, plan, card_ac)
         with pytest.raises(DomainError, match="leg 0 ends at 'B'"):
             run_tour(p3, plan, card_ac, empty_attack_plan(p3))
+
+    @pytest.mark.parametrize("bad", ["e0", "1", 2, 99, -1, -2])
+    def test_legs_of_anything_but_edge_indices_fail_cleanly(self, p3, bad):
+        # legs hold indices into p3.edge_ids (A-B is 0, B-C is 1); an id, an
+        # index past the end or a negative one (a valid Python index) names its leg
+        card = JobCard("c0", "A", (Stop("B", 0.0, 100.0),))
+        plan = RoutePlan("shortest", ((0,), (bad,)), 0)
+        with pytest.raises(DomainError, match="leg 1 does not continue from 'B'"):
+            simulate._compile_route(p3, plan, card)
+        with pytest.raises(DomainError, match="leg 1 does not continue from 'B'"):
+            run_tour(p3, plan, card, empty_attack_plan(p3))
+
+    def test_unknown_warehouse_fails_cleanly(self, p3):
+        card = JobCard("c0", "Z", (Stop("Z", 0.0, 100.0),))
+        plan = RoutePlan("shortest", ((), ()), 0)
+        with pytest.raises(DomainError, match="warehouse 'Z' is not in the network"):
+            run_tour(p3, plan, card, empty_attack_plan(p3))
 
     def test_attack_edge_missing_from_network_raises_domain_error(self, p3):
         card = JobCard("c0", "A", (Stop("B", 0.0, 100.0),))
