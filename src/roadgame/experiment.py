@@ -5,14 +5,14 @@ fully described by bytes that hash stably; every output is a pure
 function of (config, seeds).  One runner, ``_run_rows``, plays the rounds
 of the CLI's simulate, matrix and both sweeps, in two stages on one
 process pool.  The analysis stage computes, once per run, what the
-config's attacks and defenses read: exact betweenness split into source
-chunks whose integer sums merge exactly, each partition detector and
-the eigenvector.  The rankings and ``inverse`` weights built from them
-travel with every round task.  Rounds are scheduled per (defense,
-seed): a route depends on neither the attack nor k, so each task plans
-every courier's route once and scores every attack and k against it.
-Rows are returned in attack-major order, so worker count never changes
-any output byte.
+config's attacks and defenses read: exact betweenness split into
+source chunks whose integer sums merge exactly, each partition
+detector and the eigenvector.  Those results travel with every round
+task, and each process builds the rankings and ``inverse`` weights
+from them.  Rounds are scheduled per (defense, seed): a route depends
+on neither the attack nor k, so each task plans every courier's route
+once and scores every attack and k against it.  Rows are returned in
+attack-major order, so worker count never changes any output byte.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from pathlib import Path
 import numpy as np
 from .analysis import (_betweenness_scores, _betweenness_sums, _eigenvector_scores,
                        _merge_betweenness, _round_betweenness)
-from .attacks import ATTACK_STRATEGIES, PARTITION_STRATEGIES, _graph_ranking, _partition_for
+from .attacks import ATTACK_STRATEGIES, PARTITION_STRATEGIES, _partition_for
 from .errors import DomainError, ParseError, ValidationError
 from .game import Equilibrium, PayoffMatrix, find_pure_nash, solve_zero_sum
 from .network import RoadNetwork, _read_utf8, load_network, preload
-from .routing import DEFENSE_STRATEGIES, inverse_centrality_scores
+from .routing import DEFENSE_STRATEGIES
 from .simulate import (JobCard, RoundMetrics, apply_window_multiplier,
                        reclassify_with_windows, run_rounds)
 from .synth import check_cards_on_network, generate_city, make_fleet, parse_jobcards
@@ -122,6 +122,15 @@ class ExperimentConfig:
         for key in ("edge_time_s", "geo_radius_m", "ambush_delay_s", "fleet_slack_s"):
             if not getattr(self, key) > 0:
                 raise ValidationError(f"{key} must be > 0, got {getattr(self, key)!r}")
+        for key in ("bridge_time_s", "bypass_time_s"):  # < 0 picks the default
+            if getattr(self, key) == 0:
+                raise ValidationError(f"{key} must be > 0, or < 0 for the default, got 0")
+        # the RNG keeps a seed's low 64 bits, so any other seed aliases one of these
+        for key, values in (("seeds", self.seeds), ("city_seed", (self.city_seed,)),
+                            ("fleet_seed", (self.fleet_seed,))):
+            for seed in values:
+                if not 0 <= seed < 2**64:
+                    raise ValidationError(f"{key} must be in [0, 2**64), got {seed}")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
         if self.bypass_count < 0:
@@ -279,7 +288,7 @@ def _scenario(cfg: ExperimentConfig) -> tuple[RoadNetwork, list[JobCard]]:
 
 
 def _analysis_tasks(cfg: ExperimentConfig, net: RoadNetwork) -> list[tuple]:
-    """The analyses the config's attacks and defenses read, as pool tasks.
+    """The analyses the config's attacks and defenses read, as ``(cfg, fn, args)`` pool tasks.
 
     Betweenness, which every partition attack and ``inverse`` read too,
     is split into one source chunk per worker; each partition detector
@@ -293,50 +302,33 @@ def _analysis_tasks(cfg: ExperimentConfig, net: RoadNetwork) -> list[tuple]:
     tasks = []
     if partitions or "betweenness" in cfg.attacks or "inverse" in cfg.defenses:
         chunks = min(cfg.workers, net.num_nodes)
-        tasks += [(cfg, "betweenness", net.node_ids[i::chunks]) for i in range(chunks)]
-    tasks += [(cfg, "partition", attack) for attack in partitions]
+        tasks += [(cfg, _betweenness_sums, (net.node_ids[i::chunks],)) for i in range(chunks)]
+    tasks += [(cfg, _partition_for, (attack,)) for attack in partitions]
     if "eigen_c" in cfg.attacks or "inverse" in cfg.defenses:
-        tasks.append((cfg, "eigenvector", None))
+        tasks.append((cfg, _eigenvector_scores, ()))
     return tasks
 
 
 def _analysis_task(args):
-    """One analysis task's result: betweenness sums, a partition or eigenvector scores."""
-    cfg, kind, arg = args
-    net, _ = _scenario(cfg)
-    if kind == "betweenness":
-        return _betweenness_sums(net, arg)
-    if kind == "partition":
-        return _partition_for(net, arg)
-    return _eigenvector_scores(net)
+    """One analysis task's result: ``fn(net, *args)`` on the config's network."""
+    cfg, fn, fn_args = args
+    return fn(_scenario(cfg)[0], *fn_args)
 
 
-def _analysis_stage(cfg: ExperimentConfig, net: RoadNetwork, tasks: list[tuple],
-                    run) -> tuple:
-    """The memo entries a round task reads: every graph attack's ranking
-    and, for ``inverse``, its edge weights, built once in this process.
-
-    ``run`` maps the analysis ``tasks`` first, on the pool or in this
-    process; the betweenness chunks' exact sums merge here, and the
-    results fill this process's memo.
-    """
+def _analysis_stage(tasks: list[tuple], run) -> tuple:
+    """The memo entries ``(fn, args, value)`` of the analysis ``tasks``,
+    which ``run`` maps on the pool or in this process; the betweenness
+    chunks' exact sums merge into one ``_betweenness_scores`` entry."""
     entries, sums = [], []
-    for (_, kind, arg), result in zip(tasks, run(_analysis_task, tasks)):
-        if kind == "betweenness":
+    for (_, fn, args), result in zip(tasks, run(_analysis_task, tasks)):
+        if fn is _betweenness_sums:
             sums.append(result)
-        elif kind == "partition":
-            entries.append((_partition_for, (arg,), result))
         else:
-            entries.append((_eigenvector_scores, (), result))
+            entries.append((fn, args, result))
     if sums:
         entries.append((_betweenness_scores, (),
                         _round_betweenness(_merge_betweenness(sums))))
-    preload(net, entries)
-    bundle = [(_graph_ranking, (attack,), _graph_ranking(net, attack))
-              for attack in cfg.attacks if attack != "random"]
-    if "inverse" in cfg.defenses:
-        bundle.append((inverse_centrality_scores, (), inverse_centrality_scores(net)))
-    return tuple(bundle)
+    return tuple(entries)
 
 
 # -- round stage ------------------------------------------------------------------
@@ -348,12 +340,12 @@ def _rounds_task(args) -> list[list[tuple[int, float, RoundMetrics]]]:
     ``axis`` is ``matrix`` (k = cfg.k), ``window`` (k = cfg.k, each round
     reclassified per window multiplier) or ``attackers`` (every attacker
     count).  An attack's rows come in k order, then multiplier.  The
-    analysis ``bundle`` goes into the network's memo first, so no round
-    computes any analysis.
+    analysis ``entries`` go into the network's memo first, so no round
+    computes any analysis, only the rankings and weights read from them.
     """
-    cfg, axis, defense, seed, bundle = args
+    cfg, axis, defense, seed, entries = args
     net, fleet = _scenario(cfg)
-    preload(net, bundle)
+    preload(net, entries)
     ks = cfg.attacker_counts if axis == "attackers" else (cfg.k,)
     rounds = run_rounds(net, fleet, cfg.attacks, defense, ks, cfg.ambush_delay_s,
                         seed, cfg.nested_plans)
@@ -384,8 +376,8 @@ def _run_rows(cfg: ExperimentConfig, axis: str) -> list[tuple]:
     pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
     run = pool.map if pool is not None else map
     try:
-        bundle = _analysis_stage(cfg, net, analyses, run)
-        tasks = [(cfg, axis, defense, seed, bundle) for defense, seed in keys]
+        entries = _analysis_stage(analyses, run)
+        tasks = [(cfg, axis, defense, seed, entries) for defense, seed in keys]
         results = list(run(_rounds_task, tasks))
     finally:
         if pool is not None:

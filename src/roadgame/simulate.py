@@ -120,7 +120,7 @@ def _travel_time_vector(net: RoadNetwork) -> np.ndarray:
 
 
 def _compile_route(net: RoadNetwork, plan: RoutePlan, card: JobCard) -> tuple[np.ndarray, ...]:
-    """Check that the route structurally matches the card; per-leg edge indices.
+    """Check that ``run_tour``'s route structurally matches the card; per-leg edge indices.
 
     The checks are the leg count (or, for a failed walk, no legs beyond
     the failure), every edge continuing from the current node, and every
@@ -191,7 +191,7 @@ def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
     return delays
 
 
-def _evaluate_tours(card: JobCard, legs: tuple[np.ndarray, ...], travel: np.ndarray,
+def _evaluate_tours(card: JobCard, legs: Sequence[np.ndarray], travel: np.ndarray,
                     delays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One courier's tour under every row of ``delays`` (plans x edges).
 
@@ -323,7 +323,7 @@ def run_rounds(net: RoadNetwork, fleet: Sequence[JobCard], attacks: Sequence[str
     """Every (attack, k) round of one (defense, seed), keyed by (attack, k).
 
     A courier's route depends on neither the attack nor k, so each one is
-    planned and checked once and every attack plan is scored against it,
+    planned once and every attack plan is scored against it,
     all rounds in one pass over plans x stops arrays.
     Bit-reproducible given the seed: attack and per-courier route RNG are
     independent substreams keyed by purpose and courier id, so results do
@@ -344,7 +344,7 @@ def run_rounds(net: RoadNetwork, fleet: Sequence[JobCard], attacks: Sequence[str
     for card in cards:
         route_seed = derive_seed(seed, "route", card.courier_id)
         routes[card.courier_id] = plan_route(net, card, defense, seed=route_seed)
-    compiled = [_compile_route(net, routes[card.courier_id], card) for card in cards]
+    compiled = [[np.array(leg, dtype=np.intp) for leg in plan.legs] for plan in routes.values()]
 
     attack_seeds = {k: derive_seed(seed, "attack") if nested_plans
                     else derive_seed(seed, "attack", k) for k in dict.fromkeys(ks)}

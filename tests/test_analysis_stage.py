@@ -2,8 +2,8 @@
 
 ``FreshWorkerPool`` runs every task in this process, but each on a
 scenario built anew, as a freshly started pool worker would see it; so
-a round task finds in its network's memo only what the analysis bundle
-put there.
+a round task finds in its network's memo only the analysis stage's
+entries.
 """
 
 import functools
@@ -87,8 +87,14 @@ def recorded(monkeypatch):
     experiment._scenario.cache_clear()
 
 
+_KINDS = {"_betweenness_sums": "betweenness", "_partition_for": "partition",
+          "_eigenvector_scores": "eigenvector"}
+
+
 def _dispatched(pool) -> list[tuple]:
-    return [task[1:] for name, tasks in pool.maps if name == "_analysis_task" for task in tasks]
+    """The analysis tasks ``(cfg, fn, args)`` as (kind, argument) pairs."""
+    return [(_KINDS[fn.__name__], args[0] if args else None)
+            for name, tasks in pool.maps if name == "_analysis_task" for _, fn, args in tasks]
 
 
 @pytest.mark.parametrize("attacks, defenses", [
@@ -134,6 +140,20 @@ def test_stage_dispatches_each_needed_analysis_once(recorded, attacks, defenses)
 
     experiment._scenario.cache_clear()
     assert rows == _run_rows(replace(cfg, workers=1), "matrix")
+
+
+def test_round_tasks_carry_only_the_leaf_analyses(recorded):
+    # rankings and inverse weights are built from these in each process
+    pools, _ = recorded
+    experiment._scenario.cache_clear()
+    _run_rows(CFG, "matrix")
+    [pool] = pools
+    name, tasks = pool.maps[1]
+    assert name == "_rounds_task"
+    for *_, entries in tasks:
+        assert sorted((fn.__name__, args) for fn, args, _ in entries) == sorted(
+            [("_betweenness_scores", ()), ("_eigenvector_scores", ())]
+            + [("_partition_for", (attack,)) for attack in PARTITION_STRATEGIES])
 
 
 def test_one_worker_runs_the_stage_in_process(recorded):

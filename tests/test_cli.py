@@ -69,6 +69,7 @@ def run_cli(args, cwd=None, env=None):
 
 
 _TEXT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-", max_size=8)
+_SEEDS = st.integers(0, 2**64 - 1)
 
 
 def _field_values(name: str, default):
@@ -77,7 +78,11 @@ def _field_values(name: str, default):
         choices = ATTACK_STRATEGIES if name == "attacks" else DEFENSE_STRATEGIES
         return st.lists(st.sampled_from(choices), min_size=1, unique=True).map(tuple)
     if name == "seeds":
-        return st.lists(st.integers(), min_size=1, unique=True).map(tuple)
+        return st.lists(_SEEDS, min_size=1, unique=True).map(tuple)
+    if name in ("city_seed", "fleet_seed"):
+        return _SEEDS
+    if name in ("bridge_time_s", "bypass_time_s"):  # < 0 picks the default, 0 is refused
+        return st.floats(allow_nan=False, allow_infinity=False).filter(bool)
     if name == "window_multipliers":
         return st.lists(st.floats(min_value=1.0, allow_infinity=False),
                         min_size=1, unique=True).map(tuple)
@@ -254,6 +259,36 @@ class TestConfig:
         path.write_text("network_kind = two_cluster\nbridges = 1\nbypass_count = -1\n")
         assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "gen-city"]) == 1
         assert capsys.readouterr().err == "error: bypass_count must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("key", ["bridge_time_s", "bypass_time_s"])
+    def test_zero_crossing_time_names_the_key(self, tmp_path, capsys, key):
+        # 0 used to give the default, which only < 0 is documented to give
+        message = f"{key} must be > 0, or < 0 for the default, got 0"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ExperimentConfig(**{key: 0.0})
+        path = tmp_path / "bad.txt"
+        path.write_text(f"network_kind = two_cluster\nbypass_count = 1\n{key} = 0\n")
+        assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "gen-city"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+        for value in (-1.0, 0.5):  # a negative time still means the default
+            ExperimentConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, seed", [("seeds", 2**64), ("seeds", -1),
+                                           ("city_seed", 2**64), ("fleet_seed", -1)])
+    def test_seed_outside_64_bits_names_the_key(self, tmp_path, capsys, key, seed):
+        # seeds = 0,2**64 used to pass the repeat check and play one round twice
+        message = f"{key} must be in [0, 2**64), got {seed}"
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{key} = {'0,' if key == 'seeds' else ''}{seed}\n")
+        assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "matrix"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+        ExperimentConfig(seeds=(0, 2**64 - 1), city_seed=2**64 - 1, fleet_seed=2**64 - 1)
+
+    def test_seed_flag_outside_64_bits_exits_1(self, tmp_path, capsys):
+        assert cli_main(["--seed", str(2**64), "--out", str(tmp_path / "o"), "matrix"]) == 1
+        assert capsys.readouterr().err == f"error: seeds must be in [0, 2**64), got {2**64}\n"
 
     @pytest.mark.parametrize("key, axis", [("attacker_counts", "attackers"),
                                            ("window_multipliers", "window")])

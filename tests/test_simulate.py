@@ -477,3 +477,18 @@ class TestRoundEngine:
         assert reclassify_with_windows(scaled, rounds["degree", 4]).total_deliveries == 12
         with pytest.raises(AssertionError, match="per-tour objects"):
             rounds["degree", 4].tours
+
+    @pytest.mark.parametrize("defense", DEFENSE_STRATEGIES)
+    def test_rounds_do_not_recheck_the_routes_they_plan(self, planted32, monkeypatch, defense):
+        # plan_route's legs chain by construction; only run_tour checks a caller's plan
+        from roadgame.synth import make_fleet
+        fleet = make_fleet(planted32, 4, 3, 500.0, seed=6)
+        args = (planted32, fleet, ("random", "degree"), defense, (1, 4), 450.0, 3)
+        expected = {key: details.metrics for key, details in run_rounds(*args).items()}
+
+        def refuse(*_):
+            raise AssertionError("a round re-walked the routes it planned")
+
+        monkeypatch.setattr(simulate, "_compile_route", refuse)
+        rounds = run_rounds(*args)
+        assert {key: details.metrics for key, details in rounds.items()} == expected
