@@ -18,8 +18,8 @@ from pathlib import Path
 from .attacks import (ATTACK_STRATEGIES, PARTITION_STRATEGIES, _partition_for,
                       select_attack_edges, write_attack_plan)
 from .errors import RoadGameError
-from .experiment import (ROUND_HEADER, ExperimentConfig, emit_reports, format_row,
-                         run_matrix, run_sweep)
+from .experiment import (_DEFAULTS, ROUND_HEADER, ExperimentConfig, _render, emit_reports,
+                         format_row, run_matrix, run_sweep)
 from .network import load_network, save_network
 from .routing import DEFENSE_STRATEGIES
 from .synth import (TraceTolerance, check_cards_on_network, parse_jobcards,
@@ -30,12 +30,8 @@ ANALYZE_METHODS = PARTITION_STRATEGIES
 
 
 def _config_key_epilog() -> str:
-    lines = ["config keys (flat 'key = value' lines; lists comma-separated):"]
-    defaults = ExperimentConfig()
-    for line in defaults.resolved_lines():
-        lines.append(f"  {line}")
-    lines.append("  workers = 1")
-    return "\n".join(lines)
+    lines = [f"  {key} = {_render(value)}" for key, value in sorted(_DEFAULTS.items())]
+    return "\n".join(["config keys (flat 'key = value' lines; lists comma-separated):", *lines])
 
 
 def _build_parser() -> argparse.ArgumentParser:

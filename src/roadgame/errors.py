@@ -2,7 +2,12 @@
 
 
 class RoadGameError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; ``key`` names the config
+    entry an error is about, so that a config file's reader can place it."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class ParseError(RoadGameError):

@@ -2,7 +2,9 @@
 
 Configs are flat ``key = value`` text (lists comma-separated) so a run is
 fully described by bytes that hash stably; every output is a pure
-function of (config, seeds).  One runner, ``_run_rows``, plays the rounds
+function of (config, seeds).  Each value has one text form, which
+``_parse`` reads and ``_render`` writes for the manifest, the config
+hash and ``--help``.  One runner, ``_run_rows``, plays the rounds
 of the CLI's simulate, matrix and both sweeps, in two stages on one
 process pool.  The analysis stage computes, once per run, what the
 config's attacks and defenses read: exact betweenness split into
@@ -50,29 +52,54 @@ ROUND_HEADER = SWEEP_HEADER.replace(",seed,", ",")
 # list keys that must be nonempty and free of repeats
 _LIST_KEYS = ("attacks", "defenses", "seeds", "window_multipliers", "attacker_counts")
 
+# each source key's kinds, and the file keys each kind reads
+_SOURCES = {"network_kind": {"files": ("nodes_file", "edges_file"), "grid": (),
+                             "geometric": (), "two_cluster": ()},
+            "fleet_kind": {"file": ("jobcards_file",), "random": ()}}
+
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
              "false": False, "0": False, "no": False, "off": False}
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _fmt_exact(x: float) -> str:
-    """``_fmt`` when it parses back to ``x``, else the shortest exact form."""
-    text = _fmt(x)
-    return text if float(text) == x else repr(x)
+def _parse(text: str, like):
+    """The value ``text`` spells in the type of ``like``, a field's default
+    (a list's items in the type of its first item, else as text).  Raises
+    KeyError or ValueError when it spells none, or a non-finite float."""
+    text = text.strip()
+    if isinstance(like, tuple):
+        return tuple(_parse(item, like[0] if like else "") for item in text.split(",")
+                     if item.strip())
+    if isinstance(like, bool):
+        return _BOOLEANS[text.lower()]
+    value = type(like)(text)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _render(value) -> str:
+    """The text ``_parse`` reads back as ``value``: a float in ``_fmt``'s
+    nine digits when they are exact, else its shortest exact form."""
+    if isinstance(value, tuple):
+        return ",".join(map(_render, value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        text = _fmt(value)
+        return text if float(text) == value else repr(value)
+    return str(value)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; each field is a config key.  ``__post_init__`` is
+    the keys' one check: each refusal names its key as ``.key``, which
+    ``from_file`` places at its ``file:line``.  The builders only build."""
+
     # network source
     network_kind: str = "grid"  # files | grid | geometric | two_cluster
     nodes_file: str = ""
@@ -113,50 +140,54 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # configs built in code get the parser's finiteness check; the
-        # positive keys are refused downstream too, but without their name
+        # configs built in code get the parser's finiteness check
         for key, value in vars(self).items():
             for x in value if isinstance(value, tuple) else (value,):
                 if isinstance(x, float) and not math.isfinite(x):
-                    raise ValidationError(f"{key} must be finite, got {x!r}")
-        for key in ("edge_time_s", "geo_radius_m", "ambush_delay_s", "fleet_slack_s"):
+                    raise ValidationError(f"{key} must be finite, got {x!r}", key)
+        for key in ("edge_time_s", "geo_radius_m", "geo_side_m", "ambush_delay_s",
+                    "fleet_slack_s"):
             if not getattr(self, key) > 0:
-                raise ValidationError(f"{key} must be > 0, got {getattr(self, key)!r}")
+                raise ValidationError(f"{key} must be > 0, got {getattr(self, key)!r}", key)
         for key in ("bridge_time_s", "bypass_time_s"):  # < 0 picks the default
             if getattr(self, key) == 0:
-                raise ValidationError(f"{key} must be > 0, or < 0 for the default, got 0")
+                raise ValidationError(f"{key} must be > 0, or < 0 for the default, got 0", key)
         # the RNG keeps a seed's low 64 bits, so any other seed aliases one of these
         for key, values in (("seeds", self.seeds), ("city_seed", (self.city_seed,)),
                             ("fleet_seed", (self.fleet_seed,))):
             for seed in values:
                 if not 0 <= seed < 2**64:
-                    raise ValidationError(f"{key} must be in [0, 2**64), got {seed}")
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
+                    raise ValidationError(f"{key} must be in [0, 2**64), got {seed}", key)
+        for key in ("k", "workers"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"{key} must be >= 1", key)
         if self.bypass_count < 0:
-            raise ValidationError(f"bypass_count must be >= 0, got {self.bypass_count}")
+            raise ValidationError(f"bypass_count must be >= 0, got {self.bypass_count}",
+                                  "bypass_count")
         for key in _LIST_KEYS:
             if not getattr(self, key):
-                raise ValidationError(f"{key} must be nonempty")
-        for strategy in self.attacks:
-            if strategy not in ATTACK_STRATEGIES:
-                raise ValidationError(f"unknown attack strategy {strategy!r}")
-        for strategy in self.defenses:
-            if strategy not in DEFENSE_STRATEGIES:
-                raise ValidationError(f"unknown defense strategy {strategy!r}")
+                raise ValidationError(f"{key} must be nonempty", key)
+        for key, known in (("attacks", ATTACK_STRATEGIES), ("defenses", DEFENSE_STRATEGIES)):
+            for strategy in getattr(self, key):
+                if strategy not in known:
+                    raise ValidationError(f"unknown {key[:-1]} strategy {strategy!r}", key)
         if any(m < 1 for m in self.window_multipliers):
-            raise ValidationError("window multipliers must be >= 1")
+            raise ValidationError("window multipliers must be >= 1", "window_multipliers")
         if any(k < 1 for k in self.attacker_counts):
-            raise ValidationError("attacker counts must be >= 1")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
+            raise ValidationError("attacker counts must be >= 1", "attacker_counts")
         # results are keyed by (attack, defense, seed), so a repeated entry
         # would silently double-count or overwrite a cell
         for key in _LIST_KEYS:
             values = getattr(self, key)
             for i, value in enumerate(values):
                 if value in values[:i]:
-                    raise ValidationError(f"{key} lists {value!r} more than once")
+                    raise ValidationError(f"{key} lists {value!r} more than once", key)
+        for key, kinds in _SOURCES.items():
+            kind = getattr(self, key)
+            if kind not in kinds:
+                raise ValidationError(f"unknown {key} {kind!r}", key)
+            if not all(getattr(self, name) for name in kinds[kind]):
+                raise ValidationError(f"{key}={kind} needs {' and '.join(kinds[kind])}", key)
 
     # -- serialisation --------------------------------------------------
 
@@ -167,21 +198,8 @@ class ExperimentConfig:
         an output byte, so it must not perturb the config hash.  Floats
         render exactly, so distinct configs never share lines or a hash.
         """
-        lines = []
-        for key, value in sorted(vars(self).items()):
-            if key == "workers":
-                continue
-            if isinstance(value, tuple):
-                rendered = ",".join(_fmt_exact(v) if isinstance(v, float) else str(v)
-                                    for v in value)
-            elif isinstance(value, bool):
-                rendered = "true" if value else "false"
-            elif isinstance(value, float):
-                rendered = _fmt_exact(value)
-            else:
-                rendered = str(value)
-            lines.append(f"{key} = {rendered}")
-        return tuple(lines)
+        return tuple(f"{key} = {_render(value)}" for key, value in sorted(vars(self).items())
+                     if key != "workers")
 
     def config_hash(self) -> str:
         payload = "\n".join(self.resolved_lines()).encode("utf-8")
@@ -190,62 +208,38 @@ class ExperimentConfig:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _parse_value(cls, key: str, text: str):
-        """The typed value of one config entry; ParseError when it does not parse."""
-        defaults = cls()
-        if not hasattr(defaults, key):
-            raise ParseError(f"unknown config key {key!r}")
-        current = getattr(defaults, key)
-        text = text.strip()
-        try:
-            if isinstance(current, bool):
-                return _BOOLEANS[text.lower()]
-            if isinstance(current, int):
-                return int(text)
-            if isinstance(current, float):
-                return _finite_float(text)
-            if isinstance(current, tuple):
-                items = [part.strip() for part in text.split(",") if part.strip()]
-                if current and isinstance(current[0], float):
-                    return tuple(_finite_float(v) for v in items)
-                if current and isinstance(current[0], int):
-                    return tuple(int(v) for v in items)
-                return tuple(items)
-        except (KeyError, ValueError):
-            raise ParseError(f"invalid value for {key}: {text!r}") from None
-        return text
-
-    @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "ExperimentConfig":
-        return cls(**{key: cls._parse_value(key, text) for key, text in raw.items()})
+        return cls(**{key: _typed(key, text) for key, text in raw.items()})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        kwargs = {}
-        seen: dict[str, int] = {}
-        for lineno, line in enumerate(_read_utf8(path), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in seen:
-                raise ParseError(f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
-            seen[key] = lineno
-            try:
-                kwargs[key] = cls._parse_value(key, value)
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-        return cls(**kwargs)
+        """The config of a file's ``key = value`` lines, as ``from_mapping``
+        builds it; a refusal names the ``file:line`` of its entry."""
+        kwargs, seen = {}, {}
+        try:
+            for lineno, line in enumerate(_read_utf8(path), start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+                key, _, value = line.partition("=")
+                key = key.strip()
+                if key in seen:
+                    raise ParseError(
+                        f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
+                seen[key] = lineno
+                kwargs[key] = _typed(key, value)
+            return cls(**kwargs)
+        except (ParseError, ValidationError) as exc:
+            if exc.key not in seen:
+                raise
+            raise type(exc)(f"{path}:{seen[exc.key]}: {exc}", exc.key) from None
 
     # -- scenario building ------------------------------------------------
 
     def build_network(self) -> RoadNetwork:
         if self.network_kind == "files":
-            if not self.nodes_file or not self.edges_file:
-                raise ValidationError("network_kind=files needs nodes_file and edges_file")
             return load_network(self.nodes_file, self.edges_file)
         if self.network_kind == "grid":
             return generate_city("grid", rows=self.grid_rows, cols=self.grid_cols,
@@ -253,29 +247,36 @@ class ExperimentConfig:
         if self.network_kind == "geometric":
             return generate_city("geometric", seed=self.city_seed, n=self.geo_n,
                                  radius_m=self.geo_radius_m, side_m=self.geo_side_m)
-        if self.network_kind == "two_cluster":
-            return generate_city(
-                "two_cluster", size_a=self.cluster_size_a, size_b=self.cluster_size_b,
-                bridges=self.bridges, edge_time_s=self.edge_time_s,
-                bridge_time_s=self.bridge_time_s if self.bridge_time_s > 0 else None,
-                bypass_count=self.bypass_count,
-                bypass_time_s=self.bypass_time_s if self.bypass_time_s > 0 else None)
-        raise ValidationError(f"unknown network_kind {self.network_kind!r}")
+        return generate_city(
+            "two_cluster", size_a=self.cluster_size_a, size_b=self.cluster_size_b,
+            bridges=self.bridges, edge_time_s=self.edge_time_s,
+            bridge_time_s=self.bridge_time_s if self.bridge_time_s > 0 else None,
+            bypass_count=self.bypass_count,
+            bypass_time_s=self.bypass_time_s if self.bypass_time_s > 0 else None)
 
     def build_fleet(self, net: RoadNetwork) -> list[JobCard]:
         if self.fleet_kind == "file":
-            if not self.jobcards_file:
-                raise ValidationError("fleet_kind=file needs jobcards_file")
             cards = parse_jobcards(self.jobcards_file)
             check_cards_on_network(cards, net, self.jobcards_file)
             return cards
-        if self.fleet_kind == "random":
-            warehouse = None if self.fleet_warehouse == "auto" else self.fleet_warehouse
-            return make_fleet(net, self.fleet_couriers, self.fleet_stops,
-                              self.fleet_slack_s, seed=self.fleet_seed,
-                              day_start_s=self.fleet_day_start_s, warehouse=warehouse,
-                              stop_prefixes=self.fleet_stop_prefixes or None)
-        raise ValidationError(f"unknown fleet_kind {self.fleet_kind!r}")
+        warehouse = None if self.fleet_warehouse == "auto" else self.fleet_warehouse
+        return make_fleet(net, self.fleet_couriers, self.fleet_stops, self.fleet_slack_s,
+                          seed=self.fleet_seed, day_start_s=self.fleet_day_start_s,
+                          warehouse=warehouse, stop_prefixes=self.fleet_stop_prefixes or None)
+
+
+def _typed(key: str, text: str):
+    """The value of the config entry ``key = text``, typed like the key's
+    default; ParseError naming the key when either is refused."""
+    if key not in _DEFAULTS:
+        raise ParseError(f"unknown config key {key!r}", key)
+    try:
+        return _parse(text, _DEFAULTS[key])
+    except (KeyError, ValueError):
+        raise ParseError(f"invalid value for {key}: {text.strip()!r}", key) from None
+
+
+_DEFAULTS = {field.name: field.default for field in fields(ExperimentConfig)}
 
 
 @functools.lru_cache(maxsize=1)  # one scenario per process; pool workers build it once

@@ -91,14 +91,6 @@ class RoundMetrics:
     total_ambushes: int
 
 
-def classify_arrival(arrival_s: float, stop: Stop) -> str:
-    if arrival_s <= stop.window_end_s:
-        return ON_TIME
-    if arrival_s - stop.window_end_s > 0.5 * stop.window_size_s:
-        return CRITICALLY_LATE
-    return LATE
-
-
 def apply_window_multiplier(fleet: Sequence[JobCard], multiplier: float) -> list[JobCard]:
     """Scale every stop's window size by ``multiplier``, keeping its start."""
     if multiplier < 1:
@@ -170,9 +162,11 @@ def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
 def _tour_result(card: JobCard, arrivals: np.ndarray, ambushes: int,
                  tour_time_s: float) -> TourResult:
     """The per-tour view of one courier's row of evaluator arrays."""
-    times = tuple(arrivals.tolist())
-    statuses = tuple(classify_arrival(t, stop) for t, stop in zip(times, card.stops))
-    return TourResult(card.courier_id, times, statuses, int(ambushes), float(tour_time_s))
+    late, critical = _lateness(arrivals[np.newaxis], card.stops)
+    statuses = tuple(CRITICALLY_LATE if is_critical else LATE if is_late else ON_TIME
+                     for is_late, is_critical in zip(late[0].tolist(), critical[0].tolist()))
+    return TourResult(card.courier_id, tuple(arrivals.tolist()), statuses, int(ambushes),
+                      float(tour_time_s))
 
 
 def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
@@ -228,9 +222,8 @@ def _evaluate_tours(card: JobCard, legs: Sequence[np.ndarray], travel: np.ndarra
 
 
 def _lateness(arrivals: np.ndarray, stops: Sequence[Stop]) -> tuple[np.ndarray, np.ndarray]:
-    """``classify_arrival`` on arrays: the late and the critically late
-    masks of ``arrivals`` (plans x stops) against ``stops``' windows, on
-    the same per-stop floats."""
+    """The late and the critically late masks of ``arrivals`` (plans x
+    stops) against ``stops``' windows: the module's one lateness rule."""
     ends = np.array([stop.window_end_s for stop in stops])
     sizes = np.array([stop.window_size_s for stop in stops])
     with np.errstate(invalid="ignore"):  # inf - inf is NaN: not critical, as in Python

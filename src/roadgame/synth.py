@@ -213,8 +213,8 @@ def _generate_grid(rows: int, cols: int, edge_time_s: float = 60.0) -> RoadNetwo
 
 def _generate_geometric(n: int, radius_m: float, side_m: float = 1000.0,
                         seed: int = 0, max_retries: int = 100) -> RoadNetwork:
-    if n < 2 or radius_m <= 0:
-        raise DomainError("geometric city needs n >= 2 and radius > 0")
+    if n < 2 or radius_m <= 0 or side_m <= 0:
+        raise DomainError("geometric city needs n >= 2, radius > 0 and side > 0")
     for attempt in range(max_retries):
         rng = substream(seed, "geo", attempt)
         xs = rng.random(n) * side_m

@@ -22,8 +22,8 @@ from roadgame.errors import DomainError
 from roadgame.network import RoadNetwork, _dijkstra
 from roadgame.rng import substream
 from roadgame.routing import RoutePlan
-from roadgame.simulate import (CRITICALLY_LATE, DEFAULT_AMBUSH_DELAY_S, ON_TIME, JobCard,
-                               RoundMetrics, TourResult, _compile_route, classify_arrival)
+from roadgame.simulate import (CRITICALLY_LATE, DEFAULT_AMBUSH_DELAY_S, LATE, ON_TIME,
+                               JobCard, RoundMetrics, Stop, TourResult, _compile_route)
 
 
 def incident_edges(net: RoadNetwork) -> dict[str, list[tuple[str, str]]]:
@@ -519,6 +519,16 @@ def edge_loop_mixing_kernel(net: RoadNetwork) -> np.ndarray:
     for i in range(n):
         p[i, i] = 1.0 - p[i].sum()
     return p
+
+
+def classify_arrival(arrival_s: float, stop: Stop) -> str:
+    """One delivery's status by the module rule of ``roadgame.simulate``:
+    late after the window closes, critically late past half a window more."""
+    if arrival_s <= stop.window_end_s:
+        return ON_TIME
+    if arrival_s - stop.window_end_s > 0.5 * stop.window_size_s:
+        return CRITICALLY_LATE
+    return LATE
 
 
 def reference_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,

@@ -79,6 +79,12 @@ def _field_values(name: str, default):
         return st.lists(st.sampled_from(choices), min_size=1, unique=True).map(tuple)
     if name == "seeds":
         return st.lists(_SEEDS, min_size=1, unique=True).map(tuple)
+    if name == "network_kind":
+        return st.sampled_from(("files", "grid", "geometric", "two_cluster"))
+    if name == "fleet_kind":
+        return st.sampled_from(("file", "random"))
+    if name in ("nodes_file", "edges_file", "jobcards_file"):  # set for every kind
+        return _TEXT.filter(bool)
     if name in ("city_seed", "fleet_seed"):
         return _SEEDS
     if name in ("bridge_time_s", "bypass_time_s"):  # < 0 picks the default, 0 is refused
@@ -108,7 +114,8 @@ def _field_values(name: str, default):
 
 
 # float keys whose value must be > 0
-_POSITIVE_KEYS = ("edge_time_s", "geo_radius_m", "ambush_delay_s", "fleet_slack_s")
+_POSITIVE_KEYS = ("edge_time_s", "geo_radius_m", "geo_side_m", "ambush_delay_s",
+                  "fleet_slack_s")
 
 # every float key and float-list key of the config
 _FLOAT_KEYS = [f.name for f in fields(ExperimentConfig)
@@ -194,7 +201,7 @@ class TestConfig:
         result = run_cli(["--config", str(path), "--out", str(tmp_path / "o"), "matrix"])
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
-        assert f"error: {key} lists" in result.stderr
+        assert f"error: {path}:{lines.index(line) + 1}: {key} lists" in result.stderr
 
     def test_repeated_key_is_parse_error(self, tmp_path):
         # the later value used to win silently
@@ -249,7 +256,7 @@ class TestConfig:
         path = tmp_path / "bad.txt"
         path.write_text(f"{key} = -5\n")
         assert cli_main(["--config", str(path), "gen-city"]) == 1
-        assert capsys.readouterr().err == f"error: {key} must be > 0, got -5.0\n"
+        assert capsys.readouterr().err == f"error: {path}:1: {key} must be > 0, got -5.0\n"
 
     def test_negative_bypass_count_names_the_key(self, tmp_path, capsys):
         # a 16+16 city with 1 bridge and bypass_count = -1 used to get 2 bypasses
@@ -258,7 +265,7 @@ class TestConfig:
         path = tmp_path / "bad.txt"
         path.write_text("network_kind = two_cluster\nbridges = 1\nbypass_count = -1\n")
         assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "gen-city"]) == 1
-        assert capsys.readouterr().err == "error: bypass_count must be >= 0, got -1\n"
+        assert capsys.readouterr().err == f"error: {path}:3: bypass_count must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("key", ["bridge_time_s", "bypass_time_s"])
     def test_zero_crossing_time_names_the_key(self, tmp_path, capsys, key):
@@ -269,7 +276,7 @@ class TestConfig:
         path = tmp_path / "bad.txt"
         path.write_text(f"network_kind = two_cluster\nbypass_count = 1\n{key} = 0\n")
         assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "gen-city"]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
         assert not (tmp_path / "o").exists()
         for value in (-1.0, 0.5):  # a negative time still means the default
             ExperimentConfig(**{key: value})
@@ -282,13 +289,73 @@ class TestConfig:
         path = tmp_path / "bad.txt"
         path.write_text(f"{key} = {'0,' if key == 'seeds' else ''}{seed}\n")
         assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "matrix"]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}:1: {message}\n"
         assert not (tmp_path / "o").exists()
         ExperimentConfig(seeds=(0, 2**64 - 1), city_seed=2**64 - 1, fleet_seed=2**64 - 1)
 
     def test_seed_flag_outside_64_bits_exits_1(self, tmp_path, capsys):
         assert cli_main(["--seed", str(2**64), "--out", str(tmp_path / "o"), "matrix"]) == 1
         assert capsys.readouterr().err == f"error: seeds must be in [0, 2**64), got {2**64}\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("network_kind = gred", "unknown network_kind 'gred'"),
+        ("fleet_kind = files", "unknown fleet_kind 'files'"),
+        ("network_kind = files", "network_kind=files needs nodes_file and edges_file"),
+        ("fleet_kind = file", "fleet_kind=file needs jobcards_file"),
+        ("k = 0", "k must be >= 1"),
+        ("workers = 0", "workers must be >= 1"),
+        ("window_multipliers = 0.5", "window multipliers must be >= 1"),
+        ("attacker_counts = 0", "attacker counts must be >= 1"),
+        ("attacks = random,nonsense", "unknown attack strategy 'nonsense'"),
+        ("defenses = shortest,nonsense", "unknown defense strategy 'nonsense'"),
+        ("defenses = mixnet,shortest,mixnet", "defenses lists 'mixnet' more than once"),
+        ("city_seed = 18446744073709551616",
+         "city_seed must be in [0, 2**64), got 18446744073709551616"),
+    ])
+    def test_refused_entry_is_placed_at_its_line(self, tmp_path, capsys, line, message):
+        # unknown kinds used to pass the load and fail in the builders, and
+        # every refusal of a parsed value was printed without its place
+        path = tmp_path / "bad.txt"
+        path.write_text(f"grid_rows = 4\n# a comment\n\nfleet_couriers = 3\n{line}\n"
+                        "fleet_stops = 2\n")
+        assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "gen-city"]) == 1
+        assert capsys.readouterr().err == f"error: {path}:5: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_first_bad_line_in_file_order_is_reported(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("grid_rows = 4\nk = thirty\nnetwork_kind = gred\nseeds\n")
+        with pytest.raises(ParseError) as exc:
+            ExperimentConfig.from_file(path)
+        assert str(exc.value) == f"{path}:2: invalid value for k: 'thirty'"
+        assert exc.value.key == "k"
+
+    def test_refusals_outside_a_file_have_no_place(self, tmp_path, capsys):
+        for kwargs in ({"network_kind": "gred"}, {"fleet_kind": "files"},
+                       {"network_kind": "files", "nodes_file": "n.csv"},
+                       {"fleet_kind": "file"}):
+            with pytest.raises(ValidationError) as exc:
+                ExperimentConfig(**kwargs)
+            assert exc.value.key == next(iter(kwargs))
+        with pytest.raises(ValidationError, match="^k must be >= 1$") as exc:
+            ExperimentConfig.from_mapping({"grid_rows": "4", "k": "0"})
+        assert exc.value.key == "k"
+        path = tmp_path / "cfg.txt"
+        path.write_text("grid_rows = 4\n")
+        assert cli_main(["--config", str(path), "--workers", "0", "--out", str(tmp_path / "o"),
+                         "matrix"]) == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+
+    def test_help_epilog_lists_every_key_and_parses_back_to_the_defaults(self, tmp_path,
+                                                                          capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["--help"])
+        epilog = capsys.readouterr().out.partition("config keys")[2].splitlines()[1:]
+        path = tmp_path / "defaults.txt"
+        path.write_text("\n".join(epilog) + "\n")
+        assert "  workers = 1" in epilog
+        assert len(epilog) == len(fields(ExperimentConfig))
+        assert ExperimentConfig.from_file(path) == ExperimentConfig()
 
     @pytest.mark.parametrize("key, axis", [("attacker_counts", "attackers"),
                                            ("window_multipliers", "window")])
@@ -300,7 +367,8 @@ class TestConfig:
                           "sweep", "--axis", axis])
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
-        assert f"error: {key} must be nonempty" in result.stderr
+        line = len(SMALL_CFG.splitlines()) + 1
+        assert f"error: {path}:{line}: {key} must be nonempty" in result.stderr
 
     def test_boolean_typo_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"

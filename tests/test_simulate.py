@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import roadgame.routing as routing
 import roadgame.simulate as simulate
 from conftest import build_net
-from oracles import reference_metrics, reference_tour
+from oracles import classify_arrival, reference_metrics, reference_tour
 from roadgame.attacks import AttackPlan, empty_attack_plan, select_attack_edges
 from roadgame.errors import DomainError, ValidationError
 from roadgame.routing import DEFENSE_STRATEGIES, RoutePlan, plan_route
@@ -269,7 +269,7 @@ class TestMetrics:
         arrivals = np.array([[100.0, 60.0, 5.0], [150.0, 65.0, math.inf],
                              [150.5, 65.5, 1e308], [math.inf, math.inf, 0.0]])
         late, critical = simulate._lateness(arrivals, stops)
-        statuses = [[simulate.classify_arrival(a, stop) for a, stop in zip(row, stops)]
+        statuses = [[classify_arrival(a, stop) for a, stop in zip(row, stops)]
                     for row in arrivals.tolist()]
         assert {s for row in statuses for s in row} == {ON_TIME, LATE, CRITICALLY_LATE}
         assert late.tolist() == [[s != ON_TIME for s in row] for row in statuses]
@@ -470,7 +470,6 @@ class TestRoundEngine:
             raise AssertionError("a round was scored through per-tour objects")
 
         monkeypatch.setattr(simulate, "TourResult", refuse)
-        monkeypatch.setattr(simulate, "classify_arrival", refuse)
         rounds = run_rounds(*args)
         assert {key: details.metrics for key, details in rounds.items()} == expected
         scaled = apply_window_multiplier(fleet, 2.0)

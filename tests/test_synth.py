@@ -187,6 +187,12 @@ class TestGenerateCity:
         with pytest.raises(DomainError, match="radius"):
             generate_city("geometric", seed=0, n=40, radius_m=5.0, max_retries=5)
 
+    @pytest.mark.parametrize("side_m", [0.0, -5.0])
+    def test_geometric_non_positive_side_is_refused(self, side_m):
+        # every point used to lie within the radius, giving a complete graph
+        with pytest.raises(DomainError, match="side > 0"):
+            generate_city("geometric", seed=0, n=64, radius_m=200.0, side_m=side_m)
+
     def test_unknown_kind_and_bad_params(self):
         with pytest.raises(DomainError):
             generate_city("donut")
