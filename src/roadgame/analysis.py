@@ -1,10 +1,11 @@
 """Centrality measures and partition/cut detection over road networks.
 
-Betweenness is computed exactly (integer numerators over one common
-denominator) over travel-time shortest paths with even splitting among
-equal-cost paths.  Partition labels are canonical: communities are
-numbered 0..k-1 in order of their smallest node id, so identical
-structures compare equal.
+Betweenness is computed exactly over travel-time shortest paths with even
+splitting among equal-cost paths, as fixed-point sums that add,
+certified, with an exact fallback.  botgrep's k-means labels are
+certified the same way against the per-centroid norms.  Partition labels
+are canonical: communities are numbered 0..k-1 in order of their
+smallest node id, so identical structures compare equal.
 """
 
 from __future__ import annotations
@@ -105,42 +106,120 @@ def _eigenvector_scores(net: RoadNetwork) -> dict[str, float]:
         f"iterations (residual {residual:.3e})", residual=residual)
 
 
+# fraction bits of the fixed-point betweenness sums: with path counts below
+# 2**100 their error bound stays under 2**-92 of each value, far inside the
+# 2**-53 a float resolves, so only values within that of a rounding boundary
+# can fail their certificate
+_FIXED_BITS = 192
+
+
 @memoised
 def _betweenness_scores(net: RoadNetwork) -> tuple[dict[str, float], dict[str, float]]:
     """Node and edge betweenness over travel-time shortest paths.
 
-    Equal-cost paths split evenly and the sums are exact, so results
-    match brute-force path enumeration.
+    Equal-cost paths split evenly and every float is the exact value
+    correctly rounded, so results match brute-force path enumeration.
     """
-    return _round_betweenness(_betweenness_sums(net, net.node_ids))
+    return _round_betweenness(net, _betweenness_sums(net, net.node_ids))
 
 
-def _betweenness_sums(net: RoadNetwork, sources) -> tuple[int, dict[str, int], dict[str, int]]:
-    """Exact integer partial sums ``(denom, node_num, edge_num)`` of the
-    dependencies of ``sources``: each total is its numerator over ``denom``.
+def _path_counts(net: RoadNetwork, s: int) -> tuple[list[int], list, list[int]]:
+    """Source s's settled order, predecessor lists and shortest-path
+    counts sigma, summed over the predecessors in that order."""
+    order, _, preds = _dijkstra(net, s, net.travel)
+    sigma = [0] * net.num_nodes
+    sigma[s] = 1
+    for w in order[1:]:
+        for v, _ in preds[w]:
+            sigma[w] += sigma[v]
+    return order, preds, sigma
 
-    Each source's order and predecessor lists come from the one
-    shortest-path search, :func:`network._dijkstra`, over travel times,
-    and the path counts sigma sum over the predecessors in that order.
-    Brandes' dependency is ``delta(v) = sigma(v) * c(v) - 1`` with
-    ``c(v) = 1/sigma(v) + sum of c(w) over successors w``, and edge
-    (v, w) carries ``sigma(v) * c(w)``.  Scaling c by ``L = lcm(sigma)``
-    makes every per-source term an integer ``C``; the totals are kept as
-    integer numerators over one running denominator.  Betweenness is a
-    sum over sources, so sums over disjoint source sets merge exactly
-    with :func:`_merge_betweenness`.
+
+def _betweenness_sums(net: RoadNetwork, sources) -> tuple[list[int], list[int], int]:
+    """Fixed-point partial sums ``(node_sums, edge_sums, sigma_max)`` of
+    the dependencies of ``sources``, in node and edge index order.
+
+    Each source's shortest-path DAG comes from :func:`_path_counts`.
+    With ``c(w) = 1/sigma(w) + sum of c(x) over successors x``, Brandes'
+    dependency of w is ``sigma(w)`` times its successors' sum of c, and
+    edge (v, w) carries ``sigma(v) * c(w)``.  Here c is a fixed-point
+    value in units of ``2**-_FIXED_BITS``: each ``1/sigma`` is floored,
+    so every term is a sum of floors with nonnegative weights, and a node
+    that is never interior stays exactly 0.  ``sigma_max`` is the largest
+    path count seen, which bounds the floors' error
+    (:func:`_round_betweenness`).  Fixed-point sums do not depend on
+    order, so sums over disjoint source sets merge by plain addition.
+    """
+    n = net.num_nodes
+    one = 1 << _FIXED_BITS
+    node_sums = [0] * n
+    edge_sums = [0] * net.num_edges
+    sigma_max = 1
+    for s in map(net.node_index.__getitem__, sources):
+        order, preds, sigma = _path_counts(net, s)
+        sigma_max = max(sigma_max, *sigma)
+        own = [0] * n
+        for v in order:
+            own[v] = one // sigma[v]
+        c = own[:]
+        for w in reversed(order):
+            cw = c[w]
+            for v, e in preds[w]:
+                c[v] += cw
+                edge_sums[e] += sigma[v] * cw
+            if w != s:
+                node_sums[w] += sigma[w] * (cw - own[w])
+    return node_sums, edge_sums, sigma_max
+
+
+def _merge_betweenness(parts) -> tuple[list[int], list[int], int]:
+    """The sums over the union of disjoint source sets."""
+    node_sums, edge_sums, sigma_max = zip(*parts)
+    return ([sum(xs) for xs in zip(*node_sums)], [sum(xs) for xs in zip(*edge_sums)],
+            max(sigma_max))
+
+
+def _round_betweenness(net: RoadNetwork, sums) -> tuple[dict[str, float], dict[str, float]]:
+    """Node and edge betweenness floats of the fixed-point sums over every
+    source, each certified to be the exact value correctly rounded.
+
+    With ``B = _FIXED_BITS``, a floor loses less than one unit, and a
+    term's floors number no more than its exact value in units times
+    ``sigma_max / 2**B`` (each ``1/sigma`` is at least ``1/sigma_max``).
+    So the exact total X of a sum x satisfies ``x <= X <= x / (1 - rho)``
+    with ``rho = sigma_max / 2**B``.  Each unordered pair was counted from
+    both endpoints, and int / int rounds the exact quotient once,
+    correctly, so an entry is certified when both ends of that interval,
+    over ``2**(B + 1)``, round to the same float.  If any entry is not,
+    the whole network is summed again exactly by
+    :func:`_exact_betweenness`.
+    """
+    node_sums, edge_sums, sigma_max = sums
+    one = 1 << _FIXED_BITS
+    scale = 2 * one
+    slack = one - sigma_max
+    if slack > 0:
+        totals = node_sums + edge_sums
+        scores = [x / scale for x in totals]
+        if all(f == (x - (-x * sigma_max // slack)) / scale for f, x in zip(scores, totals)):
+            return (dict(zip(net.node_ids, scores)),
+                    dict(zip(net.edge_ids, scores[net.num_nodes:])))
+    return _exact_betweenness(net)
+
+
+def _exact_betweenness(net: RoadNetwork) -> tuple[dict[str, float], dict[str, float]]:
+    """Betweenness from exact integer numerators over one common denominator.
+
+    The terms of :func:`_betweenness_sums`, with c scaled by ``L =
+    lcm(sigma)`` per source so that each is an integer, are summed over
+    one running denominator; only uncertified fixed-point sums come here.
     """
     n = net.num_nodes
     node_num = [0] * n
     edge_num = [0] * net.num_edges
     denom = 1
-    for s in map(net.node_index.__getitem__, sources):
-        order, _, preds = _dijkstra(net, s, net.travel)
-        sigma = [0] * n
-        sigma[s] = 1
-        for w in order[1:]:
-            for v, _ in preds[w]:
-                sigma[w] += sigma[v]
+    for s in range(n):
+        order, preds, sigma = _path_counts(net, s)
         scale = math.lcm(*map(sigma.__getitem__, order))
         if denom % scale:
             grow = math.lcm(denom, scale) // denom
@@ -161,28 +240,8 @@ def _betweenness_sums(net: RoadNetwork, sources) -> tuple[int, dict[str, int], d
                 edge_num[e] += sigma[v] * lifted
             if w != s:
                 node_num[w] += sigma[w] * lifted - denom
-    return denom, dict(zip(net.node_ids, node_num)), dict(zip(net.edge_ids, edge_num))
-
-
-def _merge_betweenness(parts) -> tuple[int, dict[str, int], dict[str, int]]:
-    """The sums over the union of disjoint source sets: each part's
-    numerators lifted to the lcm of the parts' denominators, then added."""
-    denom = math.lcm(*(part[0] for part in parts))
-    lifts = [denom // part[0] for part in parts]
-
-    def total(field: int) -> dict[str, int]:
-        return {key: sum(lift * part[field][key] for lift, part in zip(lifts, parts))
-                for key in parts[0][field]}
-    return denom, total(1), total(2)
-
-
-def _round_betweenness(sums) -> tuple[dict[str, float], dict[str, float]]:
-    """Node and edge betweenness floats of the sums over every source."""
-    denom, node_num, edge_num = sums
-    # each unordered pair was counted from both endpoints
-    # int / int rounds the exact quotient once, correctly
-    return ({v: x / (2 * denom) for v, x in node_num.items()},
-            {e: x / (2 * denom) for e, x in edge_num.items()})
+    return ({v: x / (2 * denom) for v, x in zip(net.node_ids, node_num)},
+            {e: x / (2 * denom) for e, x in zip(net.edge_ids, edge_num)})
 
 
 def _min_over_ends(net: RoadNetwork, node_scores: Mapping[str, float]) -> dict[str, float]:
@@ -281,9 +340,9 @@ class _CommunitySearch:
     ``links[i]`` counts the edges from node i to each adjacent node and
     ``loops[i]`` the edge ends inside node i (a coarsened community's
     inner edges, counted from both ends).  Every node starts alone, and a
-    community, labelled by the index of a node, keeps its count ``cut`` of
-    edge ends leaving it, its degree sum ``vol`` and ``between``, its edge
-    count to each adjacent community.
+    community, labelled by the index of a node, keeps its ``members``, its
+    count ``cut`` of edge ends leaving it, its degree sum ``vol`` and
+    ``between``, its edge count to each adjacent community.
     """
 
     def __init__(self, links: list[dict[int, int]], cost: _Cost,
@@ -292,6 +351,7 @@ class _CommunitySearch:
         self.ext = [sum(row.values()) for row in links]
         self.deg = [e + own for e, own in zip(self.ext, loops or [0] * len(links))]
         self.comm = list(range(len(links)))
+        self.members = [{i} for i in self.comm]
         self.cut = list(self.ext)
         self.vol = list(self.deg)
         self.between = [dict(row) for row in links]
@@ -344,6 +404,8 @@ class _CommunitySearch:
                 self._set(source, leave_cut, leave_vol)
                 self._set(target, cut[target] + ext - 2 * counts[target], vol[target] + deg)
                 comm[i] = target
+                self.members[source].remove(i)
+                self.members[target].add(i)
                 for c, count in counts.items():
                     self._link(source, c, -count)
                     if c != target:
@@ -382,7 +444,10 @@ class _CommunitySearch:
             del self.between[c][b]
             if c != a:
                 self._link(a, c, count)
-        self.comm[:] = [a if c == b else c for c in self.comm]
+        for i in self.members[b]:
+            self.comm[i] = a
+        self.members[a] |= self.members[b]
+        self.members[b] = set()
 
 
 def _greedy_merge(net: RoadNetwork) -> Partition:
@@ -503,27 +568,69 @@ def mixing_transition_matrix(net: RoadNetwork) -> np.ndarray:
     return p
 
 
+def _distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each point (row) to each centroid (column)."""
+    return np.stack([np.linalg.norm(points - c, axis=1) for c in centroids], axis=1)
+
+
 def _kmeans(features: np.ndarray, num_clusters: int, rng) -> np.ndarray:
-    """Plain k-means with seeded init and deterministic tie-breaking."""
-    n = features.shape[0]
+    """Plain k-means with seeded init and deterministic tie-breaking.
+
+    Each point goes to the centroid nearest by :func:`_distances`, ties
+    to the lowest label, but those distances are computed only where a
+    cheaper estimate cannot decide.  Per iteration one GEMM gives every
+    squared distance as ``e = |x|^2 - 2 x.c + |c|^2``.  With u = 2**-53,
+    ``g = (d + 3) u / (1 - (d + 3) u)`` for d features, and ``T = |x|^2 +
+    max |c|^2 + 2**-1000`` (the last term covers underflow), summing in
+    any order, with or without fused multiply-adds (Higham, ch. 3), bounds
+
+    - the estimate's error ``|e - |x - c|^2|`` by ``2 g T``, and
+    - that of the squared norm ``_distances`` takes the root of by
+      ``g |x - c|^2 <= 2 g T``.
+
+    So when a row's best two estimates differ by more than ``16 g T``,
+    the second best's squared norm exceeds the best's by more than
+    ``8 u`` times it, their rounded roots differ, and the estimate's
+    argmin is the label :func:`_distances` gives.  The other rows are
+    labelled from :func:`_distances`.  An emptied cluster is reseeded
+    with the point farthest from its centroid, as :func:`_distances`
+    measures it to the iteration's starting centroids.  The GEMM runs on
+    one OpenBLAS thread: with k <= 8 centroids a second thread saves
+    little, and one first call in about ten took 10x as long with two.
+    """
+    n, d = features.shape
     centroid_rows = rng.choice(n, size=num_clusters, replace=False)
     centroids = features[np.sort(centroid_rows)].copy()
     labels = np.zeros(n, dtype=int)
-    for _ in range(100):
-        dist = np.stack([np.linalg.norm(features - c, axis=1) for c in centroids], axis=1)
-        new_labels = np.argmin(dist, axis=1)
-        for c in range(num_clusters):
-            mask = new_labels == c
-            if mask.any():
-                centroids[c] = features[mask].mean(axis=0)
-            else:
-                # reseed an empty cluster with the point farthest from its centroid
-                farthest = int(np.argmax(dist[np.arange(n), new_labels]))
-                new_labels[farthest] = c
-                centroids[c] = features[farthest]
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
+    tol = 16 * (d + 3) * 2.0 ** -53 / (1 - (d + 3) * 2.0 ** -53)  # 16 g
+    point_sq = np.einsum("ij,ij->i", features, features)
+    rows = np.arange(n)
+    with one_thread():
+        for _ in range(100):
+            start = centroids.copy()
+            centroid_sq = np.einsum("ij,ij->i", start, start)
+            estimate = point_sq[:, None] - 2.0 * (features @ start.T) + centroid_sq
+            new_labels = np.argmin(estimate, axis=1)
+            best = estimate[rows, new_labels]
+            estimate[rows, new_labels] = np.inf
+            gap = estimate.min(axis=1) - best
+            unsure = np.flatnonzero(~(gap > tol * (point_sq + centroid_sq.max() + 2.0 ** -1000)))
+            if unsure.size:
+                new_labels[unsure] = np.argmin(_distances(features[unsure], start), axis=1)
+            dist = None
+            for c in range(num_clusters):
+                mask = new_labels == c
+                if mask.any():
+                    centroids[c] = features[mask].mean(axis=0)
+                else:
+                    if dist is None:
+                        dist = _distances(features, start)
+                    farthest = int(np.argmax(dist[rows, new_labels]))
+                    new_labels[farthest] = c
+                    centroids[c] = features[farthest]
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
     return labels
 
 

@@ -8,13 +8,14 @@ hash and ``--help``.  One runner, ``_run_rows``, plays the rounds
 of the CLI's simulate, matrix and both sweeps, in two stages on one
 process pool.  The analysis stage computes, once per run, what the
 config's attacks and defenses read: exact betweenness split into
-source chunks whose integer sums merge exactly, each partition
-detector and the eigenvector.  Those results travel with every round
-task, and each process builds the rankings and ``inverse`` weights
-from them.  Rounds are scheduled per (defense, seed): a route depends
-on neither the attack nor k, so each task plans every courier's route
-once and scores every attack and k against it.  Rows are returned in
-attack-major order, so worker count never changes any output byte.
+source chunks of fixed-point sums that add, certified, with an exact
+fallback, each partition detector and the eigenvector.  Those results
+travel with every round task, and each process builds the rankings and
+``inverse`` weights from them.  Rounds are scheduled per (defense,
+seed): a route depends on neither the attack nor k, so each task plans
+every courier's route once and scores every attack and k against it.
+Rows are returned in attack-major order, so worker count never changes
+any output byte.
 """
 
 from __future__ import annotations
@@ -292,7 +293,8 @@ def _analysis_tasks(cfg: ExperimentConfig, net: RoadNetwork) -> list[tuple]:
     """The analyses the config's attacks and defenses read, as ``(cfg, fn, args)`` pool tasks.
 
     Betweenness, which every partition attack and ``inverse`` read too,
-    is split into one source chunk per worker; each partition detector
+    is split into one source chunk per worker, whose fixed-point sums
+    add, certified, with an exact fallback; each partition detector
     and the eigenvector are one task.  Chunks come first, as the longest.
     botgrep and eigen_mod, which hold several dense n x n arrays each,
     come next: workers free at about the same time take one each, so one
@@ -316,10 +318,11 @@ def _analysis_task(args):
     return fn(_scenario(cfg)[0], *fn_args)
 
 
-def _analysis_stage(tasks: list[tuple], run) -> tuple:
-    """The memo entries ``(fn, args, value)`` of the analysis ``tasks``,
-    which ``run`` maps on the pool or in this process; the betweenness
-    chunks' exact sums merge into one ``_betweenness_scores`` entry."""
+def _analysis_stage(net: RoadNetwork, tasks: list[tuple], run) -> tuple:
+    """The memo entries ``(fn, args, value)`` of the analysis ``tasks`` on
+    ``net``, which ``run`` maps on the pool or in this process; the
+    betweenness chunks' fixed-point sums add up to one
+    ``_betweenness_scores`` entry."""
     entries, sums = [], []
     for (_, fn, args), result in zip(tasks, run(_analysis_task, tasks)):
         if fn is _betweenness_sums:
@@ -328,7 +331,7 @@ def _analysis_stage(tasks: list[tuple], run) -> tuple:
             entries.append((fn, args, result))
     if sums:
         entries.append((_betweenness_scores, (),
-                        _round_betweenness(_merge_betweenness(sums))))
+                        _round_betweenness(net, _merge_betweenness(sums))))
     return tuple(entries)
 
 
@@ -377,7 +380,7 @@ def _run_rows(cfg: ExperimentConfig, axis: str) -> list[tuple]:
     pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
     run = pool.map if pool is not None else map
     try:
-        entries = _analysis_stage(analyses, run)
+        entries = _analysis_stage(net, analyses, run)
         tasks = [(cfg, axis, defense, seed, entries) for defense, seed in keys]
         results = list(run(_rounds_task, tasks))
     finally:

@@ -213,6 +213,9 @@ def _generate_grid(rows: int, cols: int, edge_time_s: float = 60.0) -> RoadNetwo
 
 def _generate_geometric(n: int, radius_m: float, side_m: float = 1000.0,
                         seed: int = 0, max_retries: int = 100) -> RoadNetwork:
+    for name, value in (("radius_m", radius_m), ("side_m", side_m)):
+        if not math.isfinite(value):
+            raise DomainError(f"geometric city needs a finite {name}, got {value!r}")
     if n < 2 or radius_m <= 0 or side_m <= 0:
         raise DomainError("geometric city needs n >= 2, radius > 0 and side > 0")
     for attempt in range(max_retries):

@@ -10,6 +10,7 @@ from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity
                      edge_loop_mixing_kernel, exact_modularity, float_flow_partition,
                      float_map_equation_codelength, fraction_betweenness, incident_edges,
                      rescan_greedy_merge, sigma_tot_hierarchical_merge, tensor_kmeans)
+import roadgame.analysis as analysis
 from roadgame.analysis import (Partition, _betweenness_scores, _betweenness_sums,
                                _codelength_cost,
                                _CommunitySearch, _greedy_merge, _hierarchical_merge,
@@ -40,13 +41,36 @@ def tied_grid(rows, cols, data, choices=(1.0, 2.0)):
 
 
 def chunked_betweenness(net, chunks):
-    """Betweenness from the exact sums of each source chunk, merged."""
-    return _round_betweenness(_merge_betweenness([_betweenness_sums(net, c) for c in chunks]))
+    """Betweenness from the fixed-point sums of each source chunk, merged."""
+    return _round_betweenness(net, _merge_betweenness([_betweenness_sums(net, c) for c in chunks]))
 
 
 @functools.lru_cache(maxsize=None)  # per network object: the fixtures are session-wide
 def cached_fraction_betweenness(net):
     return fraction_betweenness(net)
+
+
+class FixedRows:
+    """A k-means seed stream whose initial centroids are the given rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def choice(self, n, size, replace):
+        assert size == len(self.rows) and not replace
+        return np.array(self.rows)
+
+
+def spy_distances(monkeypatch):
+    """The points of each k-means norm pass, in call order."""
+    calls = []
+    original = analysis._distances
+
+    def spy(points, centroids):
+        calls.append(points.copy())
+        return original(points, centroids)
+    monkeypatch.setattr(analysis, "_distances", spy)
+    return calls
 
 
 def random_connected_net(seed, n=10, p=0.35, max_weight=5):
@@ -189,11 +213,50 @@ class TestCentrality:
         assert _betweenness_scores(net) == fraction_betweenness(net)
         assert chunked_betweenness(net, chunks) == _betweenness_scores(net)
 
+    @pytest.mark.parametrize("graph", ["grid16", "planted64", "bypass_city"])
+    def test_fixed_point_sums_certify_without_fallback(self, request, monkeypatch, graph):
+        net = (generate_city("grid", rows=16, cols=16, edge_time_s=60.0) if graph == "grid16"
+               else request.getfixturevalue(graph))
+
+        def refuse(net):
+            raise AssertionError("a fixed-point betweenness entry failed its certificate")
+        monkeypatch.setattr(analysis, "_exact_betweenness", refuse)
+        sums = _betweenness_sums(net, net.node_ids)
+        assert _round_betweenness(net, sums) == cached_fraction_betweenness(net)
+
+    @pytest.mark.parametrize("bits", [3, 12])
+    def test_uncertified_sums_fall_back_to_exact_sums(self, monkeypatch, bits):
+        # 3 bits leave no room below sigma_max = C(10, 5) = 252; at 12 bits
+        # the floors' error bound, up to 252/4096 of a value, fails entries
+        net = generate_city("grid", rows=6, cols=6, edge_time_s=60.0)
+        calls = []
+
+        def exact(net):
+            calls.append(net)
+            return exact_betweenness(net)
+        exact_betweenness = analysis._exact_betweenness
+        monkeypatch.setattr(analysis, "_FIXED_BITS", bits)
+        monkeypatch.setattr(analysis, "_exact_betweenness", exact)
+        ids = net.node_ids
+        merged = chunked_betweenness(net, [ids[::2], ids[1::2]])
+        assert calls == [net]
+        assert merged == fraction_betweenness(net)
+
     def test_betweenness_leaf_of_tree_is_zero(self):
         net = build_net([("e0", "r", "a"), ("e1", "r", "b"), ("e2", "a", "c")])
         scores = centrality(net, "betweenness")
         assert scores.node_scores["b"] == 0.0
         assert scores.node_scores["c"] == 0.0
+
+    def test_pendant_node_on_tied_grid_is_exactly_zero(self):
+        # from the far corner 6 shortest paths reach n22 and the pendant p,
+        # so 1/6 is floored; p is never interior, so its sum must stay 0
+        edges = [(f"h{r}{c}", f"n{r}{c}", f"n{r}{c + 1}") for r in range(3) for c in range(2)]
+        edges += [(f"v{r}{c}", f"n{r}{c}", f"n{r + 1}{c}") for r in range(2) for c in range(3)]
+        net = build_net(edges + [("pend", "n22", "p")])
+        scores = _betweenness_scores(net)
+        assert scores[0]["p"] == 0.0
+        assert scores == fraction_betweenness(net)
 
     def test_unknown_kind(self, star5):
         with pytest.raises(DomainError):
@@ -419,6 +482,33 @@ class TestMixingPartition:
             labels = _kmeans(features, k, substream(seed, "kmeans-test", k))
             expected = tensor_kmeans(features, k, substream(seed, "kmeans-test", k))
             assert np.array_equal(labels, expected), k
+
+    def test_kmeans_labels_equidistant_duplicates_by_norm(self, monkeypatch):
+        # rows 2-7 are equidistant from the first two centroids, (0, 0) and
+        # (2, 0): no estimate can label them, so their norms must
+        features = np.array([[0.0, 0.0], [2.0, 0.0]] + [[1.0, 0.0]] * 3 + [[1.0, 1.0]] * 3
+                            + [[5.0, 5.0], [6.0, 5.0]])
+        normed = spy_distances(monkeypatch)
+        labels = _kmeans(features, 3, FixedRows([0, 1, 8]))
+        assert np.array_equal(labels, tensor_kmeans(features, 3, FixedRows([0, 1, 8])))
+        assert np.array_equal(normed[0], features[2:8])
+
+    def test_kmeans_reseeds_from_starting_centroids(self, monkeypatch):
+        # both centroids start on the point 0, so every point ties and goes
+        # to cluster 0, which empties cluster 1; cluster 0 then moves to the
+        # mean, about 0.56, from where -9.9 is the farthest point, while 10 is
+        # the farthest from where the iteration started
+        points = [0.0] * 20 + [3.0] * 5 + [10.0, -9.9]
+        features = np.array(points)[:, None]
+        mean = features.mean()
+        assert np.argmax(np.abs(features[:, 0])) == 25
+        assert np.argmax(np.abs(features[:, 0] - mean)) == 26
+        normed = spy_distances(monkeypatch)
+        labels = _kmeans(features, 2, FixedRows([0, 1]))
+        assert np.array_equal(labels, tensor_kmeans(features, 2, FixedRows([0, 1])))
+        # the tied rows' pass, then the reseed's pass over every row
+        assert [len(rows) for rows in normed[:2]] == [27, 27]
+        assert labels[25] == 1
 
     def test_kmeans_equals_tensor_reference_on_walk_features(self, bypass_city):
         features = np.linalg.matrix_power(mixing_transition_matrix(bypass_city),

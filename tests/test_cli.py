@@ -42,9 +42,9 @@ seeds = 0,1
 """
 
 # The 128-node bypass city's matrix dispatches every kind of analysis task.
-# Its sources' path counts have 29 different lcms, so every betweenness
-# chunk's denominator grows; on SMALL_CFG at 3 workers the chunks' lcms
-# differ (4,324,320 twice and 1,441,440), so the merge lifts across processes.
+# Its sources' path counts reach 79,200, so most 1/sigma floors are
+# inexact; on SMALL_CFG at 3 workers the chunks' largest path counts differ
+# (80, 80 and 32), so the merge must take the largest for the error bound.
 BYPASS128_CFG = """\
 network_kind = two_cluster
 cluster_size_a = 64

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from roadgame.errors import DomainError, ParseError, ValidationError
@@ -192,6 +194,16 @@ class TestGenerateCity:
         # every point used to lie within the radius, giving a complete graph
         with pytest.raises(DomainError, match="side > 0"):
             generate_city("geometric", seed=0, n=64, radius_m=200.0, side_m=side_m)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["radius_m", "side_m"])
+    def test_geometric_non_finite_size_is_refused_by_name(self, name, value):
+        # a NaN used to pass the > 0 checks and make 100 edgeless draws
+        # that blamed the radius
+        params = dict(n=64, radius_m=200.0, side_m=1000.0)
+        params[name] = value
+        with pytest.raises(DomainError, match=f"finite {name}, got {value!r}"):
+            generate_city("geometric", seed=0, **params)
 
     def test_unknown_kind_and_bad_params(self):
         with pytest.raises(DomainError):
