@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .blas import one_thread
 from .errors import ConvergenceError, DomainError, ValidationError
-from .network import RoadNetwork, _dijkstra, conductance, memoised
+from .network import RoadNetwork, _dijkstra, memoised
 from .rng import substream
 
 CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
@@ -48,16 +48,11 @@ class Partition:
     def from_assignment(cls, assignment: Mapping[str, int]) -> "Partition":
         if not assignment:
             raise ValidationError("partition must cover at least one node")
-        by_label: dict[int, list[str]] = defaultdict(list)
-        for node, label in assignment.items():
-            by_label[label].append(node)
-        # canonical labels: communities ordered by their smallest node id
-        ordered = sorted(by_label.values(), key=min)
-        canonical = {}
-        for new_label, members in enumerate(ordered):
-            for node in members:
-                canonical[node] = new_label
-        return cls(canonical, len(ordered))
+        # canonical labels: numbered by first appearance in node-id order,
+        # so communities are ordered by their smallest node id
+        new: dict[int, int] = {}
+        return cls({node: new.setdefault(label, len(new))
+                    for node, label in sorted(assignment.items())}, len(new))
 
     def label(self, node: str) -> int:
         return self.assignment[node]
@@ -69,9 +64,11 @@ class Partition:
         return [tuple(sorted(group)) for group in members]
 
 
-def _check_partition(net: RoadNetwork, part: Partition) -> None:
-    if set(part.assignment) != set(net.nodes):
+def _labels(net: RoadNetwork, part: Partition) -> list[int]:
+    """The partition's labels in node-index order."""
+    if part.assignment.keys() != net.nodes.keys():
         raise DomainError("partition does not cover exactly the network's nodes")
+    return [part.assignment[v] for v in net.node_ids]
 
 
 # -- centrality ------------------------------------------------------------
@@ -86,8 +83,8 @@ def _adjacency_matrix(net: RoadNetwork) -> np.ndarray:
 
 
 @memoised
-def _eigenvector_scores(net: RoadNetwork) -> dict[str, float]:
-    """Power iteration on A + I (keeps bipartite graphs convergent)."""
+def _eigenvector_scores(net: RoadNetwork) -> list[float]:
+    """Power iteration on A + I (keeps bipartite graphs convergent); scores in index order."""
     a = _adjacency_matrix(net)
     n = net.num_nodes
     v = np.ones(n)
@@ -97,8 +94,7 @@ def _eigenvector_scores(net: RoadNetwork) -> dict[str, float]:
         lam = float(v @ av) / float(v @ v)
         residual = float(np.max(np.abs(av - lam * v))) / float(np.max(np.abs(v)))
         if residual <= _EIGEN_TOL:
-            v = v / v.max()
-            return dict(zip(net.node_ids, (float(x) for x in v)))
+            return (v / v.max()).tolist()
         v = av + v
         v = v / v.max()
     raise ConvergenceError(
@@ -114,8 +110,8 @@ _FIXED_BITS = 192
 
 
 @memoised
-def _betweenness_scores(net: RoadNetwork) -> tuple[dict[str, float], dict[str, float]]:
-    """Node and edge betweenness over travel-time shortest paths.
+def _betweenness_scores(net: RoadNetwork) -> tuple[list[float], list[float]]:
+    """Node and edge betweenness over travel-time shortest paths, in index order.
 
     Equal-cost paths split evenly and every float is the exact value
     correctly rounded, so results match brute-force path enumeration.
@@ -179,7 +175,7 @@ def _merge_betweenness(parts) -> tuple[list[int], list[int], int]:
             max(sigma_max))
 
 
-def _round_betweenness(net: RoadNetwork, sums) -> tuple[dict[str, float], dict[str, float]]:
+def _round_betweenness(net: RoadNetwork, sums) -> tuple[list[float], list[float]]:
     """Node and edge betweenness floats of the fixed-point sums over every
     source, each certified to be the exact value correctly rounded.
 
@@ -202,12 +198,11 @@ def _round_betweenness(net: RoadNetwork, sums) -> tuple[dict[str, float], dict[s
         totals = node_sums + edge_sums
         scores = [x / scale for x in totals]
         if all(f == (x - (-x * sigma_max // slack)) / scale for f, x in zip(scores, totals)):
-            return (dict(zip(net.node_ids, scores)),
-                    dict(zip(net.edge_ids, scores[net.num_nodes:])))
+            return scores[:net.num_nodes], scores[net.num_nodes:]
     return _exact_betweenness(net)
 
 
-def _exact_betweenness(net: RoadNetwork) -> tuple[dict[str, float], dict[str, float]]:
+def _exact_betweenness(net: RoadNetwork) -> tuple[list[float], list[float]]:
     """Betweenness from exact integer numerators over one common denominator.
 
     The terms of :func:`_betweenness_sums`, with c scaled by ``L =
@@ -240,14 +235,12 @@ def _exact_betweenness(net: RoadNetwork) -> tuple[dict[str, float], dict[str, fl
                 edge_num[e] += sigma[v] * lifted
             if w != s:
                 node_num[w] += sigma[w] * lifted - denom
-    return ({v: x / (2 * denom) for v, x in zip(net.node_ids, node_num)},
-            {e: x / (2 * denom) for e, x in zip(net.edge_ids, edge_num)})
+    return [x / (2 * denom) for x in node_num], [x / (2 * denom) for x in edge_num]
 
 
-def _min_over_ends(net: RoadNetwork, node_scores: Mapping[str, float]) -> dict[str, float]:
-    """Score each edge by the smaller of its two endpoints' scores."""
-    return {eid: min(node_scores[net.edges[eid].u], node_scores[net.edges[eid].v])
-            for eid in net.edge_ids}
+def _min_over_ends(net: RoadNetwork, node_scores: Sequence) -> list:
+    """Each edge's score, the smaller of its endpoints' scores; both in index order."""
+    return [min(node_scores[i], node_scores[j]) for i, j in net.ends]
 
 
 @memoised
@@ -263,10 +256,11 @@ def centrality(net: RoadNetwork, kind: str) -> CentralityScores:
     if kind == "betweenness":
         node_scores, edge_scores = _betweenness_scores(net)
     else:
-        node_scores = ({v: float(net.degree(v)) for v in net.node_ids} if kind == "degree"
+        node_scores = ([float(len(row)) for row in net.links] if kind == "degree"
                        else _eigenvector_scores(net))
         edge_scores = _min_over_ends(net, node_scores)
-    return CentralityScores(kind, node_scores, edge_scores)
+    return CentralityScores(kind, dict(zip(net.node_ids, node_scores)),
+                            dict(zip(net.edge_ids, edge_scores)))
 
 
 # -- spectral bisection ------------------------------------------------------
@@ -517,11 +511,11 @@ def agglomerative_modularity(net: RoadNetwork, variant: str) -> Partition:
 
 def _community_counts(net: RoadNetwork, part: Partition) -> tuple[list[int], list[int]]:
     """Each community's count of edge ends leaving it and its degree sum."""
-    _check_partition(net, part)
+    label = _labels(net, part)
     cut = [0] * part.num_communities
     vol = [0] * part.num_communities
-    for e in net.edges.values():
-        a, b = part.label(e.u), part.label(e.v)
+    for i, j in net.ends:
+        a, b = label[i], label[j]
         vol[a] += 1
         vol[b] += 1
         if a != b:
@@ -543,10 +537,15 @@ def modularity(net: RoadNetwork, part: Partition) -> float:
     return (two_m * two_m - _modularity_cost(two_m).start(cut, vol)) / (two_m * two_m)
 
 
+def _cut_edges(net: RoadNetwork, part: Partition) -> set[int]:
+    """The indices of all edges whose endpoints carry different community labels."""
+    label = _labels(net, part)
+    return {k for k, (i, j) in enumerate(net.ends) if label[i] != label[j]}
+
+
 def partition_cutset(net: RoadNetwork, part: Partition) -> frozenset[str]:
     """All edges whose endpoints carry different community labels."""
-    _check_partition(net, part)
-    return frozenset(eid for eid, e in net.edges.items() if part.label(e.u) != part.label(e.v))
+    return frozenset(net.edge_ids[k] for k in _cut_edges(net, part))
 
 
 # -- random-walk mixing partition (slow-mixing cut detection) ----------------
@@ -654,11 +653,12 @@ def mixing_partition(net: RoadNetwork, seed: int = 0) -> Partition:
     best: tuple[float, int, Partition] | None = None
     for num_clusters in range(2, min(8, n - 1) + 1):
         labels = _kmeans(features, num_clusters, substream(seed, "mixing-kmeans", num_clusters))
-        part = Partition.from_assignment(
-            {node: int(labels[i]) for i, node in enumerate(net.node_ids)})
+        part = Partition.from_assignment(dict(zip(net.node_ids, labels.tolist())))
         if part.num_communities < 2:
             continue
-        worst = max(conductance(net, group) for group in part.communities())
+        # a community's conductance: its cut over the smaller side's volume, 0 if that is 0
+        cut, vol = _community_counts(net, part)
+        worst = max(c / (min(v, 2 * net.num_edges - v) or math.inf) for c, v in zip(cut, vol))
         key = (worst, part.num_communities)
         if best is None or key < (best[0], best[1]):
             best = (worst, part.num_communities, part)
@@ -716,7 +716,7 @@ def map_equation_codelength(net: RoadNetwork, part: Partition) -> float:
         raise DomainError("the map equation needs a network with at least one edge")
     cost = _codelength_cost(two_m)
     return (cost.length(cost.start(cut, vol))
-            - sum(_xlogx(net.degree(v)) for v in net.node_ids)) / two_m
+            - sum(_xlogx(len(row)) for row in net.links)) / two_m
 
 
 def flow_partition(net: RoadNetwork) -> Partition:

@@ -5,7 +5,8 @@ of budget k is the length-k prefix.  This makes plans of growing budget
 nested by construction for every graph-derived strategy, which the
 nested-sweep mode relies on.  Graph-derived strategies are a pure
 function of the topology (round-invariant); only ``random`` consumes the
-per-round seed.
+per-round seed.  Rankings are edge indices, built from the analyses'
+index-order results; :func:`strategy_edge_ranking` returns edge ids.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .analysis import (Partition, _min_over_ends, agglomerative_modularity, centrality,
-                       flow_partition, mixing_partition, partition_cutset,
-                       spectral_bisect)
+from .analysis import (Partition, _betweenness_scores, _cut_edges, _eigenvector_scores,
+                       _min_over_ends, agglomerative_modularity, flow_partition,
+                       mixing_partition, spectral_bisect)
 from .errors import DomainError
 from .network import RoadNetwork, memoised
 from .rng import substream
@@ -43,11 +44,6 @@ class AttackPlan:
         return len(self.edges)
 
 
-def _by_score(scores: dict[str, float], ids) -> list[str]:
-    """Edge ids by descending score, ties by edge id."""
-    return sorted(ids, key=lambda eid: (-scores[eid], eid))
-
-
 @memoised
 def _partition_for(net: RoadNetwork, strategy: str) -> Partition:
     if strategy == "botgrep":
@@ -68,35 +64,32 @@ def strategy_edge_ranking(net: RoadNetwork, strategy: str, seed: int = 0) -> lis
     if strategy not in ATTACK_STRATEGIES:
         raise DomainError(f"unknown attack strategy {strategy!r}")
 
-    if strategy == "random":
-        rng = substream(seed, "attack-random")
-        ids = list(net.edge_ids)
-        return [ids[i] for i in rng.permutation(len(ids))]
-    return list(_graph_ranking(net, strategy))
+    ranking = (substream(seed, "attack-random").permutation(net.num_edges)
+               if strategy == "random" else _graph_ranking(net, strategy))
+    return [net.edge_ids[e] for e in ranking]
 
 
 @memoised
-def _graph_ranking(net: RoadNetwork, strategy: str) -> tuple[str, ...]:
-    """Ranking of a graph-derived strategy: a function of the topology alone."""
+def _graph_ranking(net: RoadNetwork, strategy: str) -> tuple[int, ...]:
+    """Edge indices in a graph-derived strategy's order, a function of the
+    topology alone: any cut edges first, then descending score, ties by index."""
+    edges = range(net.num_edges)
     if strategy == "degree":
-        # nodes in descending degree (node-id order across equal degrees);
-        # each edge sits at its earlier endpoint, edges of one node by id
-        degree = centrality(net, "degree").node_scores
-        order = sorted(net.node_ids, key=lambda v: (-degree[v], v))
-        first = _min_over_ends(net, {v: i for i, v in enumerate(order)})
-        ranking = sorted(net.edge_ids, key=lambda eid: (first[eid], eid))
-    elif strategy in ("eigen_c", "betweenness"):
-        kind = "eigenvector" if strategy == "eigen_c" else "betweenness"
-        ranking = _by_score(centrality(net, kind).edge_scores, net.edge_ids)
+        # nodes in descending degree (index order across equal degrees);
+        # each edge sits at its earlier endpoint, edges of one node by index
+        first = _min_over_ends(net, [(-len(row), i) for i, row in enumerate(net.links)])
+        return tuple(sorted(edges, key=lambda e: (first[e], e)))
+    cut: set[int] = set()
+    if strategy == "eigen_c":
+        score = _min_over_ends(net, _eigenvector_scores(net))
     else:
-        cutset = partition_cutset(net, _partition_for(net, strategy))
-        if not cutset:
-            logger.warning("strategy %s found no cutset; plan degenerates to "
-                           "betweenness order", strategy)
-        scores = centrality(net, "betweenness").edge_scores
-        ranking = (_by_score(scores, cutset)
-                   + _by_score(scores, [e for e in net.edge_ids if e not in cutset]))
-    return tuple(ranking)
+        score = _betweenness_scores(net)[1]
+        if strategy != "betweenness":
+            cut = _cut_edges(net, _partition_for(net, strategy))
+            if not cut:
+                logger.warning("strategy %s found no cutset; plan degenerates to "
+                               "betweenness order", strategy)
+    return tuple(sorted(edges, key=lambda e: (e not in cut, -score[e], e)))
 
 
 def select_attack_edges(net: RoadNetwork, strategy: str, k: int, seed: int = 0) -> AttackPlan:

@@ -146,10 +146,13 @@ class RoadNetwork:
         # id order, so index order breaks ties as id order does
         self.node_index: dict[str, int] = {v: i for i, v in enumerate(self.node_ids)}
         self.edge_index: dict[str, int] = {e: k for k, e in enumerate(self.edge_ids)}
-        # node i's (neighbour index, edge index) pairs, in edge-index order
+        # edge k's (u, v) endpoint indices, and node i's (neighbour index,
+        # edge index) pairs in edge-index order
+        self.ends: tuple[tuple[int, int], ...] = tuple(
+            (self.node_index[edge_map[e].u], self.node_index[edge_map[e].v])
+            for e in self.edge_ids)
         links: list[list[tuple[int, int]]] = [[] for _ in self.node_ids]
-        for k, eid in enumerate(self.edge_ids):
-            i, j = self.node_index[edge_map[eid].u], self.node_index[edge_map[eid].v]
+        for k, (i, j) in enumerate(self.ends):
             links[i].append((j, k))
             links[j].append((i, k))
         self.links: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, links))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .analysis import _min_over_ends, centrality
+from .analysis import _betweenness_scores, _eigenvector_scores, _min_over_ends
 from .errors import DomainError
 from .network import RoadNetwork, _disjoint_paths, _path, memoised
 from .rng import substream
@@ -38,7 +38,6 @@ class RoutePlan:
     failed_leg: int | None = None
 
 
-@memoised
 def inverse_centrality_scores(net: RoadNetwork) -> dict[str, float]:
     """Per-edge avoidance score blending degree, betweenness and eigenvector.
 
@@ -48,20 +47,24 @@ def inverse_centrality_scores(net: RoadNetwork) -> dict[str, float]:
     orientations, and a zero denominator scores 0.  Pure topology: the
     same network always yields bit-identical scores.
     """
-    num_edges = net.num_edges
-    betw = centrality(net, "betweenness").node_scores
-    eig = centrality(net, "eigenvector").node_scores
+    return dict(zip(net.edge_ids, _inverse_weights(net)))
 
-    def oriented(j: str) -> float:
-        c_deg = net.degree(j) / num_edges
-        c_bet = betw[j]
-        c_eig = eig[j]
-        denom = c_deg + c_bet + c_eig
+
+@memoised
+def _inverse_weights(net: RoadNetwork) -> list[float]:
+    """:func:`inverse_centrality_scores` in edge-index order."""
+    betw = _betweenness_scores(net)[0]
+    eig = _eigenvector_scores(net)
+
+    def oriented(j: int) -> float:
+        # an edgeless network is one node, of degree 0 and with no edge to score
+        c_deg = len(net.links[j]) / max(net.num_edges, 1)
+        denom = c_deg + betw[j] + eig[j]
         if denom == 0:
             return 0.0
-        return (c_deg * c_bet * c_eig) / denom
+        return (c_deg * betw[j] * eig[j]) / denom
 
-    return _min_over_ends(net, {v: oriented(v) for v in net.node_ids})
+    return _min_over_ends(net, [oriented(j) for j in range(net.num_nodes)])
 
 
 @memoised
@@ -72,8 +75,7 @@ def _seed_free_leg(net: RoadNetwork, strategy: str, src: str, dst: str) -> tuple
     if strategy == "disjoint":
         return tuple(map(tuple, _disjoint_paths(net, a, b)))
     if strategy == "inverse":
-        scores = inverse_centrality_scores(net)
-        return tuple(_path(net, a, b, [scores[e] for e in net.edge_ids]))
+        return tuple(_path(net, a, b, _inverse_weights(net)))
     return tuple(_path(net, a, b, net.travel))
 
 

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import roadgame.routing as routing
-from roadgame.analysis import Partition, _xlogx
-from roadgame.attacks import AttackPlan
+from roadgame.analysis import Partition, _xlogx, centrality, partition_cutset
+from roadgame.attacks import AttackPlan, _partition_for
 from roadgame.errors import DomainError
 from roadgame.network import RoadNetwork, _dijkstra
 from roadgame.rng import substream
@@ -482,6 +482,58 @@ def node_walk_degree_ranking(net: RoadNetwork) -> list[str]:
                 seen.add(eid)
                 ranking.append(eid)
     return ranking
+
+
+def _reference_min_over_ends(net: RoadNetwork, node_scores) -> dict[str, float]:
+    """Score each edge by the smaller of its two endpoints' scores."""
+    return {eid: min(node_scores[net.edges[eid].u], node_scores[net.edges[eid].v])
+            for eid in net.edge_ids}
+
+
+def _by_score(scores: dict[str, float], ids) -> list[str]:
+    """Edge ids by descending score, ties by edge id."""
+    return sorted(ids, key=lambda eid: (-scores[eid], eid))
+
+
+def reference_ranking(net: RoadNetwork, strategy: str) -> tuple[str, ...]:
+    """A graph-derived strategy's ranking built on the id-keyed public
+    analyses, as ``attacks._graph_ranking`` built it before rankings held
+    edge indices (its no-cutset warning left out)."""
+    if strategy == "degree":
+        # nodes in descending degree (node-id order across equal degrees);
+        # each edge sits at its earlier endpoint, edges of one node by id
+        degree = centrality(net, "degree").node_scores
+        order = sorted(net.node_ids, key=lambda v: (-degree[v], v))
+        first = _reference_min_over_ends(net, {v: i for i, v in enumerate(order)})
+        ranking = sorted(net.edge_ids, key=lambda eid: (first[eid], eid))
+    elif strategy in ("eigen_c", "betweenness"):
+        kind = "eigenvector" if strategy == "eigen_c" else "betweenness"
+        ranking = _by_score(centrality(net, kind).edge_scores, net.edge_ids)
+    else:
+        cutset = partition_cutset(net, _partition_for(net, strategy))
+        scores = centrality(net, "betweenness").edge_scores
+        ranking = (_by_score(scores, cutset)
+                   + _by_score(scores, [e for e in net.edge_ids if e not in cutset]))
+    return tuple(ranking)
+
+
+def reference_inverse_scores(net: RoadNetwork) -> dict[str, float]:
+    """``inverse_centrality_scores`` on the id-keyed public centralities,
+    as it was computed before the weights were kept in edge-index order."""
+    num_edges = net.num_edges
+    betw = centrality(net, "betweenness").node_scores
+    eig = centrality(net, "eigenvector").node_scores
+
+    def oriented(j: str) -> float:
+        c_deg = net.degree(j) / num_edges
+        c_bet = betw[j]
+        c_eig = eig[j]
+        denom = c_deg + c_bet + c_eig
+        if denom == 0:
+            return 0.0
+        return (c_deg * c_bet * c_eig) / denom
+
+    return _reference_min_over_ends(net, {v: oriented(v) for v in net.node_ids})
 
 
 def reference_random_walk(net: RoadNetwork, card: JobCard, seed: int) -> RoutePlan:

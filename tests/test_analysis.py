@@ -45,9 +45,15 @@ def chunked_betweenness(net, chunks):
     return _round_betweenness(net, _merge_betweenness([_betweenness_sums(net, c) for c in chunks]))
 
 
+def fraction_scores(net):
+    """The fraction oracle's node and edge betweenness in index order."""
+    nodes, edges = fraction_betweenness(net)
+    return [nodes[v] for v in net.node_ids], [edges[e] for e in net.edge_ids]
+
+
 @functools.lru_cache(maxsize=None)  # per network object: the fixtures are session-wide
-def cached_fraction_betweenness(net):
-    return fraction_betweenness(net)
+def cached_fraction_scores(net):
+    return fraction_scores(net)
 
 
 class FixedRows:
@@ -167,19 +173,19 @@ class TestCentrality:
             net = generate_city("grid", rows=16, cols=16, edge_time_s=60.0)
         else:
             net = request.getfixturevalue(graph)
-        assert _betweenness_scores(net) == fraction_betweenness(net)
+        assert _betweenness_scores(net) == fraction_scores(net)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 5), st.data())
     def test_betweenness_equals_fraction_reference_on_tied_grids(self, rows, cols, data):
         net = tied_grid(rows, cols, data)
-        assert _betweenness_scores(net) == fraction_betweenness(net)
+        assert _betweenness_scores(net) == fraction_scores(net)
 
     @pytest.mark.parametrize("chunking", ["one", "per-source", "uneven"])
     @pytest.mark.parametrize("graph", ["planted64", "bypass_city"])
     def test_chunked_betweenness_is_exact(self, request, graph, chunking):
-        # one source per chunk gives chunks of different denominators, so
-        # a merge that skipped lifting them to their lcm would differ
+        # chunks' fixed-point sums merge by plain addition, so every
+        # chunking, down to one source per chunk, must round to the exact values
         net = request.getfixturevalue(graph)
         ids = net.node_ids
         chunks = {"one": [ids],
@@ -187,7 +193,7 @@ class TestCentrality:
                   "uneven": [ids[-1:], ids[:3], ids[3:40:2], ids[4:40:2], ids[40:-1]]}[chunking]
         merged = chunked_betweenness(net, chunks)
         assert merged == _betweenness_scores(net)
-        assert merged == cached_fraction_betweenness(net)
+        assert merged == cached_fraction_scores(net)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 5), st.data())
@@ -198,7 +204,7 @@ class TestCentrality:
         chunks = [[s for s, label in zip(net.node_ids, labels) if label == chunk]
                   for chunk in sorted(set(labels))]
         merged = chunked_betweenness(net, chunks)
-        assert merged == _betweenness_scores(net) == fraction_betweenness(net)
+        assert merged == _betweenness_scores(net) == fraction_scores(net)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 5), st.data())
@@ -210,7 +216,7 @@ class TestCentrality:
                                     max_size=net.num_nodes), label="chunk of each source")
         chunks = [[s for s, label in zip(net.node_ids, labels) if label == chunk]
                   for chunk in sorted(set(labels))]
-        assert _betweenness_scores(net) == fraction_betweenness(net)
+        assert _betweenness_scores(net) == fraction_scores(net)
         assert chunked_betweenness(net, chunks) == _betweenness_scores(net)
 
     @pytest.mark.parametrize("graph", ["grid16", "planted64", "bypass_city"])
@@ -222,7 +228,7 @@ class TestCentrality:
             raise AssertionError("a fixed-point betweenness entry failed its certificate")
         monkeypatch.setattr(analysis, "_exact_betweenness", refuse)
         sums = _betweenness_sums(net, net.node_ids)
-        assert _round_betweenness(net, sums) == cached_fraction_betweenness(net)
+        assert _round_betweenness(net, sums) == cached_fraction_scores(net)
 
     @pytest.mark.parametrize("bits", [3, 12])
     def test_uncertified_sums_fall_back_to_exact_sums(self, monkeypatch, bits):
@@ -240,7 +246,7 @@ class TestCentrality:
         ids = net.node_ids
         merged = chunked_betweenness(net, [ids[::2], ids[1::2]])
         assert calls == [net]
-        assert merged == fraction_betweenness(net)
+        assert merged == fraction_scores(net)
 
     def test_betweenness_leaf_of_tree_is_zero(self):
         net = build_net([("e0", "r", "a"), ("e1", "r", "b"), ("e2", "a", "c")])
@@ -255,8 +261,8 @@ class TestCentrality:
         edges += [(f"v{r}{c}", f"n{r}{c}", f"n{r + 1}{c}") for r in range(2) for c in range(3)]
         net = build_net(edges + [("pend", "n22", "p")])
         scores = _betweenness_scores(net)
-        assert scores[0]["p"] == 0.0
-        assert scores == fraction_betweenness(net)
+        assert scores[0][net.node_index["p"]] == 0.0
+        assert scores == fraction_scores(net)
 
     def test_unknown_kind(self, star5):
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs
-from oracles import node_walk_degree_ranking
+from oracles import node_walk_degree_ranking, reference_ranking
 from roadgame.attacks import (ATTACK_STRATEGIES, empty_attack_plan,
                               select_attack_edges, strategy_edge_ranking,
                               write_attack_plan)
@@ -12,6 +12,7 @@ from roadgame.errors import DomainError
 from roadgame.synth import generate_city
 
 PARTITION_STRATEGIES = ("infomap", "botgrep", "greedy_mod", "hierarchical_mod", "eigen_mod")
+GRAPH_STRATEGIES = tuple(s for s in ATTACK_STRATEGIES if s != "random")
 
 
 class TestSelection:
@@ -105,6 +106,25 @@ class TestSelection:
     @given(connected_graphs(5, 40))
     def test_degree_ranking_equals_node_walk_reference_on_random_graphs(self, net):
         assert strategy_edge_ranking(net, "degree") == node_walk_degree_ranking(net)
+
+
+class TestRankingsMatchTheIdKeyedReference:
+    # rankings sort edge indices on index-order analyses; the reference
+    # sorts edge ids on the public id-keyed centralities and cutsets
+    @pytest.mark.parametrize("graph", ["planted32", "bypass_city", "star5",
+                                       "two_cliques_bridge", "k5"])
+    def test_fixtures(self, request, graph):
+        net = request.getfixturevalue(graph)
+        for strategy in GRAPH_STRATEGIES:
+            assert strategy_edge_ranking(net, strategy) == list(
+                reference_ranking(net, strategy)), strategy
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graphs(5, 40))
+    def test_random_graphs(self, net):
+        for strategy in GRAPH_STRATEGIES:
+            assert strategy_edge_ranking(net, strategy) == list(
+                reference_ranking(net, strategy)), strategy
 
 
 class TestPlanPlumbing:

@@ -766,6 +766,23 @@ def test_one_node_network_exits_1_naming_the_empty_stop_pool(tmp_path, capsys, c
         "error: no node other than the warehouse 'solo' has an id starting with ''\n")
 
 
+def test_edgeless_network_with_inverse_defense_exits_1_without_traceback(tmp_path):
+    # the inverse weights divided by the edge count: ZeroDivisionError
+    (tmp_path / "nodes.csv").write_text("node_id,x,y\nsolo,0,0\n")
+    (tmp_path / "edges.csv").write_text("edge_id,u,v,length_m,speed_mps\n")
+    (tmp_path / "cards.csv").write_text("courier_id,seq,node_id,window_start_s,window_end_s\n"
+                                        "c0,0,solo,,\nc0,1,solo,0,600\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"network_kind = files\nnodes_file = {tmp_path / 'nodes.csv'}\n"
+                   f"edges_file = {tmp_path / 'edges.csv'}\nfleet_kind = file\n"
+                   f"jobcards_file = {tmp_path / 'cards.csv'}\nk = 1\n")
+    result = run_cli(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                      "simulate", "--attack", "degree", "--defense", "inverse"])
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "error: k must be in [1, 0], got 1\n"
+
+
 _LENGTH_TEXT = st.sampled_from(["5e-324", "1e-300", "1", "60", "1e300"])
 _EXTREME = ["5e-324", "1e-300", "1", "60", "600", "1e300"]
 _CARDS = ("courier_id,seq,node_id,window_start_s,window_end_s\n"

@@ -105,3 +105,17 @@ def test_only_shortest_path_checks_a_weight_map():
                  if isinstance(fn, ast.FunctionDef) and fn.name == "shortest_path")
     assert uses(entry) == 1
     assert sum(uses(tree) for tree in trees.values()) == 1
+
+
+def test_no_source_calls_the_id_keyed_analysis_functions():
+    # rankings and routes read the analyses in index order; these functions
+    # build id-keyed results for callers outside the package
+    boundary = {"centrality", "partition_cutset", "inverse_centrality_scores"}
+
+    def called(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert [(path.name, sorted(called(path) & boundary)) for path in SOURCES
+            if called(path) & boundary] == []

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 import roadgame.network as network
 import roadgame.routing as routing
 from conftest import build_net, connected_graphs
-from oracles import reference_random_walk
+from oracles import reference_inverse_scores, reference_random_walk
 from roadgame.analysis import centrality
 from roadgame.errors import DomainError
-from roadgame.network import edge_disjoint_paths, shortest_path
+from roadgame.network import Node, RoadNetwork, edge_disjoint_paths, shortest_path
 from roadgame.rng import substream
 from roadgame.routing import DEFENSE_STRATEGIES, inverse_centrality_scores, plan_route
 from roadgame.simulate import JobCard, Stop, _compile_route
@@ -62,6 +62,23 @@ class TestInverseScores:
         first = inverse_centrality_scores(planted32)
         second = inverse_centrality_scores(planted32)
         assert first == second
+
+    @pytest.mark.parametrize("graph", ["planted32", "bypass_city", "star5",
+                                       "two_cliques_bridge", "k5"])
+    def test_equal_the_id_keyed_reference(self, request, graph):
+        net = request.getfixturevalue(graph)
+        assert list(inverse_centrality_scores(net).items()) == list(
+            reference_inverse_scores(net).items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graphs(5, 40))
+    def test_equal_the_id_keyed_reference_on_random_graphs(self, net):
+        assert list(inverse_centrality_scores(net).items()) == list(
+            reference_inverse_scores(net).items())
+
+    def test_edgeless_network_has_no_scores(self):
+        # the degree centrality deg/|E| used to divide by zero here
+        assert inverse_centrality_scores(RoadNetwork([Node("solo", 0.0, 0.0)], [])) == {}
 
 
 class TestPlanRoute:
