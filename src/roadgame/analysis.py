@@ -5,7 +5,13 @@ splitting among equal-cost paths, as fixed-point sums that add,
 certified, with an exact fallback.  botgrep's k-means labels are
 certified the same way against the per-centroid norms.  Partition labels
 are canonical: communities are numbered 0..k-1 in order of their
-smallest node id, so identical structures compare equal.
+smallest node id, so identical structures compare equal.  The community
+searches (infomap, hierarchical_mod) price every node's moves at once on
+arrays at the start of each pass and run their scalar moves from the
+first node that can move; the arrays run each cost's own formulas in the
+same operation order on int64 and float64, so IEEE arithmetic gives the
+scalar changes bit for bit and the partitions are the ones full scalar
+passes find.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import heapq
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -310,22 +317,33 @@ def _link_counts(net: RoadNetwork) -> list[dict[int, int]]:
 # A partition cost over community (cut, vol) counts: ``start(cuts, vols)``
 # totals the given communities, ``step(total, cut, vol, new_cut, new_vol)``
 # is the total once one community's counts change, and a change is taken
-# when it changes ``length(total)`` by less than ``tol``.
-_Cost = namedtuple("_Cost", "start step length tol")
+# when it changes ``length(total)`` by less than ``tol``.  ``steps`` and
+# ``lengths`` are the same formulas, in the same operation order, over
+# int64 and float64 arrays of counts.
+_Cost = namedtuple("_Cost", "start step length tol steps lengths")
 
 
 def _modularity_cost(two_m: int) -> _Cost:
     """4m^2 (1 - Q) as the exact integer 2m*sum(cut) + sum(vol^2).
 
     A community holds (vol - cut)/2 inner edges, so Q = 1 - sum(cut)/2m
-    - sum(vol^2)/4m^2 and every decision compares integers.
+    - sum(vol^2)/4m^2 and every decision compares integers.  The total
+    is at most 8m^2 and the searches price moves on int64, whose
+    arithmetic wraps modulo 2^64, so every total and change they compute
+    is exact while 8m^2 fits in an int64; larger networks are refused.
     """
-    return _Cost(
-        start=lambda cuts, vols: two_m * sum(cuts) + sum(v * v for v in vols),
-        step=lambda total, cut, vol, new_cut, new_vol: (
-            total + two_m * (new_cut - cut) + new_vol * new_vol - vol * vol),
-        length=lambda total: total,
-        tol=0)
+    if 2 * two_m * two_m > np.iinfo(np.int64).max:
+        raise DomainError(f"a network of {two_m // 2} edges is too large for exact "
+                          "int64 modularity totals")
+
+    def step(total, cut, vol, new_cut, new_vol):
+        return total + two_m * (new_cut - cut) + new_vol * new_vol - vol * vol
+
+    def length(total):
+        return total
+
+    return _Cost(start=lambda cuts, vols: two_m * sum(cuts) + sum(v * v for v in vols),
+                 step=step, length=length, tol=0, steps=step, lengths=length)
 
 
 class _CommunitySearch:
@@ -351,6 +369,13 @@ class _CommunitySearch:
         self.between = [dict(row) for row in links]
         self.cost = cost
         self.total = cost.start(self.cut, self.vol)
+        # the directed links i -> j and their counts, i ascending, for priced_moves
+        self.link_src = np.repeat(np.arange(len(links)), [len(row) for row in links])
+        self.link_dst = np.fromiter(chain.from_iterable(links), np.int64, len(self.link_src))
+        self.link_count = np.fromiter(chain.from_iterable(row.values() for row in links),
+                                      np.int64, len(self.link_src))
+        self.ext_array = np.array(self.ext, np.int64)
+        self.deg_array = np.array(self.deg, np.int64)
 
     def _set(self, c: int, new_cut: int, new_vol: int) -> None:
         self.total = self.cost.step(self.total, self.cut[c], self.vol[c], new_cut, new_vol)
@@ -364,22 +389,74 @@ class _CommunitySearch:
         else:
             del self.between[a][b], self.between[b][a]
 
+    def priced_moves(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's move to each neighbouring community, priced at
+        once from the current state: the moving node of each move, in
+        ascending order, and the move's change of the cost's length.
+
+        The changes are the ones :meth:`sweep` computes for a node in
+        this state, term for term: the cost's own formulas in its array
+        form, on the same int64 counts and float64 table entries.
+        """
+        n = len(self.comm)
+        if not len(self.link_src):  # no links, no moves
+            return self.link_src, self.link_src
+        comm = np.array(self.comm, np.int64)
+        cut, vol = np.array(self.cut, np.int64), np.array(self.vol, np.int64)
+        # one group per (node, community of its neighbours), counts summed;
+        # the keys come in runs of ascending src, which a stable sort merges
+        key = self.link_src * n + comm[self.link_dst]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        boundary = np.ones(len(key), bool)
+        np.not_equal(key[1:], key[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        counts = np.add.reduceat(self.link_count[order], starts)
+        node, target = np.divmod(key[starts], n)
+        own = target == comm[node]
+        stay = np.zeros(n, np.int64)
+        stay[node[own]] = counts[own]
+        node, target, counts = node[~own], target[~own], counts[~own]
+        source, ext, deg = comm[node], self.ext_array[node], self.deg_array[node]
+        steps = self.cost.steps
+        left = steps(self.total, cut[source], vol[source],
+                     cut[source] - ext + 2 * stay[node], vol[source] - deg)
+        joined = steps(left, cut[target], vol[target],
+                       cut[target] + ext - 2 * counts, vol[target] + deg)
+        return node, self.cost.lengths(joined) - self.cost.length(self.total)
+
+    def first_mover(self) -> int | None:
+        """The first node, in index order, with a move whose change is
+        below ``tol`` in the current state; None if no node has one."""
+        node, delta = self.priced_moves()
+        movers = node[delta < self.cost.tol]
+        return int(movers[0]) if len(movers) else None
+
     def sweep(self) -> bool:
         """Single-node moves until none lowers the cost; True if any node moved.
 
         Each node goes to the neighbouring community whose move lowers
         the cost most, ties to the smallest label, and stays unless the
-        change is below ``tol``.
+        change is below ``tol``.  A pass runs the scalar moves from
+        :meth:`first_mover` on: every node before it sees the pass-start
+        state and prices the same changes, so it would stay, and a pass
+        where no node can move is one array evaluation.  The screen is
+        exact because :meth:`priced_moves` evaluates the cost's formulas
+        in the scalar loop's operation order, and IEEE ``+ - *`` round
+        each float64 operation alike in Python and numpy while the int64
+        counts are exact, so each array change equals the scalar one bit
+        for bit.
         """
         step, length, tol = self.cost.step, self.cost.length, self.cost.tol
         comm, cut, vol = self.comm, self.cut, self.vol
         moved = False
-        improving = True
-        while improving:
+        first = self.first_mover()
+        while first is not None:
             improving = False
             total = self.total
             baseline = length(total)
-            for i, (row, ext, deg) in enumerate(zip(self.links, self.ext, self.deg)):
+            for i in range(first, len(comm)):
+                row, ext, deg = self.links[i], self.ext[i], self.deg[i]
                 source = comm[i]
                 counts: dict[int, int] = {}
                 for j, count in row.items():
@@ -409,6 +486,7 @@ class _CommunitySearch:
                 total = self.total
                 baseline = length(total)
                 moved = improving = True
+            first = self.first_mover() if improving else None
         return moved
 
     def merge_best(self) -> bool:
@@ -674,6 +752,24 @@ def _xlogx(value: float) -> float:
     return value * math.log2(value) if value > 0 else 0.0
 
 
+def _codelength_formulas(xlogx, log_two_m: float):
+    """The code-length cost's ``step`` and ``length`` over a table of
+    x*log2(x), read by integer index: a list for scalar counts, an
+    ndarray for arrays of them."""
+
+    def step(total, cut, vol, new_cut, new_vol):
+        q, s2, mod = total
+        return (q + new_cut - cut,
+                s2 + xlogx[new_cut] - xlogx[cut],
+                mod + (xlogx[new_cut + new_vol] - xlogx[new_cut])
+                - (xlogx[cut + vol] - xlogx[cut]))
+
+    def length(total):
+        return xlogx[total[0]] + total[0] * log_two_m - 2 * total[1] + total[2]
+
+    return step, length
+
+
 def _codelength_cost(two_m: int) -> _Cost:
     """2m times the map equation's code length, less a partition-independent constant.
 
@@ -686,21 +782,12 @@ def _codelength_cost(two_m: int) -> _Cost:
     """
     xlogx = [_xlogx(x) for x in range(2 * two_m + 1)]
     log_two_m = math.log2(two_m)
-
-    def step(total: tuple[int, float, float], cut: int, vol: int, new_cut: int,
-             new_vol: int) -> tuple[int, float, float]:
-        q, s2, mod = total
-        return (q + new_cut - cut,
-                s2 + xlogx[new_cut] - xlogx[cut],
-                mod + (xlogx[new_cut + new_vol] - xlogx[new_cut])
-                - (xlogx[cut + vol] - xlogx[cut]))
-
+    step, length = _codelength_formulas(xlogx, log_two_m)
+    steps, lengths = _codelength_formulas(np.array(xlogx), log_two_m)
     return _Cost(
         start=lambda cuts, vols: (sum(cuts), sum(xlogx[c] for c in cuts),
                                   sum(xlogx[c + v] - xlogx[c] for c, v in zip(cuts, vols))),
-        step=step,
-        length=lambda total: xlogx[total[0]] + total[0] * log_two_m - 2 * total[1] + total[2],
-        tol=-1e-12 * two_m)
+        step=step, length=length, tol=-1e-12 * two_m, steps=steps, lengths=lengths)
 
 
 def map_equation_codelength(net: RoadNetwork, part: Partition) -> float:

@@ -99,6 +99,8 @@ def select_attack_edges(net: RoadNetwork, strategy: str, k: int, seed: int = 0) 
     first) and pad with the highest-betweenness remaining edges when the
     cutset is smaller than k.
     """
+    if not net.num_edges:
+        raise DomainError("the network has no edges to attack")
     if not 1 <= k <= net.num_edges:
         raise DomainError(f"k must be in [1, {net.num_edges}], got {k}")
     ranking = strategy_edge_ranking(net, strategy, seed=seed)

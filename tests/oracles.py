@@ -399,6 +399,71 @@ def rescan_greedy_merge(net: RoadNetwork) -> Partition:
         {node: label for label, group in members.items() for node in group})
 
 
+def _scalar_move(search, i: int, total):
+    """Node i's best move in a community search, priced by the cost's
+    scalar formulas from ``total``: ``(delta, target, counts, stay)``,
+    or None when every neighbour shares its community."""
+    step, length = search.cost.step, search.cost.length
+    comm, cut, vol = search.comm, search.cut, search.vol
+    ext, deg, source = search.ext[i], search.deg[i], comm[i]
+    counts: dict[int, int] = {}
+    for j, count in search.links[i].items():
+        c = comm[j]
+        counts[c] = counts.get(c, 0) + count
+    stay = counts.pop(source, 0)
+    if not counts:
+        return None
+    left = step(total, cut[source], vol[source], cut[source] - ext + 2 * stay, vol[source] - deg)
+    delta, target = min(
+        (length(step(left, cut[t], vol[t], cut[t] + ext - 2 * count, vol[t] + deg))
+         - length(total), t) for t, count in counts.items())
+    return delta, target, counts, stay
+
+
+def scalar_best_deltas(search) -> list:
+    """Each node's smallest change of the cost's length over its moves,
+    in the search's current state, as a scalar pass prices it; None for
+    a node with no neighbouring community."""
+    moves = [_scalar_move(search, i, search.total) for i in range(len(search.comm))]
+    return [None if move is None else move[0] for move in moves]
+
+
+def scalar_sweep(search) -> list[int]:
+    """``_CommunitySearch.sweep`` as full scalar passes over every node
+    until a pass moves none, with no array screen; the nodes moved, in
+    order (empty, so false, when none moved)."""
+    moved = []
+    while passed := scalar_pass(search):
+        moved += passed
+    return moved
+
+
+def scalar_pass(search) -> list[int]:
+    """One full scalar pass of single-node moves, every node in index
+    order priced from the running state; the nodes moved, in order."""
+    moved = []
+    for i in range(len(search.comm)):
+        move = _scalar_move(search, i, search.total)
+        if move is None or move[0] >= search.cost.tol:
+            continue
+        _, target, counts, stay = move
+        source, ext, deg = search.comm[i], search.ext[i], search.deg[i]
+        search._set(source, search.cut[source] - ext + 2 * stay, search.vol[source] - deg)
+        search._set(target, search.cut[target] + ext - 2 * counts[target],
+                    search.vol[target] + deg)
+        search.comm[i] = target
+        search.members[source].remove(i)
+        search.members[target].add(i)
+        for c, count in counts.items():
+            search._link(source, c, -count)
+            if c != target:
+                search._link(target, c, count)
+        if stay:
+            search._link(target, source, stay)
+        moved.append(i)
+    return moved
+
+
 def _sigma_tot_local_moves(nodes, neigh, k, m, comm):
     """Greedy single-node moves until stable; True if any node moved.  A
     node moves on a strict gain 2*m*k_in - sigma_tot*k_i over staying,

@@ -1,5 +1,7 @@
+import copy
 import functools
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from conftest import build_net, clique_edges, connected_graphs
 from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity,
                      edge_loop_mixing_kernel, exact_modularity, float_flow_partition,
                      float_map_equation_codelength, fraction_betweenness, incident_edges,
-                     rescan_greedy_merge, sigma_tot_hierarchical_merge, tensor_kmeans)
+                     rescan_greedy_merge, scalar_best_deltas, scalar_pass, scalar_sweep,
+                     sigma_tot_hierarchical_merge, tensor_kmeans)
 import roadgame.analysis as analysis
 from roadgame.analysis import (Partition, _betweenness_scores, _betweenness_sums,
                                _codelength_cost,
@@ -422,6 +425,81 @@ class TestCommunitySearch:
         else:  # the running float sums drift from a fresh sum by rounding only
             assert search.total[0] == expected[0]
             assert search.total[1:] == pytest.approx(expected[1:], rel=1e-9, abs=1e-9)
+
+
+# the community searches whose sweeps screen each pass on arrays
+SWEEPING_SEARCHES = {"infomap": flow_partition,
+                     "hierarchical_mod": functools.partial(agglomerative_modularity,
+                                                           variant="hierarchical")}
+
+
+def checked_screens(search_fn, net):
+    """Run a community search with every pass's screen checked against
+    the scalar pricing of the same state; per state checked, its largest
+    link count and largest loop count."""
+    first_mover = _CommunitySearch.first_mover
+    states = []
+
+    def checked(search):
+        node, delta = search.priced_moves()
+        best = {}
+        for i, d in zip(node.tolist(), delta.tolist()):
+            best[i] = min(best.get(i, d), d)
+        # repr tells floats apart bit for bit, 0.0 from -0.0 too
+        assert {i: repr(d) for i, d in best.items()} == {
+            i: repr(d) for i, d in enumerate(scalar_best_deltas(search)) if d is not None}
+        moved = scalar_pass(copy.deepcopy(search))
+        first = first_mover(search)
+        assert first == (moved[0] if moved else None)
+        states.append((int(search.link_count.max(initial=0)),
+                       max(d - e for d, e in zip(search.deg, search.ext))))
+        return first
+
+    with mock.patch.object(_CommunitySearch, "first_mover", checked):
+        search_fn(net)
+    return states
+
+
+def grids():
+    return st.builds(lambda rows, cols: generate_city("grid", rows=rows, cols=cols,
+                                                      edge_time_s=60.0),
+                     st.integers(2, 9), st.integers(2, 9))
+
+
+class TestScreenedSweep:
+    @pytest.mark.parametrize("method", SWEEPING_SEARCHES)
+    @pytest.mark.parametrize("graph", ["planted64", "bypass_city", "grid8", "grid16",
+                                       "geo0"])
+    def test_screen_prices_every_pass_as_the_scalar_loop(self, request, graph, method):
+        states = checked_screens(SWEEPING_SEARCHES[method], search_graph(request, graph))
+        if method == "hierarchical_mod":  # a coarse level: counts above 1, inner edge ends
+            assert any(count > 1 and loops > 0 for count, loops in states)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(connected_graphs(5, 40), grids()), st.sampled_from(list(SWEEPING_SEARCHES)))
+    def test_screen_prices_every_pass_as_the_scalar_loop_on_random_graphs(self, net, method):
+        checked_screens(SWEEPING_SEARCHES[method], net)
+
+    @pytest.mark.parametrize("method", SWEEPING_SEARCHES)
+    @pytest.mark.parametrize("graph", SEARCH_GRAPHS)
+    def test_partition_equals_full_scalar_passes(self, request, graph, method):
+        net = search_graph(request, graph)
+        with mock.patch.object(_CommunitySearch, "sweep", scalar_sweep):
+            expected = SWEEPING_SEARCHES[method](net)
+        assert SWEEPING_SEARCHES[method](net) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(connected_graphs(5, 40), grids()), st.sampled_from(list(SWEEPING_SEARCHES)))
+    def test_partition_equals_full_scalar_passes_on_random_graphs(self, net, method):
+        with mock.patch.object(_CommunitySearch, "sweep", scalar_sweep):
+            expected = SWEEPING_SEARCHES[method](net)
+        assert SWEEPING_SEARCHES[method](net) == expected
+
+    def test_modularity_totals_past_int64_are_refused(self):
+        largest = 2 ** 30 - 1  # the most edges m with 8m^2 below 2^63
+        _modularity_cost(2 * largest)
+        with pytest.raises(DomainError, match="too large for exact int64"):
+            _modularity_cost(2 * (largest + 1))
 
 
 class TestMixingPartition:

@@ -9,6 +9,7 @@ from roadgame.attacks import (ATTACK_STRATEGIES, empty_attack_plan,
                               select_attack_edges, strategy_edge_ranking,
                               write_attack_plan)
 from roadgame.errors import DomainError
+from roadgame.network import Node, RoadNetwork
 from roadgame.synth import generate_city
 
 PARTITION_STRATEGIES = ("infomap", "botgrep", "greedy_mod", "hierarchical_mod", "eigen_mod")
@@ -78,6 +79,11 @@ class TestSelection:
             select_attack_edges(p3, "random", 3, seed=0)
         with pytest.raises(DomainError):
             select_attack_edges(p3, "tarpit", 1, seed=0)
+
+    def test_edgeless_network_has_no_edges_to_attack(self):
+        net = RoadNetwork([Node("solo", 0.0, 0.0)], [])
+        with pytest.raises(DomainError, match="^the network has no edges to attack$"):
+            select_attack_edges(net, "degree", 1, seed=0)
 
     def test_cutset_first_then_padding(self, two_cliques_bridge):
         # budget above the natural cutset: bridge first, then the

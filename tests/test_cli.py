@@ -780,7 +780,7 @@ def test_edgeless_network_with_inverse_defense_exits_1_without_traceback(tmp_pat
                       "simulate", "--attack", "degree", "--defense", "inverse"])
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
-    assert result.stderr == "error: k must be in [1, 0], got 1\n"
+    assert result.stderr == "error: the network has no edges to attack\n"
 
 
 _LENGTH_TEXT = st.sampled_from(["5e-324", "1e-300", "1", "60", "1e300"])
