@@ -2,16 +2,18 @@
 
 Betweenness is computed exactly over travel-time shortest paths with even
 splitting among equal-cost paths, as fixed-point sums that add,
-certified, with an exact fallback.  botgrep's k-means labels are
-certified the same way against the per-centroid norms.  Partition labels
-are canonical: communities are numbered 0..k-1 in order of their
-smallest node id, so identical structures compare equal.  The community
-searches (infomap, hierarchical_mod) price every node's moves at once on
-arrays at the start of each pass and run their scalar moves from the
-first node that can move; the arrays run each cost's own formulas in the
-same operation order on int64 and float64, so IEEE arithmetic gives the
-scalar changes bit for bit and the partitions are the ones full scalar
-passes find.
+certified, with an exact fallback.  Its shortest-path DAGs come from one
+array search per block of sources, certified to equal the heap search's;
+path counts and dependencies stay exact ints, summed per directed edge.
+botgrep's k-means labels are certified against the per-centroid norms.
+Partition labels are canonical: communities are numbered 0..k-1 in order
+of their smallest node id, so identical structures compare equal.  The
+community searches (infomap, hierarchical_mod) price every node's moves
+at once on arrays at the start of each pass and run their scalar moves
+from the first node that can move; the arrays run each cost's own
+formulas in the same operation order on int64 and float64, so IEEE
+arithmetic gives the scalar changes bit for bit and the partitions are
+the ones full scalar passes find.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .blas import one_thread
 from .errors import ConvergenceError, DomainError, ValidationError
-from .network import RoadNetwork, _dijkstra, memoised
+from .network import RoadNetwork, _dijkstra, _shortest_dags, memoised
 from .rng import substream
 
 CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
@@ -142,36 +144,45 @@ def _betweenness_sums(net: RoadNetwork, sources) -> tuple[list[int], list[int], 
     """Fixed-point partial sums ``(node_sums, edge_sums, sigma_max)`` of
     the dependencies of ``sources``, in node and edge index order.
 
-    Each source's shortest-path DAG comes from :func:`_path_counts`.
-    With ``c(w) = 1/sigma(w) + sum of c(x) over successors x``, Brandes'
-    dependency of w is ``sigma(w)`` times its successors' sum of c, and
-    edge (v, w) carries ``sigma(v) * c(w)``.  Here c is a fixed-point
-    value in units of ``2**-_FIXED_BITS``: each ``1/sigma`` is floored,
-    so every term is a sum of floors with nonnegative weights, and a node
-    that is never interior stays exactly 0.  ``sigma_max`` is the largest
-    path count seen, which bounds the floors' error
-    (:func:`_round_betweenness`).  Fixed-point sums do not depend on
-    order, so sums over disjoint source sets merge by plain addition.
+    Each source's shortest-path DAG comes from
+    :func:`~roadgame.network._shortest_dags`, a block of sources per
+    array search, and its path counts sigma are exact ints.  With
+    ``c(w) = 1/sigma(w) + sum of c(x) over successors x``, a DAG edge
+    (v, w) carries ``sigma(v) * c(w)``; its sum over the sources goes to
+    the directed edge.  Here c is a fixed-point value in units of
+    ``2**-_FIXED_BITS``: each ``1/sigma`` is floored, so every term is a
+    sum of floors with nonnegative weights, and a node that is never
+    interior stays exactly 0.  A node's dependency, Brandes' ``sigma(v)``
+    times its successors' sum of c, is the sum over its out-edges, less
+    ``c(s) - 1`` (``c[s] - one`` in units) where it is the source s
+    itself.  ``sigma_max`` is the largest path count seen, which bounds
+    the floors' error (:func:`_round_betweenness`).  Fixed-point sums do
+    not depend on order, so sums over disjoint source sets merge by plain
+    addition.
     """
     n = net.num_nodes
     one = 1 << _FIXED_BITS
     node_sums = [0] * n
-    edge_sums = [0] * net.num_edges
+    directed = [0] * (2 * net.num_edges)
     sigma_max = 1
-    for s in map(net.node_index.__getitem__, sources):
-        order, preds, sigma = _path_counts(net, s)
+    sources = [net.node_index[s] for s in sources]
+    for s, (_, tails, heads, dirs) in zip(sources, _shortest_dags(net, sources)):
+        sigma = [0] * n
+        sigma[s] = 1
+        for v, w in zip(tails, heads):
+            sigma[w] += sigma[v]
         sigma_max = max(sigma_max, *sigma)
-        own = [0] * n
-        for v in order:
-            own[v] = one // sigma[v]
-        c = own[:]
-        for w in reversed(order):
+        c = [x and one // x for x in sigma]
+        for v, w, d in zip(reversed(tails), reversed(heads), reversed(dirs)):
             cw = c[w]
-            for v, e in preds[w]:
-                c[v] += cw
-                edge_sums[e] += sigma[v] * cw
-            if w != s:
-                node_sums[w] += sigma[w] * (cw - own[w])
+            c[v] += cw
+            directed[d] += sigma[v] * cw
+        node_sums[s] -= c[s] - one
+    edge_sums = []
+    for (i, j), forward, backward in zip(net.ends, directed[::2], directed[1::2]):
+        node_sums[i] += forward
+        node_sums[j] += backward
+        edge_sums.append(forward + backward)
     return node_sums, edge_sums, sigma_max
 
 
@@ -285,7 +296,9 @@ def spectral_bisect(net: RoadNetwork) -> Partition:
     two_m = float(deg.sum())
     if two_m == 0:
         return Partition.from_assignment({v: 0 for v in net.node_ids})
-    b = a - np.outer(deg, deg) / two_m
+    b = np.outer(deg, deg)
+    b /= two_m
+    np.subtract(a, b, out=b)
     try:
         with one_thread():
             eigenvalues, eigenvectors = np.linalg.eigh(b)

@@ -295,18 +295,19 @@ def _analysis_tasks(cfg: ExperimentConfig, net: RoadNetwork) -> list[tuple]:
     Betweenness, which every partition attack and ``inverse`` read too,
     is split into one source chunk per worker, whose fixed-point sums
     add, certified, with an exact fallback; each partition detector
-    and the eigenvector are one task.  Chunks come first, as the longest.
-    botgrep and eigen_mod, which hold several dense n x n arrays each,
-    come next: workers free at about the same time take one each, so one
-    process does not add both to its peak memory.
+    and the eigenvector are one task.  botgrep and eigen_mod, which hold
+    several dense n x n arrays each, come first: workers free at the
+    start take one each, so one process does not add both to its peak
+    memory, and neither adds its arrays on top of what a betweenness
+    chunk leaves resident.  The chunks, the longest tasks left, come next.
     """
-    partitions = sorted((attack for attack in cfg.attacks if attack in PARTITION_STRATEGIES),
-                        key=lambda attack: attack not in ("botgrep", "eigen_mod"))
-    tasks = []
+    partitions = [attack for attack in cfg.attacks if attack in PARTITION_STRATEGIES]
+    dense = [attack for attack in partitions if attack in ("botgrep", "eigen_mod")]
+    tasks = [(cfg, _partition_for, (attack,)) for attack in dense]
     if partitions or "betweenness" in cfg.attacks or "inverse" in cfg.defenses:
         chunks = min(cfg.workers, net.num_nodes)
         tasks += [(cfg, _betweenness_sums, (net.node_ids[i::chunks],)) for i in range(chunks)]
-    tasks += [(cfg, _partition_for, (attack,)) for attack in partitions]
+    tasks += [(cfg, _partition_for, (attack,)) for attack in partitions if attack not in dense]
     if "eigen_c" in cfg.attacks or "inverse" in cfg.defenses:
         tasks.append((cfg, _eigenvector_scores, ()))
     return tasks

@@ -239,20 +239,29 @@ def _score(late: np.ndarray, critical: np.ndarray, ambushes: np.ndarray,
     times, C-ordered so that each row's mean is the pairwise sum a 1-D
     array of those times gets.  A finite row whose sum passes the float
     range is averaged as a sum of quotients instead.  The 95th percentile
-    interpolates linearly, and is inf where a neighbouring order statistic
-    is inf, where interpolating would give NaN.
+    is ``np.percentile``'s linear rule in its operation order: at index
+    ``(n - 1) * 0.95`` of the sorted row, with fraction g between order
+    statistics a and b, it is ``a + (b - a) * g``, or ``b - (b - a) * (1
+    - g)`` when g >= 0.5.  At a whole index it is that order statistic,
+    and otherwise inf when b is, where numpy would give NaN.
     """
     times = np.ascontiguousarray(times, dtype=float)
     plans, couriers = times.shape
     if couriers:
+        position = (couriers - 1) * 0.95
+        lo = math.floor(position)
+        gamma = position - lo
+        ordered = np.sort(times, axis=1)
+        a, b = ordered[:, lo], ordered[:, min(lo + 1, couriers - 1)]
         with np.errstate(over="ignore", invalid="ignore"):
             mean = times.mean(axis=1)
             for row in np.flatnonzero((mean == math.inf) & np.isfinite(times).all(axis=1)):
                 mean[row] = (times[row] / couriers).sum()
-            p95 = np.percentile(times, 95, axis=1)
-        position = 0.95 * (couriers - 1)
-        neighbours = np.sort(times, axis=1)[:, [math.floor(position), math.ceil(position)]]
-        p95[np.isinf(neighbours).any(axis=1)] = math.inf
+            if gamma == 0:
+                p95 = a
+            else:
+                p95 = b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+                p95[b == math.inf] = math.inf
     else:
         mean = p95 = np.zeros(plans)
     return [RoundMetrics(**fractions, mean_tour_time_s=row_mean, p95_tour_time_s=row_p95,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import DomainError, ParseError, ValidationError
 from .network import (Edge, Node, RoadNetwork, _dijkstra, _parse_float, _read_rows,
-                      shortest_path)
+                      _shortest_dags, shortest_path)
 from .rng import substream
 from .simulate import JobCard, Stop
 
@@ -303,9 +303,13 @@ def generate_city(kind: str, seed: int = 0, **params) -> RoadNetwork:
 
 
 def central_node(net: RoadNetwork) -> str:
-    """Node minimising total travel time to all others (ties: smallest id)."""
-    return net.node_ids[min(range(net.num_nodes),
-                            key=lambda i: sum(_dijkstra(net, i, net.travel)[1]))]
+    """Node minimising total travel time to all others (ties: smallest id).
+
+    Each total is the builtin ``sum`` of the node's distance row, in
+    node-index order, as :func:`~roadgame.network._shortest_dags` gives it.
+    """
+    totals = [sum(dist) for dist, *_ in _shortest_dags(net, list(range(net.num_nodes)))]
+    return net.node_ids[totals.index(min(totals))]
 
 
 def make_fleet(net: RoadNetwork, couriers: int, stops_per_card: int,

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import roadgame.routing as routing
-from roadgame.analysis import Partition, _xlogx, centrality, partition_cutset
+from roadgame.analysis import (_FIXED_BITS, Partition, _path_counts, _xlogx, centrality,
+                               partition_cutset)
 from roadgame.attacks import AttackPlan, _partition_for
 from roadgame.errors import DomainError
 from roadgame.network import RoadNetwork, _dijkstra
@@ -205,6 +206,32 @@ def fraction_betweenness(net: RoadNetwork):
                 node_acc[w] += delta[w]
     return ({v: float(x / 2) for v, x in node_acc.items()},
             {e: float(x / 2) for e, x in edge_acc.items()})
+
+
+def heap_betweenness_sums(net: RoadNetwork, sources):
+    """``analysis._betweenness_sums`` as one heap search per source gave it:
+    ``_path_counts``'s predecessor lists, walked back node by node, each
+    node's dependency added as it is reached."""
+    n = net.num_nodes
+    one = 1 << _FIXED_BITS
+    node_sums = [0] * n
+    edge_sums = [0] * net.num_edges
+    sigma_max = 1
+    for s in map(net.node_index.__getitem__, sources):
+        order, preds, sigma = _path_counts(net, s)
+        sigma_max = max(sigma_max, *sigma)
+        own = [0] * n
+        for v in order:
+            own[v] = one // sigma[v]
+        c = own[:]
+        for w in reversed(order):
+            cw = c[w]
+            for v, e in preds[w]:
+                c[v] += cw
+                edge_sums[e] += sigma[v] * cw
+            if w != s:
+                node_sums[w] += sigma[w] * (cw - own[w])
+    return node_sums, edge_sums, sigma_max
 
 
 def tensor_kmeans(features: np.ndarray, num_clusters: int, rng) -> np.ndarray:

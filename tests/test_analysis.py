@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_net, clique_edges, connected_graphs
 from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity,
                      edge_loop_mixing_kernel, exact_modularity, float_flow_partition,
-                     float_map_equation_codelength, fraction_betweenness, incident_edges,
+                     float_map_equation_codelength, fraction_betweenness,
+                     heap_betweenness_sums, incident_edges,
                      rescan_greedy_merge, scalar_best_deltas, scalar_pass, scalar_sweep,
                      sigma_tot_hierarchical_merge, tensor_kmeans)
 import roadgame.analysis as analysis
+import roadgame.network as network
 from roadgame.analysis import (Partition, _betweenness_scores, _betweenness_sums,
-                               _codelength_cost,
+                               _codelength_cost, _path_counts,
                                _CommunitySearch, _greedy_merge, _hierarchical_merge,
                                _kmeans, _link_counts, _merge_betweenness,
                                _modularity_cost, _round_betweenness,
@@ -25,7 +27,7 @@ from roadgame.analysis import (Partition, _betweenness_scores, _betweenness_sums
                                mixing_transition_matrix, modularity,
                                partition_cutset, spectral_bisect)
 from roadgame.errors import DomainError
-from roadgame.network import Node, RoadNetwork
+from roadgame.network import Node, RoadNetwork, _dijkstra
 from roadgame.rng import substream
 from roadgame.synth import generate_city
 
@@ -280,6 +282,101 @@ class TestCentrality:
         with pytest.raises(ConvergenceError, match="residual") as exc:
             centrality(net, "eigenvector")
         assert exc.value.residual is not None and exc.value.residual > 0
+
+
+def block_dags(net, sources):
+    """Per source of one array search: (distance row, each node's set of
+    (tail, edge) DAG edges, sigma summed over the edges in their order)."""
+    searched = network._block_search(net, sources)
+    assert searched is not None, "the block search refused a certifiable block"
+    rows, dirs, bounds = searched
+    out = []
+    for s, row, lo, hi in zip(sources, rows, bounds, bounds[1:]):
+        tight = defaultdict(set)
+        sigma = [0] * net.num_nodes
+        sigma[s] = 1
+        for d in dirs[lo:hi].tolist():
+            e, side = divmod(d, 2)
+            v, w = net.ends[e][side], net.ends[e][1 - side]
+            tight[w].add((v, e))
+            sigma[w] += sigma[v]  # a wrong order undercounts
+        out.append((row, dict(tight), sigma))
+    return out
+
+
+def heap_dag(net, s):
+    """The same triple from one heap search and ``_path_counts``."""
+    _, dist, _ = _dijkstra(net, s, net.travel)
+    order, preds, sigma = _path_counts(net, s)
+    return np.array(dist), {w: set(preds[w]) for w in order if preds[w]}, sigma
+
+
+def forced_fallbacks():
+    """Networks whose every block of all sources the certificate refuses,
+    with the reason."""
+    tiny = build_net([("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")],
+                     times={"e0": 1e300, "e1": 1e-300, "e2": 1e300})
+    chain = build_net([(f"e{i:02d}", f"n{i:02d}", f"n{i + 1:02d}") for i in range(20)],
+                      times={f"e{i:02d}": 1e307 for i in range(20)})
+    zero = generate_city("grid", rows=3, cols=4, edge_time_s=60.0)
+    zero.travel = (0.0,) + zero.travel[1:]
+    return {"a 1e-300 s edge beside 1e300 s ones": tiny,
+            "distances past the float range": chain, "a zero time": zero}
+
+
+class TestBlockSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["geometric", "tied", "rounded"]), st.integers(2, 6),
+           st.integers(2, 6), st.data())
+    def test_dag_equals_the_heap_search(self, kind, rows, cols, data):
+        # continuous times, ties on a lattice, and ties that hang on how
+        # each float sum rounds (0.1 + 0.2 != 0.3)
+        if kind == "geometric":
+            net = generate_city("geometric", seed=data.draw(st.integers(0, 2**32 - 1)),
+                                n=rows * cols + 6, radius_m=400.0)
+        else:
+            net = tied_grid(rows, cols, data,
+                            (1.0, 2.0) if kind == "tied" else (0.1, 0.2, 0.3))
+        sources = data.draw(st.lists(st.integers(0, net.num_nodes - 1), min_size=1,
+                                     unique=True), label="block of sources")
+        for s, (row, tight, sigma) in zip(sources, block_dags(net, sources)):
+            dist, preds, heap_sigma = heap_dag(net, s)
+            assert row.tobytes() == dist.tobytes()
+            assert tight == preds
+            assert sigma == heap_sigma
+
+    @pytest.mark.parametrize("graph", ["grid16", "planted64", "bypass_city"])
+    def test_sums_equal_the_heap_search(self, request, graph):
+        net = (generate_city("grid", rows=16, cols=16, edge_time_s=60.0) if graph == "grid16"
+               else request.getfixturevalue(graph))
+        ids = net.node_ids
+        assert network._block_search(net, list(range(net.num_nodes))) is not None
+        for chunk in (ids, ids[1::3]):
+            assert _betweenness_sums(net, chunk) == heap_betweenness_sums(net, chunk)
+
+    @pytest.mark.parametrize("reason", list(forced_fallbacks()))
+    def test_uncertified_blocks_fall_back_to_the_heap_search(self, reason):
+        net = forced_fallbacks()[reason]
+        assert network._block_search(net, list(range(net.num_nodes))) is None
+        assert (_betweenness_sums(net, net.node_ids)
+                == heap_betweenness_sums(net, net.node_ids))
+
+    def test_certificate_refuses_a_tight_link_that_adds_nothing(self):
+        # from a, c ties b at fl(1e300 + 1e-300) == 1e300 and no window can
+        # settle either; from c every window settles a node, but 1e-300 is
+        # below the spacing of the largest distance
+        net = forced_fallbacks()["a 1e-300 s edge beside 1e300 s ones"]
+        assert network._block_search(net, [net.node_index["a"]]) is None
+        assert network._block_search(net, [net.node_index["c"]]) is None
+
+    @pytest.mark.parametrize("graph", ["planted64", "grid16"])
+    def test_block_size_does_not_change_the_sums(self, request, monkeypatch, graph):
+        net = (generate_city("grid", rows=16, cols=16, edge_time_s=60.0) if graph == "grid16"
+               else request.getfixturevalue(graph))
+        expected = heap_betweenness_sums(net, net.node_ids)
+        for block in (1, net.num_nodes):
+            monkeypatch.setattr(network, "_BLOCK", block)
+            assert _betweenness_sums(net, net.node_ids) == expected
 
 
 class TestModularity:

@@ -126,10 +126,13 @@ def test_stage_dispatches_each_needed_analysis_once(recorded, attacks, defenses)
     # the chunks partition the sources: every node is a source exactly once
     sources = [s for kind, chunk in dispatched if kind == "betweenness" for s in chunk]
     assert sorted(sources) == (list(net.node_ids) if needs_betweenness else [])
-    # the dense-array detectors follow the chunks, so free workers take one each
+    # the dense-array detectors come first, so free workers take one each,
+    # and the chunks next
     dense = [("partition", a) for a in partitions if a in ("botgrep", "eigen_mod")]
     chunks = cfg.workers if needs_betweenness else 0
-    assert dispatched[chunks:chunks + len(dense)] == dense
+    assert dispatched[:len(dense)] == dense
+    after = dispatched[len(dense):len(dense) + chunks]
+    assert [kind for kind, _ in after] == ["betweenness"] * chunks
 
     # each task ran its one detector; the parent and the round tasks ran none
     by_stage = Counter(stage for stage, _ in calls)

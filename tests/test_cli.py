@@ -946,17 +946,21 @@ def test_analyze_is_byte_identical_across_blas_threads(tmp_path, method):
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     # no scipy module at all: importing any of it costs set-up time and memory,
-    # and the matrix game is solved without it
+    # and the matrix game is solved without it; nor numpy.ma, which
+    # np.percentile and np.unique import (about 10 ms and 0.6 MB)
     commands = [["analyze", "--method", method] for method in ANALYZE_METHODS]
     commands += [["matrix"], ["simulate", "--attack", "betweenness", "--defense", "inverse"],
                  ["--seed", "0", "sweep", "--axis", "window"],
                  ["--seed", "0", "sweep", "--axis", "attackers"]]
     code = (
         "import sys, roadgame.cli\n"
-        "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
+        "def unwanted():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "loaded = [unwanted()]\n"
         f"for command in {commands!r}:\n"
         f"    assert roadgame.cli.main(['--out', {str(tmp_path)!r}, *command]) == 0\n"
-        "    loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "    loaded.append(unwanted())\n"
         "print(loaded)\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

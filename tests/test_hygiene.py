@@ -81,8 +81,9 @@ def test_no_source_imports_scipy():
 
 
 def test_one_function_runs_the_shortest_path_search():
-    # paths, exact betweenness, trace synthesis and the fleet's central node
-    # all read network._dijkstra instead of keeping a heap loop of their own
+    # paths, trace synthesis, exact betweenness's lcm sums and the block
+    # search's fallback all read network._dijkstra instead of keeping a heap
+    # loop of their own
     def searches(path):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):

@@ -259,6 +259,32 @@ class TestMetrics:
         assert p95 == float(np.percentile(times, 95))
         assert p95 == pytest.approx(37.05)
 
+    def test_p95_at_a_whole_index_is_that_order_statistic(self):
+        # 21 couriers put the 95th percentile at index 19 exactly, where
+        # np.percentile weighs the inf at index 20 by 0 and gives NaN
+        for couriers, expected in ((21, 19.0), (20, math.inf)):
+            times = [float(t) for t in range(couriers - 1)] + [math.inf]
+            tours = [TourResult(f"c{i:02d}", (), (), 0, t) for i, t in enumerate(times)]
+            assert metrics_from_tours(tours).p95_tour_time_s == expected
+
+    def test_p95_is_numpy_percentile_wherever_that_is_a_number(self):
+        # ties, 1e300 and inf among 1..40 couriers' times; where numpy gives
+        # NaN the scorer gives the order statistic at a whole index, else inf
+        rng = np.random.default_rng(29)
+        for couriers in range(1, 41):
+            times = np.array([rng.choice([0.0, 1.0, 2.5, 7.0, 1e300, math.inf], couriers)
+                              for _ in range(30)]
+                             + [rng.uniform(0.0, 100.0, couriers), rng.exponential(1e300, couriers)])
+            scored = simulate._score(np.zeros((len(times), 0), bool),
+                                     np.zeros((len(times), 0), bool), [0] * len(times), times)
+            with np.errstate(invalid="ignore"):
+                expected = np.percentile(times, 95, axis=1).tolist()
+            position = (couriers - 1) * 0.95
+            for metrics, want, row in zip(scored, expected, times.tolist()):
+                if math.isnan(want):
+                    want = sorted(row)[int(position)] if position.is_integer() else math.inf
+                assert metrics.p95_tour_time_s.hex() == want.hex()
+
     def test_no_tours_score_zero(self):
         assert metrics_from_tours([]) == RoundMetrics(0.0, 0.0, 0.0, 0.0, 0, 0)
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from roadgame.errors import DomainError, ParseError, ValidationError
-from roadgame.network import edge_disjoint_paths, shortest_path
+from roadgame.network import _block_search, _dijkstra, edge_disjoint_paths, shortest_path
 from roadgame.simulate import JobCard, Stop
 from roadgame.synth import (TraceTolerance, central_node, generate_city,
                             make_fleet, parse_jobcards, synthesize_traces,
@@ -244,6 +244,20 @@ class TestMakeFleet:
     def test_central_warehouse_default(self, planted32):
         fleet = make_fleet(planted32, 1, 1, 100.0, seed=10)
         assert fleet[0].warehouse == central_node(planted32)
+
+    @pytest.mark.parametrize("city", [
+        dict(kind="geometric", seed=5, n=90, radius_m=220.0),
+        dict(kind="geometric", seed=11, n=40, radius_m=400.0),
+        dict(kind="two_cluster", size_a=36, size_b=30, bridges=2, edge_time_s=20.0,
+             bypass_count=3, bypass_time_s=300.0),
+        dict(kind="grid", rows=8, cols=8),
+    ])
+    def test_central_node_equals_the_heap_search_sums(self, city):
+        # the grid and the two-cluster city tie many totals: the smallest id wins
+        net = generate_city(**city)
+        assert _block_search(net, list(range(net.num_nodes))) is not None
+        assert central_node(net) == net.node_ids[min(
+            range(net.num_nodes), key=lambda i: sum(_dijkstra(net, i, net.travel)[1]))]
 
     def test_validation(self, planted32):
         with pytest.raises(DomainError):
