@@ -2,9 +2,10 @@
 
 Betweenness is computed exactly over travel-time shortest paths with even
 splitting among equal-cost paths, as fixed-point sums that add,
-certified, with an exact fallback.  Its shortest-path DAGs come from one
-array search per block of sources, certified to equal the heap search's;
-path counts and dependencies stay exact ints, summed per directed edge.
+certified; the exact fallback is the same sums in a unit that every path
+count divides.  Its shortest-path DAGs come from one array search per
+block of sources, certified to equal the heap search's; path counts and
+dependencies stay exact ints, summed per directed edge.
 botgrep's k-means labels are certified against the per-centroid norms.
 Partition labels are canonical: communities are numbered 0..k-1 in order
 of their smallest node id, so identical structures compare equal.  The
@@ -29,7 +30,7 @@ import numpy as np
 
 from .blas import one_thread
 from .errors import ConvergenceError, DomainError, ValidationError
-from .network import RoadNetwork, _dijkstra, _shortest_dags, memoised
+from .network import RoadNetwork, _shortest_dags, memoised
 from .rng import substream
 
 CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
@@ -128,49 +129,44 @@ def _betweenness_scores(net: RoadNetwork) -> tuple[list[float], list[float]]:
     return _round_betweenness(net, _betweenness_sums(net, net.node_ids))
 
 
-def _path_counts(net: RoadNetwork, s: int) -> tuple[list[int], list, list[int]]:
-    """Source s's settled order, predecessor lists and shortest-path
-    counts sigma, summed over the predecessors in that order."""
-    order, _, preds = _dijkstra(net, s, net.travel)
-    sigma = [0] * net.num_nodes
-    sigma[s] = 1
-    for w in order[1:]:
-        for v, _ in preds[w]:
-            sigma[w] += sigma[v]
-    return order, preds, sigma
-
-
-def _betweenness_sums(net: RoadNetwork, sources) -> tuple[list[int], list[int], int]:
-    """Fixed-point partial sums ``(node_sums, edge_sums, sigma_max)`` of
-    the dependencies of ``sources``, in node and edge index order.
-
-    Each source's shortest-path DAG comes from
-    :func:`~roadgame.network._shortest_dags`, a block of sources per
-    array search, and its path counts sigma are exact ints.  With
-    ``c(w) = 1/sigma(w) + sum of c(x) over successors x``, a DAG edge
-    (v, w) carries ``sigma(v) * c(w)``; its sum over the sources goes to
-    the directed edge.  Here c is a fixed-point value in units of
-    ``2**-_FIXED_BITS``: each ``1/sigma`` is floored, so every term is a
-    sum of floors with nonnegative weights, and a node that is never
-    interior stays exactly 0.  A node's dependency, Brandes' ``sigma(v)``
-    times its successors' sum of c, is the sum over its out-edges, less
-    ``c(s) - 1`` (``c[s] - one`` in units) where it is the source s
-    itself.  ``sigma_max`` is the largest path count seen, which bounds
-    the floors' error (:func:`_round_betweenness`).  Fixed-point sums do
-    not depend on order, so sums over disjoint source sets merge by plain
-    addition.
-    """
-    n = net.num_nodes
-    one = 1 << _FIXED_BITS
-    node_sums = [0] * n
-    directed = [0] * (2 * net.num_edges)
-    sigma_max = 1
-    sources = [net.node_index[s] for s in sources]
+def _counted_dags(net: RoadNetwork, sources: Sequence[int]):
+    """Per source index in turn: ``(s, sigma, tails, heads, dirs)``, its
+    shortest-path DAG from :func:`~roadgame.network._shortest_dags` and
+    its exact path counts sigma, summed over the DAG's edges in order."""
     for s, (_, tails, heads, dirs) in zip(sources, _shortest_dags(net, sources)):
-        sigma = [0] * n
+        sigma = [0] * net.num_nodes
         sigma[s] = 1
         for v, w in zip(tails, heads):
             sigma[w] += sigma[v]
+        yield s, sigma, tails, heads, dirs
+
+
+def _betweenness_sums(net: RoadNetwork, sources, one: int = 0
+                      ) -> tuple[list[int], list[int], int]:
+    """Fixed-point partial sums ``(node_sums, edge_sums, sigma_max)`` of
+    the dependencies of ``sources``, in node and edge index order, in
+    units of ``1/one``; ``one = 0`` means ``2**_FIXED_BITS``.
+
+    Each source's DAG and exact path counts sigma come from
+    :func:`_counted_dags`.  With ``c(w) = 1/sigma(w) + sum of c(x) over
+    successors x``, a DAG edge (v, w) carries ``sigma(v) * c(w)``; its sum
+    over the sources goes to the directed edge.  Here c is a fixed-point
+    value in units: each ``1/sigma`` is floored, so every term is a sum of
+    floors with nonnegative weights, and a node that is never interior
+    stays exactly 0.  A node's dependency, Brandes' ``sigma(v)`` times its
+    successors' sum of c, is the sum over its out-edges, less ``c(s) - 1``
+    (``c[s] - one`` in units) where it is the source s itself.
+    ``sigma_max`` is the largest path count seen, which bounds the floors'
+    error (:func:`_round_betweenness`); a unit that every path count
+    divides loses nothing (:func:`_exact_betweenness`).  Fixed-point sums
+    do not depend on order, so sums over disjoint source sets merge by
+    plain addition.
+    """
+    one = one or 1 << _FIXED_BITS
+    node_sums = [0] * net.num_nodes
+    directed = [0] * (2 * net.num_edges)
+    sigma_max = 1
+    for s, sigma, tails, heads, dirs in _counted_dags(net, [net.node_index[s] for s in sources]):
         sigma_max = max(sigma_max, *sigma)
         c = [x and one // x for x in sigma]
         for v, w, d in zip(reversed(tails), reversed(heads), reversed(dirs)):
@@ -205,7 +201,7 @@ def _round_betweenness(net: RoadNetwork, sums) -> tuple[list[float], list[float]
     both endpoints, and int / int rounds the exact quotient once,
     correctly, so an entry is certified when both ends of that interval,
     over ``2**(B + 1)``, round to the same float.  If any entry is not,
-    the whole network is summed again exactly by
+    the whole network is summed again, in a unit no floor rounds, by
     :func:`_exact_betweenness`.
     """
     node_sums, edge_sums, sigma_max = sums
@@ -221,39 +217,19 @@ def _round_betweenness(net: RoadNetwork, sums) -> tuple[list[float], list[float]
 
 
 def _exact_betweenness(net: RoadNetwork) -> tuple[list[float], list[float]]:
-    """Betweenness from exact integer numerators over one common denominator.
-
-    The terms of :func:`_betweenness_sums`, with c scaled by ``L =
-    lcm(sigma)`` per source so that each is an integer, are summed over
-    one running denominator; only uncertified fixed-point sums come here.
+    """Betweenness as :func:`_betweenness_sums` in units of ``1/L``, L the
+    lcm of every nonzero path count: each ``L // sigma`` is exact, so the
+    sums are the exact values times 2L, and int / int rounds each quotient
+    correctly.  Only uncertified fixed-point sums come here.
     """
-    n = net.num_nodes
-    node_num = [0] * n
-    edge_num = [0] * net.num_edges
-    denom = 1
-    for s in range(n):
-        order, preds, sigma = _path_counts(net, s)
-        scale = math.lcm(*map(sigma.__getitem__, order))
-        if denom % scale:
-            grow = math.lcm(denom, scale) // denom
-            denom *= grow
-            # in place, so the old and new totals are never all held at once
-            for totals in (node_num, edge_num):
-                for i, x in enumerate(totals):
-                    totals[i] = x * grow
-        lift = denom // scale
-        c = [0] * n
-        for v in order:
-            c[v] = scale // sigma[v]
-        for w in reversed(order):
-            cw = c[w]
-            lifted = lift * cw
-            for v, e in preds[w]:
-                c[v] += cw
-                edge_num[e] += sigma[v] * lifted
-            if w != s:
-                node_num[w] += sigma[w] * lifted - denom
-    return [x / (2 * denom) for x in node_num], [x / (2 * denom) for x in edge_num]
+    counts = set()
+    for _, sigma, *_ in _counted_dags(net, range(net.num_nodes)):
+        counts.update(sigma)
+    counts.discard(0)  # unreachable nodes' sigma
+    one = math.lcm(*counts)
+    scale = 2 * one
+    node_sums, edge_sums, _ = _betweenness_sums(net, net.node_ids, one)
+    return [x / scale for x in node_sums], [x / scale for x in edge_sums]
 
 
 def _min_over_ends(net: RoadNetwork, node_scores: Sequence) -> list:

@@ -162,9 +162,11 @@ class ExperimentConfig:
         for key in ("k", "workers"):
             if getattr(self, key) < 1:
                 raise ValidationError(f"{key} must be >= 1", key)
-        if self.bypass_count < 0:
-            raise ValidationError(f"bypass_count must be >= 0, got {self.bypass_count}",
-                                  "bypass_count")
+        for key, low in (("grid_rows", 2), ("grid_cols", 2), ("geo_n", 2), ("cluster_size_a", 4),
+                         ("cluster_size_b", 4), ("bridges", 1), ("bypass_count", 0),
+                         ("fleet_couriers", 1), ("fleet_stops", 1)):
+            if getattr(self, key) < low:
+                raise ValidationError(f"{key} must be >= {low}, got {getattr(self, key)}", key)
         for key in _LIST_KEYS:
             if not getattr(self, key):
                 raise ValidationError(f"{key} must be nonempty", key)

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 import roadgame.routing as routing
-from roadgame.analysis import (_FIXED_BITS, Partition, _path_counts, _xlogx, centrality,
-                               partition_cutset)
+from roadgame.analysis import _FIXED_BITS, Partition, _xlogx, centrality, partition_cutset
 from roadgame.attacks import AttackPlan, _partition_for
 from roadgame.errors import DomainError
 from roadgame.network import RoadNetwork, _dijkstra
@@ -181,7 +180,7 @@ def highs_maximin(a: np.ndarray) -> np.ndarray:
 
 def fraction_betweenness(net: RoadNetwork):
     """Brandes node and edge betweenness with a ``Fraction`` per dependency."""
-    tt = {eid: e.travel_time_s for eid, e in net.edges.items()}
+    tt = dict(zip(net.edge_ids, net.travel))  # the times every search reads
     incident = incident_edges(net)
     node_acc = {v: Fraction(0) for v in net.node_ids}
     edge_acc = {e: Fraction(0) for e in net.edge_ids}
@@ -208,9 +207,22 @@ def fraction_betweenness(net: RoadNetwork):
             {e: float(x / 2) for e, x in edge_acc.items()})
 
 
+def path_counts(net: RoadNetwork, s: int) -> tuple[list[int], list, list[int]]:
+    """Source s's settled order, predecessor lists and shortest-path
+    counts sigma from one heap search, summed over the predecessors in
+    that order."""
+    order, _, preds = _dijkstra(net, s, net.travel)
+    sigma = [0] * net.num_nodes
+    sigma[s] = 1
+    for w in order[1:]:
+        for v, _ in preds[w]:
+            sigma[w] += sigma[v]
+    return order, preds, sigma
+
+
 def heap_betweenness_sums(net: RoadNetwork, sources):
     """``analysis._betweenness_sums`` as one heap search per source gave it:
-    ``_path_counts``'s predecessor lists, walked back node by node, each
+    :func:`path_counts`'s predecessor lists, walked back node by node, each
     node's dependency added as it is reached."""
     n = net.num_nodes
     one = 1 << _FIXED_BITS
@@ -218,7 +230,7 @@ def heap_betweenness_sums(net: RoadNetwork, sources):
     edge_sums = [0] * net.num_edges
     sigma_max = 1
     for s in map(net.node_index.__getitem__, sources):
-        order, preds, sigma = _path_counts(net, s)
+        order, preds, sigma = path_counts(net, s)
         sigma_max = max(sigma_max, *sigma)
         own = [0] * n
         for v in order:

@@ -11,13 +11,13 @@ from conftest import build_net, clique_edges, connected_graphs
 from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity,
                      edge_loop_mixing_kernel, exact_modularity, float_flow_partition,
                      float_map_equation_codelength, fraction_betweenness,
-                     heap_betweenness_sums, incident_edges,
+                     heap_betweenness_sums, incident_edges, path_counts,
                      rescan_greedy_merge, scalar_best_deltas, scalar_pass, scalar_sweep,
                      sigma_tot_hierarchical_merge, tensor_kmeans)
 import roadgame.analysis as analysis
 import roadgame.network as network
 from roadgame.analysis import (Partition, _betweenness_scores, _betweenness_sums,
-                               _codelength_cost, _path_counts,
+                               _codelength_cost, _exact_betweenness,
                                _CommunitySearch, _greedy_merge, _hierarchical_merge,
                                _kmeans, _link_counts, _merge_betweenness,
                                _modularity_cost, _round_betweenness,
@@ -184,7 +184,7 @@ class TestCentrality:
     @given(st.integers(2, 5), st.integers(2, 5), st.data())
     def test_betweenness_equals_fraction_reference_on_tied_grids(self, rows, cols, data):
         net = tied_grid(rows, cols, data)
-        assert _betweenness_scores(net) == fraction_scores(net)
+        assert _betweenness_scores(net) == _exact_betweenness(net) == fraction_scores(net)
 
     @pytest.mark.parametrize("chunking", ["one", "per-source", "uneven"])
     @pytest.mark.parametrize("graph", ["planted64", "bypass_city"])
@@ -221,7 +221,7 @@ class TestCentrality:
                                     max_size=net.num_nodes), label="chunk of each source")
         chunks = [[s for s, label in zip(net.node_ids, labels) if label == chunk]
                   for chunk in sorted(set(labels))]
-        assert _betweenness_scores(net) == fraction_scores(net)
+        assert _betweenness_scores(net) == _exact_betweenness(net) == fraction_scores(net)
         assert chunked_betweenness(net, chunks) == _betweenness_scores(net)
 
     @pytest.mark.parametrize("graph", ["grid16", "planted64", "bypass_city"])
@@ -305,9 +305,9 @@ def block_dags(net, sources):
 
 
 def heap_dag(net, s):
-    """The same triple from one heap search and ``_path_counts``."""
+    """The same triple from one heap search and ``path_counts``."""
     _, dist, _ = _dijkstra(net, s, net.travel)
-    order, preds, sigma = _path_counts(net, s)
+    order, preds, sigma = path_counts(net, s)
     return np.array(dist), {w: set(preds[w]) for w in order if preds[w]}, sigma
 
 
@@ -320,8 +320,12 @@ def forced_fallbacks():
                       times={f"e{i:02d}": 1e307 for i in range(20)})
     zero = generate_city("grid", rows=3, cols=4, edge_time_s=60.0)
     zero.travel = (0.0,) + zero.travel[1:]
+    # across the components sigma is 0, which the exact sums' lcm must skip
+    apart = build_net([("e0", "a", "b"), ("e1", "b", "c"), ("e2", "x", "y"), ("e3", "y", "z"),
+                       ("e4", "x", "z")], require_connected=False)
     return {"a 1e-300 s edge beside 1e300 s ones": tiny,
-            "distances past the float range": chain, "a zero time": zero}
+            "distances past the float range": chain, "a zero time": zero,
+            "a node no path reaches": apart}
 
 
 class TestBlockSearch:
@@ -360,6 +364,7 @@ class TestBlockSearch:
         assert network._block_search(net, list(range(net.num_nodes))) is None
         assert (_betweenness_sums(net, net.node_ids)
                 == heap_betweenness_sums(net, net.node_ids))
+        assert _exact_betweenness(net) == fraction_scores(net)
 
     def test_certificate_refuses_a_tight_link_that_adds_nothing(self):
         # from a, c ties b at fl(1e300 + 1e-300) == 1e300 and no window can

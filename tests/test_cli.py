@@ -98,10 +98,8 @@ def _field_values(name: str, default):
         return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     if name == "fleet_stop_prefixes":
         return st.lists(_TEXT.filter(bool)).map(tuple)
-    if name == "k":
-        return st.integers(min_value=1)
-    if name == "bypass_count":
-        return st.integers(min_value=0)
+    if name in _INT_LOWER_BOUNDS:
+        return st.integers(min_value=_INT_LOWER_BOUNDS[name])
     if name == "workers":  # not part of the resolved lines
         return st.just(default)
     if isinstance(default, bool):
@@ -112,6 +110,11 @@ def _field_values(name: str, default):
         return st.floats(allow_nan=False, allow_infinity=False)
     return _TEXT
 
+
+# int keys with a lower bound
+_INT_LOWER_BOUNDS = {"k": 1, "bypass_count": 0, "grid_rows": 2, "grid_cols": 2, "geo_n": 2,
+                     "cluster_size_a": 4, "cluster_size_b": 4, "bridges": 1,
+                     "fleet_couriers": 1, "fleet_stops": 1}
 
 # float keys whose value must be > 0
 _POSITIVE_KEYS = ("edge_time_s", "geo_radius_m", "geo_side_m", "ambush_delay_s",
@@ -311,6 +314,11 @@ class TestConfig:
         ("defenses = mixnet,shortest,mixnet", "defenses lists 'mixnet' more than once"),
         ("city_seed = 18446744073709551616",
          "city_seed must be in [0, 2**64), got 18446744073709551616"),
+        ("grid_cols = 1", "grid_cols must be >= 2, got 1"),
+        ("geo_n = 1", "geo_n must be >= 2, got 1"),
+        ("cluster_size_a = 1", "cluster_size_a must be >= 4, got 1"),
+        ("cluster_size_b = 3", "cluster_size_b must be >= 4, got 3"),
+        ("bridges = 0", "bridges must be >= 1, got 0"),
     ])
     def test_refused_entry_is_placed_at_its_line(self, tmp_path, capsys, line, message):
         # unknown kinds used to pass the load and fail in the builders, and
@@ -320,6 +328,19 @@ class TestConfig:
                         "fleet_stops = 2\n")
         assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "gen-city"]) == 1
         assert capsys.readouterr().err == f"error: {path}:5: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("grid_rows = 0", "grid_rows must be >= 2, got 0"),
+        ("fleet_couriers = 0", "fleet_couriers must be >= 1, got 0"),
+        ("fleet_stops = 0", "fleet_stops must be >= 1, got 0"),
+    ])
+    def test_builder_bound_is_placed_at_its_line(self, tmp_path, capsys, line, message):
+        # the builders refused these with no place and no key
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{line}\n")
+        assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "matrix"]) == 1
+        assert capsys.readouterr().err == f"error: {path}:1: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_first_bad_line_in_file_order_is_reported(self, tmp_path):

@@ -81,9 +81,8 @@ def test_no_source_imports_scipy():
 
 
 def test_one_function_runs_the_shortest_path_search():
-    # paths, trace synthesis, exact betweenness's lcm sums and the block
-    # search's fallback all read network._dijkstra instead of keeping a heap
-    # loop of their own
+    # paths, trace synthesis and the block search's fallback all read
+    # network._dijkstra instead of keeping a heap loop of their own
     def searches(path):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
@@ -93,6 +92,17 @@ def test_one_function_runs_the_shortest_path_search():
                     yield f"{path.stem}.{fn.name}"
     assert [name for path in SOURCES for name in searches(path)] == ["network._dijkstra"]
 
+
+def test_every_betweenness_path_reads_one_dag_source():
+    # the certified sums and the exact fallback both read
+    # network._shortest_dags; neither runs a heap search of its own
+    tree = ast.parse((Path(roadgame.__file__).parent / "analysis.py").read_text(encoding="utf-8"))
+    names = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+             | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names})
+    assert "_dijkstra" not in names
+    assert "_shortest_dags" in names
 
 
 def test_only_shortest_path_checks_a_weight_map():
