@@ -30,7 +30,7 @@ import numpy as np
 
 from .blas import one_thread
 from .errors import ConvergenceError, DomainError, ValidationError
-from .network import RoadNetwork, _shortest_dags, memoised
+from .network import RoadNetwork, _link_arrays, _shortest_dags, memoised
 from .rng import substream
 
 CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
@@ -85,18 +85,12 @@ def _labels(net: RoadNetwork, part: Partition) -> list[int]:
 
 
 @memoised
-def _adjacency_matrix(net: RoadNetwork) -> np.ndarray:
-    a = np.zeros((net.num_nodes, net.num_nodes))
-    for i, row in enumerate(net.links):
-        a[i, [j for j, _ in row]] = 1.0
-    return a
-
-
-@memoised
 def _eigenvector_scores(net: RoadNetwork) -> list[float]:
     """Power iteration on A + I (keeps bipartite graphs convergent); scores in index order."""
-    a = _adjacency_matrix(net)
+    *_, tails, heads = _link_arrays(net)
     n = net.num_nodes
+    a = np.zeros((n, n))  # dense for ``a @ v``'s bits, and freed with this call
+    a[tails, heads] = 1.0
     v = np.ones(n)
     residual = math.inf
     for _ in range(_EIGEN_MAX_ITER):
@@ -130,10 +124,13 @@ def _betweenness_scores(net: RoadNetwork) -> tuple[list[float], list[float]]:
 
 
 def _counted_dags(net: RoadNetwork, sources: Sequence[int]):
-    """Per source index in turn: ``(s, sigma, tails, heads, dirs)``, its
-    shortest-path DAG from :func:`~roadgame.network._shortest_dags` and
-    its exact path counts sigma, summed over the DAG's edges in order."""
-    for s, (_, tails, heads, dirs) in zip(sources, _shortest_dags(net, sources)):
+    """Per source index in turn: ``(s, sigma, tails, heads, dirs)``, the
+    edges ``tails[i] -> heads[i]`` (directed edge ``dirs[i]``) of its
+    shortest-path DAG from :func:`~roadgame.network._shortest_dags` as
+    lists, and its exact path counts sigma, summed over them in order."""
+    *_, tail_of, head_of = _link_arrays(net)
+    for s, (_, found) in zip(sources, _shortest_dags(net, sources)):
+        tails, heads, dirs = tail_of[found].tolist(), head_of[found].tolist(), found.tolist()
         sigma = [0] * net.num_nodes
         sigma[s] = 1
         for v, w in zip(tails, heads):
@@ -267,14 +264,15 @@ def spectral_bisect(net: RoadNetwork) -> Partition:
     eigenvalue <= 0, or a one-signed eigenvector) the whole graph is
     returned as a single community -- the null-cutset case.
     """
-    a = _adjacency_matrix(net)
-    deg = a.sum(axis=1)
+    offsets, *_, tails, heads = _link_arrays(net)
+    deg = np.diff(offsets).astype(float)
     two_m = float(deg.sum())
     if two_m == 0:
         return Partition.from_assignment({v: 0 for v in net.node_ids})
     b = np.outer(deg, deg)
     b /= two_m
-    np.subtract(a, b, out=b)
+    np.subtract(0.0, b, out=b)  # B: 0 - x off the links, (0 - x) + 1 == 1 - x on them
+    b[tails, heads] += 1.0
     try:
         with one_thread():
             eigenvalues, eigenvectors = np.linalg.eigh(b)
@@ -618,18 +616,17 @@ def partition_cutset(net: RoadNetwork, part: Partition) -> frozenset[str]:
 # -- random-walk mixing partition (slow-mixing cut detection) ----------------
 
 
-@memoised
 def mixing_transition_matrix(net: RoadNetwork) -> np.ndarray:
     """Walk kernel with P[i, j] = min(1/d_i, 1/d_j) for adjacent i, j.
 
     A self-loop absorbs the residual probability so every row sums to 1.
     Rows/columns follow sorted node-id order.
     """
-    a = _adjacency_matrix(net)
-    # degree 0 occurs only on a one-node network, whose row of A is all zero
-    inverse = 1.0 / np.maximum(a.sum(axis=1), 1.0)
-    p = np.minimum.outer(inverse, inverse)
-    p *= a
+    offsets, *_, tails, heads = _link_arrays(net)
+    # a node without links keeps inverse 1 and a zero row
+    inverse = 1.0 / np.maximum(np.diff(offsets), 1)
+    p = np.zeros((net.num_nodes, net.num_nodes))
+    p[tails, heads] = np.minimum(inverse[tails], inverse[heads])
     np.fill_diagonal(p, 1.0 - p.sum(axis=1))
     return p
 

@@ -19,7 +19,7 @@ from .attacks import (ATTACK_STRATEGIES, PARTITION_STRATEGIES, _partition_for,
                       select_attack_edges, write_attack_plan)
 from .errors import RoadGameError
 from .experiment import (_DEFAULTS, ROUND_HEADER, ExperimentConfig, _render, emit_reports,
-                         format_row, run_matrix, run_sweep)
+                         format_row, placed, read_config, run_matrix, run_sweep)
 from .network import load_network, save_network
 from .routing import DEFENSE_STRATEGIES
 from .synth import (TraceTolerance, check_cards_on_network, parse_jobcards,
@@ -86,15 +86,16 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
     return out
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+def _load_config(args) -> tuple[ExperimentConfig, dict[str, int]]:
+    """The config, and the line of each key the config file sets."""
+    cfg, lines = read_config(args.config) if args.config else (ExperimentConfig(), {})
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
     if args.nested_plans:
         cfg = replace(cfg, nested_plans=True)
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
-    return cfg
+    return cfg, lines
 
 
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
@@ -186,11 +187,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    lines = {}  # stays empty when loading fails: read_config places its own refusals
     try:
-        cfg = _load_config(args)
+        cfg, lines = _load_config(args)
         return _COMMANDS[args.command](cfg, args)
     except RoadGameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a run's refusal of a key the config file sets names its line
+        print(f"error: {placed(exc, args.config, lines)}", file=sys.stderr)
         return 1
     except OSError as exc:
         # a missing or unreadable input, or an output path that cannot be made

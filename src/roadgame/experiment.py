@@ -218,26 +218,7 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         """The config of a file's ``key = value`` lines, as ``from_mapping``
         builds it; a refusal names the ``file:line`` of its entry."""
-        kwargs, seen = {}, {}
-        try:
-            for lineno, line in enumerate(_read_utf8(path), start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in seen:
-                    raise ParseError(
-                        f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
-                seen[key] = lineno
-                kwargs[key] = _typed(key, value)
-            return cls(**kwargs)
-        except (ParseError, ValidationError) as exc:
-            if exc.key not in seen:
-                raise
-            raise type(exc)(f"{path}:{seen[exc.key]}: {exc}", exc.key) from None
+        return read_config(path)[0]
 
     # -- scenario building ------------------------------------------------
 
@@ -263,6 +244,8 @@ class ExperimentConfig:
             check_cards_on_network(cards, net, self.jobcards_file)
             return cards
         warehouse = None if self.fleet_warehouse == "auto" else self.fleet_warehouse
+        if warehouse is not None and warehouse not in net.nodes:
+            raise ValidationError(f"unknown warehouse node {warehouse!r}", "fleet_warehouse")
         return make_fleet(net, self.fleet_couriers, self.fleet_stops, self.fleet_slack_s,
                           seed=self.fleet_seed, day_start_s=self.fleet_day_start_s,
                           warehouse=warehouse, stop_prefixes=self.fleet_stop_prefixes or None)
@@ -280,6 +263,36 @@ def _typed(key: str, text: str):
 
 
 _DEFAULTS = {field.name: field.default for field in fields(ExperimentConfig)}
+
+
+def read_config(path) -> tuple[ExperimentConfig, dict[str, int]]:
+    """:meth:`ExperimentConfig.from_file`'s config, and the line of each
+    key the file sets, which :func:`placed` reads."""
+    kwargs, lines = {}, {}
+    try:
+        for lineno, line in enumerate(_read_utf8(path), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key in lines:
+                raise ParseError(f"{path}:{lineno}: config key {key!r} repeats line {lines[key]}")
+            lines[key] = lineno
+            kwargs[key] = _typed(key, value)
+        return ExperimentConfig(**kwargs), lines
+    except (ParseError, ValidationError) as exc:
+        raise placed(exc, path, lines) from None
+
+
+def placed(exc, path, lines: dict[str, int]):
+    """``exc`` begun with the ``path:line`` of the entry its key names, as
+    ``lines`` from :func:`read_config` holds it; ``exc`` itself if none."""
+    if exc.key not in lines:
+        return exc
+    return type(exc)(f"{path}:{lines[exc.key]}: {exc}", exc.key)
 
 
 @functools.lru_cache(maxsize=1)  # one scenario per process; pool workers build it once
@@ -371,11 +384,16 @@ def _run_rows(cfg: ExperimentConfig, axis: str) -> list[tuple]:
     one task per (defense, seed).  The pool starts before any analysis
     runs, so its workers fork from a process that holds only the
     scenario.  The rows come back in attack-major order, then defense,
-    seed, k and multiplier, whatever the workers.
+    seed, k and multiplier, whatever the workers.  A k above the edge
+    count is refused before any analysis runs.
     """
     if axis not in ("matrix", "window", "attackers"):
         raise DomainError(f"unknown sweep axis {axis!r}")
     net, _ = _scenario(cfg)
+    key = "attacker_counts" if axis == "attackers" else "k"
+    largest = max(cfg.attacker_counts) if axis == "attackers" else cfg.k
+    if 0 < net.num_edges < largest:  # every attack refuses an edgeless network itself
+        raise ValidationError(f"{key} must be in [1, {net.num_edges}], got {largest}", key)
     analyses = _analysis_tasks(cfg, net)
     keys = [(defense, seed) for defense in cfg.defenses for seed in cfg.seeds]
     size = min(cfg.workers, max(len(analyses), len(keys)))

@@ -11,8 +11,9 @@ the settling order, distances and predecessors; paths and trace
 synthesis read it.  :func:`_block_search` searches a block of sources at
 once on arrays, certified to give :func:`_dijkstra`'s distances and
 predecessors bit for bit; exact betweenness and the fleet's central node
-read it through :func:`_shortest_dags`, which falls back to
-:func:`_dijkstra` for a block the certificate refuses.
+read it through :func:`_shortest_dags`, one pair of arrays per source,
+which falls back to :func:`_dijkstra` for a block the certificate
+refuses.  The memo holds no n x n array; a dense one lives for one call.
 """
 
 from __future__ import annotations
@@ -452,10 +453,10 @@ def _block_search(net: RoadNetwork, sources: Sequence[int]):
 
 
 def _shortest_dags(net: RoadNetwork, sources: Sequence[int]):
-    """Per source in turn: ``(dist, tails, heads, dirs)``, its distance row
-    and its shortest-path DAG's edges as lists, the edge ``tails[i] ->
-    heads[i]`` being directed edge ``dirs[i]`` (see :func:`_link_arrays`),
-    in an order where every edge into a node precedes every edge out.
+    """Per source in turn: ``(dist, dirs)``, its distance row (float64)
+    and its shortest-path DAG's directed edge indices (int32, see
+    :func:`_link_arrays`), in an order where every edge into a node
+    precedes every edge out.
 
     Sources run :data:`_BLOCK` at a time through :func:`_block_search`;
     a block it does not certify runs :func:`_dijkstra` per source.
@@ -470,19 +471,11 @@ def _block_dags(net: RoadNetwork, block: Sequence[int]):
     if searched is None:
         for s in block:
             order, dist, preds = _dijkstra(net, s, net.travel)
-            tails, heads, dirs = [], [], []
-            for w in order:
-                for v, e in preds[w]:
-                    tails.append(v)
-                    heads.append(w)
-                    dirs.append(2 * e + (v != net.ends[e][0]))
-            yield dist, tails, heads, dirs
+            dirs = [2 * e + (v != net.ends[e][0]) for w in order for v, e in preds[w]]
+            yield np.array(dist), np.array(dirs, np.int32)
         return
-    *_, tail_of, head_of = _link_arrays(net)
     dist, dirs, bounds = searched
-    for row, lo, hi in zip(dist, bounds.tolist(), bounds[1:].tolist()):
-        found = dirs[lo:hi]
-        yield row.tolist(), tail_of[found].tolist(), head_of[found].tolist(), found.tolist()
+    yield from zip(dist, np.split(dirs, bounds[1:-1]))
 
 
 def _path(net: RoadNetwork, src: int, dst: int, weights: Sequence[float]) -> list[int]:

@@ -308,7 +308,7 @@ def central_node(net: RoadNetwork) -> str:
     Each total is the builtin ``sum`` of the node's distance row, in
     node-index order, as :func:`~roadgame.network._shortest_dags` gives it.
     """
-    totals = [sum(dist) for dist, *_ in _shortest_dags(net, list(range(net.num_nodes)))]
+    totals = [sum(dist.tolist()) for dist, _ in _shortest_dags(net, list(range(net.num_nodes)))]
     return net.node_ids[totals.index(min(totals))]
 
 

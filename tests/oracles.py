@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import roadgame.routing as routing
-from roadgame.analysis import _FIXED_BITS, Partition, _xlogx, centrality, partition_cutset
+from roadgame.analysis import (_EIGEN_MAX_ITER, _EIGEN_TOL, _FIXED_BITS, Partition, _xlogx,
+                               centrality, partition_cutset)
 from roadgame.attacks import AttackPlan, _partition_for
 from roadgame.errors import DomainError
 from roadgame.network import RoadNetwork, _dijkstra
@@ -675,6 +676,51 @@ def edge_loop_mixing_kernel(net: RoadNetwork) -> np.ndarray:
     for i in range(n):
         p[i, i] = 1.0 - p[i].sum()
     return p
+
+
+def dense_adjacency(net: RoadNetwork) -> np.ndarray:
+    """The n x n adjacency matrix, one row of links at a time: the matrix
+    the network memo held for the dense analyses before they built from
+    the link arrays."""
+    a = np.zeros((net.num_nodes, net.num_nodes))
+    for i, row in enumerate(net.links):
+        a[i, [j for j, _ in row]] = 1.0
+    return a
+
+
+def dense_mixing_kernel(net: RoadNetwork) -> np.ndarray:
+    """The mixing walk kernel as ``min.outer(1/d, 1/d) * A``, then the diagonal fill."""
+    a = dense_adjacency(net)
+    inverse = 1.0 / np.maximum(a.sum(axis=1), 1.0)
+    p = np.minimum.outer(inverse, inverse)
+    p *= a
+    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+    return p
+
+
+def dense_modularity_matrix(net: RoadNetwork) -> np.ndarray:
+    """B = A - kk^T/2m as ``a - outer(k, k) / 2m``, on a network with an edge."""
+    a = dense_adjacency(net)
+    deg = a.sum(axis=1)
+    b = np.outer(deg, deg)
+    b /= float(deg.sum())
+    np.subtract(a, b, out=b)
+    return b
+
+
+def dense_eigenvector_scores(net: RoadNetwork) -> list[float]:
+    """Eigenvector scores by power iteration on ``dense_adjacency`` + I;
+    None where the iteration does not converge."""
+    a = dense_adjacency(net)
+    v = np.ones(net.num_nodes)
+    for _ in range(_EIGEN_MAX_ITER):
+        av = a @ v
+        lam = float(v @ av) / float(v @ v)
+        if float(np.max(np.abs(av - lam * v))) / float(np.max(np.abs(v))) <= _EIGEN_TOL:
+            return (v / v.max()).tolist()
+        v = av + v
+        v = v / v.max()
+    return None
 
 
 def classify_arrival(arrival_s: float, stop: Stop) -> str:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_net, clique_edges, connected_graphs
 from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity,
+                     dense_eigenvector_scores, dense_mixing_kernel, dense_modularity_matrix,
                      edge_loop_mixing_kernel, exact_modularity, float_flow_partition,
                      float_map_equation_codelength, fraction_betweenness,
                      heap_betweenness_sums, incident_edges, path_counts,
@@ -17,7 +18,7 @@ from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity
 import roadgame.analysis as analysis
 import roadgame.network as network
 from roadgame.analysis import (Partition, _betweenness_scores, _betweenness_sums,
-                               _codelength_cost, _exact_betweenness,
+                               _codelength_cost, _eigenvector_scores, _exact_betweenness,
                                _CommunitySearch, _greedy_merge, _hierarchical_merge,
                                _kmeans, _link_counts, _merge_betweenness,
                                _modularity_cost, _round_betweenness,
@@ -26,8 +27,9 @@ from roadgame.analysis import (Partition, _betweenness_scores, _betweenness_sums
                                map_equation_codelength, mixing_partition,
                                mixing_transition_matrix, modularity,
                                partition_cutset, spectral_bisect)
-from roadgame.errors import DomainError
-from roadgame.network import Node, RoadNetwork, _dijkstra
+from roadgame.attacks import _partition_for
+from roadgame.errors import ConvergenceError, DomainError
+from roadgame.network import Edge, Node, RoadNetwork, _dijkstra
 from roadgame.rng import substream
 from roadgame.synth import generate_city
 
@@ -374,6 +376,35 @@ class TestBlockSearch:
         assert network._block_search(net, [net.node_index["a"]]) is None
         assert network._block_search(net, [net.node_index["c"]]) is None
 
+    @pytest.mark.parametrize("graph", ["grid16", "planted64", *forced_fallbacks()])
+    def test_search_and_fallback_yield_one_dag_form(self, request, monkeypatch, graph):
+        # per source, (dist, dirs) as float64 and int32 arrays: the heap
+        # search's distances bit for bit and its DAG edges, every edge into
+        # a node before every edge out; only the edges' order may differ
+        net = (generate_city("grid", rows=16, cols=16, edge_time_s=60.0) if graph == "grid16"
+               else request.getfixturevalue(graph) if graph == "planted64"
+               else forced_fallbacks()[graph])
+        *_, tail_of, head_of = network._link_arrays(net)
+        sources = list(range(net.num_nodes))
+
+        def dags():
+            out = []
+            for dist, dirs in network._shortest_dags(net, sources):
+                assert (dist.dtype, dirs.dtype) == (np.float64, np.int32)
+                last_in = {w: i for i, w in enumerate(head_of[dirs].tolist())}
+                assert all(last_in.get(v, -1) < i for i, v in enumerate(tail_of[dirs].tolist()))
+                out.append((dist.tobytes(), np.sort(dirs).tobytes()))
+            return out
+
+        heap = []
+        for s in sources:
+            _, dist, preds = _dijkstra(net, s, net.travel)
+            dirs = [2 * e + (v != net.ends[e][0]) for row in preds for v, e in row]
+            heap.append((np.array(dist).tobytes(), np.sort(np.array(dirs, np.int32)).tobytes()))
+        assert dags() == heap
+        monkeypatch.setattr(network, "_block_search", lambda net, block: None)
+        assert dags() == heap
+
     @pytest.mark.parametrize("graph", ["planted64", "grid16"])
     def test_block_size_does_not_change_the_sums(self, request, monkeypatch, graph):
         net = (generate_city("grid", rows=16, cols=16, edge_time_s=60.0) if graph == "grid16"
@@ -703,6 +734,56 @@ class TestMixingPartition:
             labels = _kmeans(features, k, substream(2718, "mixing-kmeans", k))
             expected = tensor_kmeans(features, k, substream(2718, "mixing-kmeans", k))
             assert np.array_equal(labels, expected), k
+
+
+def check_dense_kernels(net):
+    """The walk kernel, the modularity matrix eigh reads and the
+    eigenvector scores, built from the link arrays, against the dense-A
+    forms they replaced, bit for bit."""
+    assert mixing_transition_matrix(net).tobytes() == dense_mixing_kernel(net).tobytes()
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        part = spectral_bisect(net)
+    if net.num_edges:
+        assert eigh.call_args.args[0].tobytes() == dense_modularity_matrix(net).tobytes()
+    else:
+        assert not eigh.called and part.num_communities == 1
+    try:
+        scores = _eigenvector_scores(net)
+    except ConvergenceError:
+        scores = None
+    assert scores == dense_eigenvector_scores(net)
+
+
+class TestDenseKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(2, 30))
+    def test_kernels_equal_the_dense_forms(self, net):
+        check_dense_kernels(net)
+
+    def test_kernels_equal_the_dense_forms_on_grids_and_edge_cases(self):
+        ends = [("e0", "a", "b"), ("e1", "b", "c")]
+        isolated = RoadNetwork([Node(v, float(i), 0.0) for i, v in enumerate("abcz")],
+                               [Edge(e, u, v, 10.0, 10.0) for e, u, v in ends],
+                               require_connected=False)
+        nets = [generate_city("grid", rows=rows, cols=cols)
+                for rows, cols in ((2, 2), (3, 5), (8, 8))]
+        for net in nets + [RoadNetwork([Node("solo", 0.0, 0.0)], []), isolated]:
+            check_dense_kernels(net)
+
+    def test_the_memo_holds_no_n_by_n_array(self):
+        net = generate_city("grid", rows=6, cols=6)
+        for method in ("botgrep", "eigen_mod"):
+            _partition_for(net, method)
+        centrality(net, "eigenvector")
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list, dict)):
+                for item in value.values() if isinstance(value, dict) else value:
+                    yield from arrays(item)
+        sizes = [a.size for value in net._cache.values() for a in arrays(value)]
+        assert sizes and net.num_nodes ** 2 not in sizes
 
 
 class TestFlowPartition:

@@ -18,7 +18,7 @@ import roadgame.attacks as attacks
 import roadgame.experiment as experiment
 from roadgame.attacks import ATTACK_STRATEGIES, PARTITION_STRATEGIES
 from roadgame.cli import main as cli_main
-from roadgame.errors import ConvergenceError
+from roadgame.errors import ConvergenceError, DomainError
 from roadgame.experiment import ExperimentConfig, _run_rows
 from roadgame.network import memoised
 
@@ -189,16 +189,21 @@ def _failing_eigenvector(net):
     raise ConvergenceError("eigenvector power iteration did not converge", residual=1.0)
 
 
+def _failing_rounds(*args):
+    raise DomainError("no round could be played")
+
+
 @pytest.mark.parametrize("failing", ["round", "analysis"])
 def test_an_error_in_a_pool_task_exits_1_and_leaves_no_worker(tmp_path, capsys, monkeypatch,
                                                               failing):
     # pool workers fork from this process, so they see the patched function
     config = tmp_path / "cfg.txt"
+    config.write_text(SMALL_CFG)
     if failing == "round":
-        config.write_text(SMALL_CFG + "k = 500\n")   # more edges than the city has
-        message = "error: k must be in [1, 50], got 500"
+        # every round task fails on the pool, after the analysis stage
+        monkeypatch.setattr(experiment, "run_rounds", _failing_rounds)
+        message = "error: no round could be played"
     else:
-        config.write_text(SMALL_CFG)
         monkeypatch.setattr(experiment, "_eigenvector_scores", _failing_eigenvector)
         message = "error: eigenvector power iteration did not converge"
     experiment._scenario.cache_clear()

@@ -343,6 +343,33 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {path}:1: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line, command, message", [
+        ("k = 200", ["matrix"], "k must be in [1, 112], got 200"),
+        ("k = 200", ["sweep", "--axis", "window"], "k must be in [1, 112], got 200"),
+        ("k = 200", ["simulate", "--attack", "degree", "--defense", "shortest"],
+         "k must be in [1, 112], got 200"),
+        ("attacker_counts = 1,500", ["sweep", "--axis", "attackers"],
+         "attacker_counts must be in [1, 112], got 500"),
+        ("fleet_warehouse = zz", ["matrix"], "unknown warehouse node 'zz'"),
+    ])
+    def test_network_bound_is_placed_before_any_analysis(self, tmp_path, capsys, monkeypatch,
+                                                          line, command, message):
+        # these were refused unplaced, k only after the whole analysis stage
+        def no_analysis(*args):
+            raise AssertionError("an analysis ran")
+        monkeypatch.setattr(experiment, "_analysis_stage", no_analysis)
+        path = tmp_path / "bad.txt"
+        path.write_text(f"fleet_couriers = 3\n{line}\n")
+        assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), *command]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_network_bound_of_a_default_has_no_place(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text("grid_rows = 2\ngrid_cols = 2\n")
+        assert cli_main(["--config", str(path), "--out", str(tmp_path / "o"), "matrix"]) == 1
+        assert capsys.readouterr().err == "error: k must be in [1, 4], got 30\n"
+
     def test_first_bad_line_in_file_order_is_reported(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("grid_rows = 4\nk = thirty\nnetwork_kind = gred\nseeds\n")
