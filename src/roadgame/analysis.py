@@ -120,7 +120,7 @@ def _betweenness_scores(net: RoadNetwork) -> tuple[list[float], list[float]]:
     Equal-cost paths split evenly and every float is the exact value
     correctly rounded, so results match brute-force path enumeration.
     """
-    return _round_betweenness(net, _betweenness_sums(net, net.node_ids))
+    return _round_betweenness(net, _betweenness_sums(net, range(net.num_nodes)))
 
 
 def _counted_dags(net: RoadNetwork, sources: Sequence[int]):
@@ -138,11 +138,11 @@ def _counted_dags(net: RoadNetwork, sources: Sequence[int]):
         yield s, sigma, tails, heads, dirs
 
 
-def _betweenness_sums(net: RoadNetwork, sources, one: int = 0
+def _betweenness_sums(net: RoadNetwork, sources: Sequence[int], one: int = 0
                       ) -> tuple[list[int], list[int], int]:
     """Fixed-point partial sums ``(node_sums, edge_sums, sigma_max)`` of
-    the dependencies of ``sources``, in node and edge index order, in
-    units of ``1/one``; ``one = 0`` means ``2**_FIXED_BITS``.
+    the dependencies of the node indices ``sources``, in node and edge
+    index order, in units of ``1/one``; ``one = 0`` means ``2**_FIXED_BITS``.
 
     Each source's DAG and exact path counts sigma come from
     :func:`_counted_dags`.  With ``c(w) = 1/sigma(w) + sum of c(x) over
@@ -163,7 +163,7 @@ def _betweenness_sums(net: RoadNetwork, sources, one: int = 0
     node_sums = [0] * net.num_nodes
     directed = [0] * (2 * net.num_edges)
     sigma_max = 1
-    for s, sigma, tails, heads, dirs in _counted_dags(net, [net.node_index[s] for s in sources]):
+    for s, sigma, tails, heads, dirs in _counted_dags(net, sources):
         sigma_max = max(sigma_max, *sigma)
         c = [x and one // x for x in sigma]
         for v, w, d in zip(reversed(tails), reversed(heads), reversed(dirs)):
@@ -225,7 +225,7 @@ def _exact_betweenness(net: RoadNetwork) -> tuple[list[float], list[float]]:
     counts.discard(0)  # unreachable nodes' sigma
     one = math.lcm(*counts)
     scale = 2 * one
-    node_sums, edge_sums, _ = _betweenness_sums(net, net.node_ids, one)
+    node_sums, edge_sums, _ = _betweenness_sums(net, range(net.num_nodes), one)
     return [x / scale for x in node_sums], [x / scale for x in edge_sums]
 
 
@@ -701,6 +701,32 @@ def default_short_walk_len(net: RoadNetwork) -> int:
     return int(math.ceil(math.log2(max(net.num_nodes, 2)))) + 2
 
 
+def _matrix_power(a: np.ndarray, t: int) -> np.ndarray:
+    """``np.linalg.matrix_power(a, t)`` for t >= 1, bit for bit: its
+    products in its order (t = 2 and 3 directly, larger t least significant
+    bit first), each written with ``out=`` into an array that holds neither
+    factor nor the other live power.  At most three n x n arrays exist, and
+    ``a`` is one of them: it may be overwritten."""
+    arrays = [a]
+
+    def product(x, y, keep=None):
+        out = next((b for b in arrays if b is not x and b is not y and b is not keep), None)
+        if out is None:
+            out = np.empty_like(a)
+            arrays.append(out)
+        return np.matmul(x, y, out=out)
+
+    if t <= 3:
+        return a if t == 1 else product(a, a) if t == 2 else product(product(a, a), a)
+    z = result = None
+    while t:
+        z = a if z is None else product(z, z, keep=result)
+        t, bit = divmod(t, 2)
+        if bit:
+            result = z if result is None else product(result, z)
+    return result
+
+
 def mixing_partition(net: RoadNetwork, seed: int = 0) -> Partition:
     """Partition by clustering short-walk endpoint distributions.
 
@@ -711,7 +737,7 @@ def mixing_partition(net: RoadNetwork, seed: int = 0) -> Partition:
     clusterings for 2..8 communities are scored by their worst
     per-community conductance and the best candidate wins.
     """
-    features = np.linalg.matrix_power(mixing_transition_matrix(net), default_short_walk_len(net))
+    features = _matrix_power(mixing_transition_matrix(net), default_short_walk_len(net))
     n = net.num_nodes
 
     best: tuple[float, int, Partition] | None = None

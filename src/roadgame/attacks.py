@@ -5,8 +5,10 @@ of budget k is the length-k prefix.  This makes plans of growing budget
 nested by construction for every graph-derived strategy, which the
 nested-sweep mode relies on.  Graph-derived strategies are a pure
 function of the topology (round-invariant); only ``random`` consumes the
-per-round seed.  Rankings are edge indices, built from the analyses'
-index-order results; :func:`strategy_edge_ranking` returns edge ids.
+per-round seed.  Rankings and plans are edge indices into
+``net.edge_ids``, built from the analyses' index-order results and read
+as indices by the round stage; only :func:`strategy_edge_ranking` and
+:func:`write_attack_plan` turn them into edge ids.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ PARTITION_KMEANS_SEED = 2718
 
 @dataclass(frozen=True)
 class AttackPlan:
+    """The first k entries of the strategy's ranking, in rank order, as
+    edge indices into ``net.edge_ids``; a plan of budget k is therefore a
+    literal prefix of any larger budget's plan under the same seed."""
+
     strategy: str
-    edges: frozenset[str]
+    edges: tuple[int, ...]
     seed: int
 
     @property
@@ -60,13 +66,17 @@ def _partition_for(net: RoadNetwork, strategy: str) -> Partition:
 
 
 def strategy_edge_ranking(net: RoadNetwork, strategy: str, seed: int = 0) -> list[str]:
-    """Full priority order over the network's edges for one strategy."""
+    """Full priority order over the network's edges for one strategy, as edge ids."""
+    return [net.edge_ids[e] for e in _ranking(net, strategy, seed)]
+
+
+def _ranking(net: RoadNetwork, strategy: str, seed: int) -> tuple[int, ...]:
+    """Full priority order over the network's edges, as edge indices."""
     if strategy not in ATTACK_STRATEGIES:
         raise DomainError(f"unknown attack strategy {strategy!r}")
-
-    ranking = (substream(seed, "attack-random").permutation(net.num_edges)
-               if strategy == "random" else _graph_ranking(net, strategy))
-    return [net.edge_ids[e] for e in ranking]
+    if strategy == "random":
+        return tuple(substream(seed, "attack-random").permutation(net.num_edges).tolist())
+    return _graph_ranking(net, strategy)
 
 
 @memoised
@@ -103,17 +113,17 @@ def select_attack_edges(net: RoadNetwork, strategy: str, k: int, seed: int = 0) 
         raise DomainError("the network has no edges to attack")
     if not 1 <= k <= net.num_edges:
         raise DomainError(f"k must be in [1, {net.num_edges}], got {k}")
-    ranking = strategy_edge_ranking(net, strategy, seed=seed)
-    return AttackPlan(strategy=strategy, edges=frozenset(ranking[:k]), seed=seed)
+    return AttackPlan(strategy=strategy, edges=_ranking(net, strategy, seed)[:k], seed=seed)
 
 
 def empty_attack_plan(net: RoadNetwork) -> AttackPlan:
     """A no-op plan (zero occupied edges), useful as a clean baseline."""
-    return AttackPlan(strategy="none", edges=frozenset(), seed=0)
+    return AttackPlan(strategy="none", edges=(), seed=0)
 
 
-def write_attack_plan(plan: AttackPlan, path) -> None:
+def write_attack_plan(net: RoadNetwork, plan: AttackPlan, path) -> None:
+    """The plan's edge ids, sorted, one a line under an ``edge_id`` header."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("edge_id\n")
-        for eid in sorted(plan.edges):
+        for eid in sorted(net.edge_ids[e] for e in plan.edges):
             fh.write(f"{eid}\n")

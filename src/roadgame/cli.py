@@ -135,7 +135,7 @@ def _cmd_attack(cfg: ExperimentConfig, args) -> int:
     plan = select_attack_edges(net, args.strategy, args.k, seed=cfg.seeds[0])
     out = _out_dir(cfg, args)
     path = out / f"attack_{args.strategy}.csv"
-    write_attack_plan(plan, path)
+    write_attack_plan(net, plan, path)
     print(f"{args.strategy}: {plan.k} edges -> {path}")
     return 0
 

@@ -38,7 +38,8 @@ from .network import RoadNetwork, _read_utf8, load_network, preload
 from .routing import DEFENSE_STRATEGIES
 from .simulate import (JobCard, RoundMetrics, apply_window_multiplier,
                        reclassify_with_windows, run_rounds)
-from .synth import check_cards_on_network, generate_city, make_fleet, parse_jobcards
+from .synth import (_stop_pools, central_node, check_cards_on_network, generate_city,
+                    make_fleet, parse_jobcards)
 
 DEFAULT_DEFENSES = ("shortest", "inverse", "mixnet")
 DEFAULT_WINDOW_MULTIPLIERS = tuple(round(1.0 + 0.25 * i, 2) for i in range(11))  # 1.0 .. 3.5
@@ -243,9 +244,18 @@ class ExperimentConfig:
             cards = parse_jobcards(self.jobcards_file)
             check_cards_on_network(cards, net, self.jobcards_file)
             return cards
-        warehouse = None if self.fleet_warehouse == "auto" else self.fleet_warehouse
-        if warehouse is not None and warehouse not in net.nodes:
-            raise ValidationError(f"unknown warehouse node {warehouse!r}", "fleet_warehouse")
+        if self.fleet_warehouse == "auto":
+            warehouse = central_node(net)
+        elif self.fleet_warehouse in net.nodes:
+            warehouse = self.fleet_warehouse
+        else:
+            raise ValidationError(f"unknown warehouse node {self.fleet_warehouse!r}",
+                                  "fleet_warehouse")
+        if self.fleet_stop_prefixes:
+            try:
+                _stop_pools(net, warehouse, self.fleet_stop_prefixes, self.fleet_stops)
+            except DomainError as exc:
+                raise ValidationError(str(exc), "fleet_stop_prefixes") from None
         return make_fleet(net, self.fleet_couriers, self.fleet_stops, self.fleet_slack_s,
                           seed=self.fleet_seed, day_start_s=self.fleet_day_start_s,
                           warehouse=warehouse, stop_prefixes=self.fleet_stop_prefixes or None)
@@ -321,7 +331,8 @@ def _analysis_tasks(cfg: ExperimentConfig, net: RoadNetwork) -> list[tuple]:
     tasks = [(cfg, _partition_for, (attack,)) for attack in dense]
     if partitions or "betweenness" in cfg.attacks or "inverse" in cfg.defenses:
         chunks = min(cfg.workers, net.num_nodes)
-        tasks += [(cfg, _betweenness_sums, (net.node_ids[i::chunks],)) for i in range(chunks)]
+        tasks += [(cfg, _betweenness_sums, (range(i, net.num_nodes, chunks),))
+                  for i in range(chunks)]
     tasks += [(cfg, _partition_for, (attack,)) for attack in partitions if attack not in dense]
     if "eigen_c" in cfg.attacks or "inverse" in cfg.defenses:
         tasks.append((cfg, _eigenvector_scores, ()))

@@ -68,10 +68,9 @@ def _inverse_weights(net: RoadNetwork) -> list[float]:
 
 
 @memoised
-def _seed_free_leg(net: RoadNetwork, strategy: str, src: str, dst: str) -> tuple:
+def _seed_free_leg(net: RoadNetwork, strategy: str, a: int, b: int) -> tuple:
     """What no seed changes, as edge indices: the shortest or inverse leg
-    from src to dst, or for disjoint the tuple of options between them."""
-    a, b = net.node_index[src], net.node_index[dst]
+    from node index a to b, or for disjoint the tuple of options between them."""
     if strategy == "disjoint":
         return tuple(map(tuple, _disjoint_paths(net, a, b)))
     if strategy == "inverse":
@@ -92,7 +91,8 @@ def plan_route(net: RoadNetwork, card: "JobCard", strategy: str, seed: int = 0) 
         if node not in net.nodes:
             raise DomainError(f"job card stop {node!r} is not in the network")
 
-    pairs = list(zip(points, points[1:]))
+    nodes = [net.node_index[node] for node in points]
+    pairs = list(zip(nodes, nodes[1:]))
     legs: list[tuple[int, ...]] = []
     failed_leg: int | None = None
 
@@ -100,8 +100,7 @@ def plan_route(net: RoadNetwork, card: "JobCard", strategy: str, seed: int = 0) 
         legs = [_seed_free_leg(net, strategy, a, b) for a, b in pairs]
     elif strategy == "mixnet":
         weights = substream(seed, "mixnet-scores").random(net.num_edges).tolist()
-        legs = [tuple(_path(net, net.node_index[a], net.node_index[b], weights))
-                for a, b in pairs]
+        legs = [tuple(_path(net, a, b, weights)) for a, b in pairs]
     elif strategy == "disjoint":
         rng = substream(seed, "disjoint-choice")
         for a, b in pairs:
@@ -113,8 +112,8 @@ def plan_route(net: RoadNetwork, card: "JobCard", strategy: str, seed: int = 0) 
     else:  # random_walk: uniform steps over incident edges, abandoned at the cap
         rng = substream(seed, "random-walk")
         step_cap = WALK_STEP_CAP_FACTOR * net.num_nodes
-        for i, (a, b) in enumerate(pairs):
-            node, target, path = net.node_index[a], net.node_index[b], []
+        for i, (node, target) in enumerate(pairs):
+            path = []
             while node != target and len(path) < step_cap:
                 incident = net.links[node]
                 node, e = incident[int(rng.integers(len(incident)))]

@@ -22,6 +22,7 @@ per-tour view, is built by ``run_tour`` and by ``RoundDetails.tours``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
@@ -147,9 +148,9 @@ def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
     """Execute one tour under an attack plan.
 
     Raises DomainError when the route does not structurally match the
-    card or the attack plan names an edge the network lacks.  A plan
-    whose walk failed marks all remaining deliveries as critically late
-    with infinite arrival.
+    card or the attack plan's edges are not distinct indices into
+    ``net.edge_ids``.  A plan whose walk failed marks all remaining
+    deliveries as critically late with infinite arrival.
     """
     if not ambush_delay_s > 0:
         raise DomainError("ambush delay must be > 0")
@@ -173,15 +174,17 @@ def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
                   ambush_delay_s: float) -> np.ndarray:
     """Plans x edges: the ambush delay on each plan's edges, 0.0 elsewhere.
 
-    Raises DomainError when a plan names an edge the network lacks.
+    Raises DomainError naming, in plan order, each entry of a plan that
+    is not an edge index in ``[0, m)`` or that repeats.
     """
-    index = net.edge_index
-    delays = np.zeros((len(plans), net.num_edges))
+    m = net.num_edges
+    delays = np.zeros((len(plans), m))
     for row, plan in enumerate(plans):
-        unknown = plan.edges.difference(index)
-        if unknown:
-            raise DomainError(f"attack plan names edges not in the network: {sorted(unknown)}")
-        delays[row, [index[eid] for eid in plan.edges]] = ambush_delay_s
+        bad = [e for e, n in Counter(plan.edges).items() if n > 1 or e not in range(m)]
+        if bad:
+            raise DomainError(f"attack plan edges must be distinct indices in [0, {m}), "
+                              f"got {bad}")
+        delays[row, list(plan.edges)] = ambush_delay_s
     return delays
 
 

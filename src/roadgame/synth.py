@@ -312,6 +312,21 @@ def central_node(net: RoadNetwork) -> str:
     return net.node_ids[totals.index(min(totals))]
 
 
+def _stop_pools(net: RoadNetwork, warehouse: str, prefixes: Sequence[str],
+                stops_per_card: int) -> list[list[str]]:
+    """Per stop i, the nodes other than the warehouse whose id starts with
+    prefix i (cycling); DomainError naming a prefix that leaves none."""
+    pools = []
+    for i in range(stops_per_card):
+        prefix = prefixes[i % len(prefixes)]
+        pool = [v for v in net.node_ids if v.startswith(prefix) and v != warehouse]
+        if not pool:
+            raise DomainError(f"no node other than the warehouse {warehouse!r} "
+                              f"has an id starting with {prefix!r}")
+        pools.append(pool)
+    return pools
+
+
 def make_fleet(net: RoadNetwork, couriers: int, stops_per_card: int,
                slack_s: float, seed: int = 0, day_start_s: float = 0.0,
                warehouse: str | None = None,
@@ -332,16 +347,8 @@ def make_fleet(net: RoadNetwork, couriers: int, stops_per_card: int,
     elif warehouse not in net.nodes:
         raise DomainError(f"unknown warehouse node {warehouse!r}")
 
-    prefixes = stop_prefixes or ("",)  # every id starts with ""
-    pools: list[list[str]] = []
-    for i in range(stops_per_card):
-        prefix = prefixes[i % len(prefixes)]
-        pool = [v for v in net.node_ids if v.startswith(prefix) and v != warehouse]
-        if not pool:
-            raise DomainError(f"no node other than the warehouse {warehouse!r} "
-                              f"has an id starting with {prefix!r}")
-        pools.append(pool)
-
+    # every id starts with ""
+    pools = _stop_pools(net, warehouse, stop_prefixes or ("",), stops_per_card)
     cards = []
     for idx in range(couriers):
         courier_id = f"c{idx:03d}"

@@ -222,7 +222,8 @@ def path_counts(net: RoadNetwork, s: int) -> tuple[list[int], list, list[int]]:
 
 
 def heap_betweenness_sums(net: RoadNetwork, sources):
-    """``analysis._betweenness_sums`` as one heap search per source gave it:
+    """``analysis._betweenness_sums`` of the node indices ``sources`` as one
+    heap search per source gave it:
     :func:`path_counts`'s predecessor lists, walked back node by node, each
     node's dependency added as it is reached."""
     n = net.num_nodes
@@ -230,7 +231,7 @@ def heap_betweenness_sums(net: RoadNetwork, sources):
     node_sums = [0] * n
     edge_sums = [0] * net.num_edges
     sigma_max = 1
-    for s in map(net.node_index.__getitem__, sources):
+    for s in sources:
         order, preds, sigma = path_counts(net, s)
         sigma_max = max(sigma_max, *sigma)
         own = [0] * n
@@ -733,6 +734,11 @@ def classify_arrival(arrival_s: float, stop: Stop) -> str:
     return LATE
 
 
+def plan_ids(net: RoadNetwork, plan: AttackPlan) -> frozenset[str]:
+    """The edge ids of an attack plan's edge indices."""
+    return frozenset(net.edge_ids[e] for e in plan.edges)
+
+
 def reference_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
                    attack: AttackPlan, ambush_delay_s: float = DEFAULT_AMBUSH_DELAY_S) -> TourResult:
     """Execute one tour under an attack plan, edge by edge.
@@ -746,7 +752,7 @@ def reference_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
         raise DomainError("ambush delay must be > 0")
     _compile_route(net, plan, card)
 
-    attacked = attack.edges
+    attacked = plan_ids(net, attack)
     clock = card.day_start_s
     ambushes = 0
     arrivals: list[float] = []

@@ -194,7 +194,7 @@ class TestCentrality:
         # chunks' fixed-point sums merge by plain addition, so every
         # chunking, down to one source per chunk, must round to the exact values
         net = request.getfixturevalue(graph)
-        ids = net.node_ids
+        ids = range(net.num_nodes)
         chunks = {"one": [ids],
                   "per-source": [[s] for s in ids],
                   "uneven": [ids[-1:], ids[:3], ids[3:40:2], ids[4:40:2], ids[40:-1]]}[chunking]
@@ -208,7 +208,7 @@ class TestCentrality:
         net = tied_grid(rows, cols, data)
         labels = data.draw(st.lists(st.integers(0, 3), min_size=net.num_nodes,
                                     max_size=net.num_nodes), label="chunk of each source")
-        chunks = [[s for s, label in zip(net.node_ids, labels) if label == chunk]
+        chunks = [[s for s, label in enumerate(labels) if label == chunk]
                   for chunk in sorted(set(labels))]
         merged = chunked_betweenness(net, chunks)
         assert merged == _betweenness_scores(net) == fraction_scores(net)
@@ -221,7 +221,7 @@ class TestCentrality:
         net = tied_grid(rows, cols, data, choices=(0.1, 0.2, 0.3))
         labels = data.draw(st.lists(st.integers(0, 3), min_size=net.num_nodes,
                                     max_size=net.num_nodes), label="chunk of each source")
-        chunks = [[s for s, label in zip(net.node_ids, labels) if label == chunk]
+        chunks = [[s for s, label in enumerate(labels) if label == chunk]
                   for chunk in sorted(set(labels))]
         assert _betweenness_scores(net) == _exact_betweenness(net) == fraction_scores(net)
         assert chunked_betweenness(net, chunks) == _betweenness_scores(net)
@@ -234,7 +234,7 @@ class TestCentrality:
         def refuse(net):
             raise AssertionError("a fixed-point betweenness entry failed its certificate")
         monkeypatch.setattr(analysis, "_exact_betweenness", refuse)
-        sums = _betweenness_sums(net, net.node_ids)
+        sums = _betweenness_sums(net, range(net.num_nodes))
         assert _round_betweenness(net, sums) == cached_fraction_scores(net)
 
     @pytest.mark.parametrize("bits", [3, 12])
@@ -250,7 +250,7 @@ class TestCentrality:
         exact_betweenness = analysis._exact_betweenness
         monkeypatch.setattr(analysis, "_FIXED_BITS", bits)
         monkeypatch.setattr(analysis, "_exact_betweenness", exact)
-        ids = net.node_ids
+        ids = range(net.num_nodes)
         merged = chunked_betweenness(net, [ids[::2], ids[1::2]])
         assert calls == [net]
         assert merged == fraction_scores(net)
@@ -355,8 +355,8 @@ class TestBlockSearch:
     def test_sums_equal_the_heap_search(self, request, graph):
         net = (generate_city("grid", rows=16, cols=16, edge_time_s=60.0) if graph == "grid16"
                else request.getfixturevalue(graph))
-        ids = net.node_ids
-        assert network._block_search(net, list(range(net.num_nodes))) is not None
+        ids = range(net.num_nodes)
+        assert network._block_search(net, list(ids)) is not None
         for chunk in (ids, ids[1::3]):
             assert _betweenness_sums(net, chunk) == heap_betweenness_sums(net, chunk)
 
@@ -364,8 +364,8 @@ class TestBlockSearch:
     def test_uncertified_blocks_fall_back_to_the_heap_search(self, reason):
         net = forced_fallbacks()[reason]
         assert network._block_search(net, list(range(net.num_nodes))) is None
-        assert (_betweenness_sums(net, net.node_ids)
-                == heap_betweenness_sums(net, net.node_ids))
+        assert (_betweenness_sums(net, range(net.num_nodes))
+                == heap_betweenness_sums(net, range(net.num_nodes)))
         assert _exact_betweenness(net) == fraction_scores(net)
 
     def test_certificate_refuses_a_tight_link_that_adds_nothing(self):
@@ -409,10 +409,10 @@ class TestBlockSearch:
     def test_block_size_does_not_change_the_sums(self, request, monkeypatch, graph):
         net = (generate_city("grid", rows=16, cols=16, edge_time_s=60.0) if graph == "grid16"
                else request.getfixturevalue(graph))
-        expected = heap_betweenness_sums(net, net.node_ids)
+        expected = heap_betweenness_sums(net, range(net.num_nodes))
         for block in (1, net.num_nodes):
             monkeypatch.setattr(network, "_BLOCK", block)
-            assert _betweenness_sums(net, net.node_ids) == expected
+            assert _betweenness_sums(net, range(net.num_nodes)) == expected
 
 
 class TestModularity:
@@ -726,6 +726,24 @@ class TestMixingPartition:
         # the tied rows' pass, then the reseed's pass over every row
         assert [len(rows) for rows in normed[:2]] == [27, 27]
         assert labels[25] == 1
+
+    @pytest.mark.parametrize("graph", ["grid8", "bypass_city", "random"])
+    def test_walk_power_equals_matrix_power(self, request, graph):
+        # P^t is built in three n x n arrays, P among them, with
+        # matrix_power's products in its order; it must be its bits
+        if graph == "random":
+            p = np.random.default_rng(3).random((150, 150))
+            p /= p.sum(axis=1, keepdims=True)
+        else:
+            net = (generate_city("grid", rows=8, cols=8) if graph == "grid8"
+                   else request.getfixturevalue(graph))
+            p = mixing_transition_matrix(net)
+        for t in range(1, 17):
+            expected = np.linalg.matrix_power(p, t)
+            with mock.patch.object(np, "empty_like", wraps=np.empty_like) as empty_like:
+                power = analysis._matrix_power(p.copy(), t)
+            assert power.tobytes() == expected.tobytes(), t
+            assert empty_like.call_count <= 2, t
 
     def test_kmeans_equals_tensor_reference_on_walk_features(self, bypass_city):
         features = np.linalg.matrix_power(mixing_transition_matrix(bypass_city),

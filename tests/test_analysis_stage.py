@@ -125,7 +125,7 @@ def test_stage_dispatches_each_needed_analysis_once(recorded, attacks, defenses)
     assert sorted(arg for kind, arg in dispatched if kind == "partition") == sorted(partitions)
     # the chunks partition the sources: every node is a source exactly once
     sources = [s for kind, chunk in dispatched if kind == "betweenness" for s in chunk]
-    assert sorted(sources) == (list(net.node_ids) if needs_betweenness else [])
+    assert sorted(sources) == (list(range(net.num_nodes)) if needs_betweenness else [])
     # the dense-array detectors come first, so free workers take one each,
     # and the chunks next
     dense = [("partition", a) for a in partitions if a in ("botgrep", "eigen_mod")]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs
-from oracles import node_walk_degree_ranking, reference_ranking
+from oracles import node_walk_degree_ranking, plan_ids, reference_ranking
 from roadgame.attacks import (ATTACK_STRATEGIES, empty_attack_plan,
                               select_attack_edges, strategy_edge_ranking,
                               write_attack_plan)
@@ -19,24 +19,24 @@ GRAPH_STRATEGIES = tuple(s for s in ATTACK_STRATEGIES if s != "random")
 class TestSelection:
     def test_p3_betweenness_tie_breaks_lexicographically(self, p3):
         plan = select_attack_edges(p3, "betweenness", 1, seed=0)
-        assert sorted(plan.edges) == ["e0"]
+        assert sorted(plan_ids(p3, plan)) == ["e0"]
 
     def test_star_degree_attack_takes_hub_edges(self, star5):
         plan = select_attack_edges(star5, "degree", 3, seed=0)
-        assert plan.edges <= {f"s{i}" for i in range(5)}
+        assert plan_ids(star5, plan) <= {f"s{i}" for i in range(5)}
         assert len(plan.edges) == 3
 
     def test_partition_attacks_find_planted_bridges(self, planted32):
         for strategy in PARTITION_STRATEGIES:
             plan = select_attack_edges(planted32, strategy, 2, seed=0)
-            assert sorted(plan.edges) == ["xbridge0", "xbridge1"], strategy
+            assert sorted(plan_ids(planted32, plan)) == ["xbridge0", "xbridge1"], strategy
 
     def test_random_pairs_hit_bridges_at_binomial_rate(self, planted32):
         trials = 10_000
         hits = 0
         for seed in range(trials):
             plan = select_attack_edges(planted32, "random", 2, seed=seed)
-            if {"xbridge0", "xbridge1"} <= plan.edges:
+            if {"xbridge0", "xbridge1"} <= plan_ids(planted32, plan):
                 hits += 1
         p = 1 / math.comb(planted32.num_edges, 2)
         sigma = math.sqrt(trials * p * (1 - p))
@@ -47,7 +47,7 @@ class TestSelection:
             for k in (1, 2, 7, planted32.num_edges):
                 plan = select_attack_edges(planted32, strategy, k, seed=5)
                 assert len(plan.edges) == k
-                assert plan.edges <= set(planted32.edge_ids)
+                assert plan_ids(planted32, plan) <= set(planted32.edge_ids)
 
     def test_deterministic_per_seed(self, planted32):
         for strategy in ATTACK_STRATEGIES:
@@ -60,8 +60,8 @@ class TestSelection:
             previous: set[str] = set()
             for k in (1, 3, 8, 20):
                 plan = select_attack_edges(planted32, strategy, k, seed=4)
-                assert previous <= plan.edges
-                previous = plan.edges
+                assert previous <= plan_ids(planted32, plan)
+                previous = plan_ids(planted32, plan)
 
     def test_null_cutset_degenerates_to_betweenness_padding(self, k5, caplog):
         # a complete graph has no modularity structure: the whole budget
@@ -69,7 +69,7 @@ class TestSelection:
         with caplog.at_level("WARNING"):
             plan = select_attack_edges(k5, "eigen_mod", 3, seed=0)
         betw = strategy_edge_ranking(k5, "betweenness")
-        assert sorted(plan.edges) == sorted(betw[:3])
+        assert sorted(plan_ids(k5, plan)) == sorted(betw[:3])
         assert any("cutset" in record.message for record in caplog.records)
 
     def test_budget_bounds(self, p3):
@@ -89,16 +89,16 @@ class TestSelection:
         # budget above the natural cutset: bridge first, then the
         # highest-betweenness remaining edges
         plan = select_attack_edges(two_cliques_bridge, "greedy_mod", 3, seed=0)
-        assert "xbridge" in plan.edges
+        assert "xbridge" in plan_ids(two_cliques_bridge, plan)
         betw = strategy_edge_ranking(two_cliques_bridge, "betweenness")
         pad = [eid for eid in betw if eid != "xbridge"][:2]
-        assert plan.edges == {"xbridge", *pad}
+        assert plan_ids(two_cliques_bridge, plan) == {"xbridge", *pad}
 
     def test_eigen_c_ranks_by_weaker_endpoint(self, star5):
         ranking = strategy_edge_ranking(star5, "eigen_c")
         assert set(ranking) == set(star5.edge_ids)
         plan = select_attack_edges(star5, "eigen_c", 2, seed=0)
-        assert sorted(plan.edges) == ["s0", "s1"]
+        assert sorted(plan_ids(star5, plan)) == ["s0", "s1"]
 
     @pytest.mark.parametrize("graph", ["two_cliques_bridge", "planted64", "bypass_city", "grid16"])
     def test_degree_ranking_equals_node_walk_reference(self, request, graph):
@@ -133,6 +133,27 @@ class TestRankingsMatchTheIdKeyedReference:
                 reference_ranking(net, strategy)), strategy
 
 
+class TestPlanFormat:
+    # a plan holds edge indices, the first k of its strategy's ranking in rank order
+    @pytest.mark.parametrize("graph", ["grid8", "bypass_city"])
+    def test_plans_are_ranking_prefixes_as_indices(self, request, graph):
+        net = (generate_city("grid", rows=8, cols=8, edge_time_s=60.0) if graph == "grid8"
+               else request.getfixturevalue(graph))
+        for strategy in ATTACK_STRATEGIES:
+            for k in (1, 30, net.num_edges):
+                plan = select_attack_edges(net, strategy, k, seed=11)
+                assert all(isinstance(e, int) for e in plan.edges), strategy
+                assert ([net.edge_ids[e] for e in plan.edges]
+                        == strategy_edge_ranking(net, strategy, seed=11)[:k]), strategy
+
+    def test_nested_plans_are_literal_prefixes(self, planted32):
+        for strategy in ATTACK_STRATEGIES:
+            large = select_attack_edges(planted32, strategy, 20, seed=4)
+            for k in (1, 3, 8, 20):
+                small = select_attack_edges(planted32, strategy, k, seed=4)
+                assert large.edges[:k] == small.edges, strategy
+
+
 class TestPlanPlumbing:
     def test_empty_plan(self, p3):
         plan = empty_attack_plan(p3)
@@ -142,10 +163,10 @@ class TestPlanPlumbing:
     def test_export_format(self, planted32, tmp_path):
         plan = select_attack_edges(planted32, "betweenness", 3, seed=0)
         path = tmp_path / "plan.csv"
-        write_attack_plan(plan, path)
+        write_attack_plan(planted32, plan, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "edge_id"
-        assert lines[1:] == sorted(plan.edges)
+        assert lines[1:] == sorted(plan_ids(planted32, plan))
 
     def test_topology_plans_are_round_invariant(self, planted32):
         for strategy in ATTACK_STRATEGIES:
@@ -164,7 +185,7 @@ class TestPlanPlumbing:
         for src in ("a00x00", "a03x03", "a01x02"):
             for dst in ("b00x00", "b03x03", "b02x01"):
                 path, _ = shortest_path(planted32, src, dst)
-                assert plan.edges & set(path), (src, dst)
+                assert plan_ids(planted32, plan) & set(path), (src, dst)
 
     def test_random_uniform_without_replacement(self, planted32):
         counts = {eid: 0 for eid in planted32.edge_ids}
@@ -172,7 +193,7 @@ class TestPlanPlumbing:
         for seed in range(trials):
             plan = select_attack_edges(planted32, "random", 5, seed=seed)
             assert len(plan.edges) == 5
-            for eid in plan.edges:
+            for eid in plan_ids(planted32, plan):
                 counts[eid] += 1
         expected = trials * 5 / planted32.num_edges
         sigma = math.sqrt(trials * (5 / planted32.num_edges)

@@ -351,6 +351,12 @@ class TestConfig:
         ("attacker_counts = 1,500", ["sweep", "--axis", "attackers"],
          "attacker_counts must be in [1, 112], got 500"),
         ("fleet_warehouse = zz", ["matrix"], "unknown warehouse node 'zz'"),
+        ("fleet_stop_prefixes = zz", ["matrix"],
+         "no node other than the warehouse 'n03x03' has an id starting with 'zz'"),
+        # the grid's central node is the warehouse, so its own id leaves no stop
+        ("fleet_stop_prefixes = n,n03x03", ["simulate", "--attack", "degree", "--defense",
+                                            "shortest"],
+         "no node other than the warehouse 'n03x03' has an id starting with 'n03x03'"),
     ])
     def test_network_bound_is_placed_before_any_analysis(self, tmp_path, capsys, monkeypatch,
                                                           line, command, message):

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,17 @@ def test_no_source_calls_the_id_keyed_analysis_functions():
                 and isinstance(node.func, (ast.Name, ast.Attribute))}
     assert [(path.name, sorted(called(path) & boundary)) for path in SOURCES
             if called(path) & boundary] == []
+
+
+def test_stages_pass_indices_not_ids():
+    # analyses, attack plans and route legs hold indices into net.node_ids
+    # and net.edge_ids: nothing outside network.py maps an edge id to its
+    # index, analysis.py maps no node id, and routing maps a card's nodes once
+    def reads(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                       and node.attr in ("node_index", "edge_index"))
+    counts = {path.name: reads(path) for path in SOURCES}
+    assert [name for name, count in counts.items() if count["edge_index"]] == ["network.py"]
+    assert counts["analysis.py"]["node_index"] == 0
+    assert counts["routing.py"]["node_index"] == 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import roadgame.routing as routing
 import roadgame.simulate as simulate
 from conftest import build_net
-from oracles import classify_arrival, reference_metrics, reference_tour
+from oracles import classify_arrival, plan_ids, reference_metrics, reference_tour
 from roadgame.attacks import AttackPlan, empty_attack_plan, select_attack_edges
 from roadgame.errors import DomainError, ValidationError
 from roadgame.routing import DEFENSE_STRATEGIES, RoutePlan, plan_route
@@ -18,8 +18,8 @@ from roadgame.simulate import (CRITICALLY_LATE, LATE, ON_TIME, JobCard, RoundMet
                                run_round_details, run_rounds, run_tour)
 
 
-def manual_attack(edge_ids):
-    return AttackPlan("random", frozenset(edge_ids), seed=0)
+def manual_attack(net, edge_ids):
+    return AttackPlan("random", tuple(net.edge_index[eid] for eid in edge_ids), seed=0)
 
 
 class TestRunTour:
@@ -37,7 +37,7 @@ class TestRunTour:
         net = build_net([("e0", "W", "S")], times={"e0": 300.0})
         card = JobCard("c0", "W", (Stop("S", 600.0, 1400.0),), day_start_s=1000.0)
         plan = plan_route(net, card, "shortest", 0)
-        tour = run_tour(net, plan, card, manual_attack(["e0"]), 600.0)
+        tour = run_tour(net, plan, card, manual_attack(net, ["e0"]), 600.0)
         assert tour.arrivals == (1900.0,)
         assert tour.statuses == (CRITICALLY_LATE,)
 
@@ -45,7 +45,7 @@ class TestRunTour:
         net = build_net([("e0", "W", "S")], times={"e0": 300.0})
         card = JobCard("c0", "W", (Stop("S", 0.0, 700.0),), day_start_s=0.0)
         plan = plan_route(net, card, "shortest", 0)
-        tour = run_tour(net, plan, card, manual_attack(["e0"]), 600.0)
+        tour = run_tour(net, plan, card, manual_attack(net, ["e0"]), 600.0)
         # arrival 900, window end 700: 200 late on a 700 window
         assert tour.statuses == (LATE,)
 
@@ -55,7 +55,7 @@ class TestRunTour:
                         times={"e0": 100.0, "e1": 50.0})
         card = JobCard("c0", "W", (Stop("S", 0.0, 5000.0),))
         plan = plan_route(net, card, "shortest", 0)
-        tour = run_tour(net, plan, card, manual_attack(["e0"]), 600.0)
+        tour = run_tour(net, plan, card, manual_attack(net, ["e0"]), 600.0)
         assert tour.ambush_count == 2
         assert tour.tour_time_s == 300.0 + 2 * 600.0
 
@@ -100,7 +100,7 @@ class TestRunTour:
         used = {planted32.edge_ids[e] for leg in plan.legs for e in leg}
         far = [eid for eid in planted32.edge_ids if eid not in used][:6]
         baseline = run_tour(planted32, plan, card, empty_attack_plan(planted32))
-        disjoint = run_tour(planted32, plan, card, manual_attack(far))
+        disjoint = run_tour(planted32, plan, card, manual_attack(planted32, far))
         assert baseline == disjoint
 
     def test_superset_attack_never_reduces_tour_time(self, planted32):
@@ -108,7 +108,7 @@ class TestRunTour:
         plan = plan_route(planted32, card, "shortest", 0)
         small = select_attack_edges(planted32, "betweenness", 3, seed=0)
         large = select_attack_edges(planted32, "betweenness", 12, seed=0)
-        assert small.edges <= large.edges
+        assert plan_ids(planted32, small) <= plan_ids(planted32, large)
         t_small = run_tour(planted32, plan, card, small)
         t_large = run_tour(planted32, plan, card, large)
         assert t_large.tour_time_s >= t_small.tour_time_s
@@ -385,7 +385,7 @@ def tour_cases(draw):
     for edges in draw(st.lists(edge_sets, min_size=1, max_size=4)):
         if detour is not None and draw(st.booleans()):
             edges = edges | {detour}
-        attacks.append(AttackPlan("random", frozenset(edges), seed=0))
+        attacks.append(manual_attack(net, sorted(edges)))
     delay = draw(st.floats(0.5, 5000.0, allow_nan=False, allow_infinity=False))
     return net, card, plan, attacks, delay
 
@@ -449,13 +449,26 @@ class TestRoundEngine:
             run_tour(p3, plan, card, empty_attack_plan(p3))
 
     def test_attack_edge_missing_from_network_raises_domain_error(self, p3):
+        # p3 has edges 0 and 1: index 2 names no edge
         card = JobCard("c0", "A", (Stop("B", 0.0, 100.0),))
         plan = plan_route(p3, card, "shortest", 0)
-        attack = AttackPlan("random", frozenset({"e0", "zz"}), 0)
-        with pytest.raises(DomainError, match=r"not in the network: \['zz'\]"):
+        attack = AttackPlan("random", (0, 2), 0)
+        with pytest.raises(DomainError, match=r"indices in \[0, 2\), got \[2\]$"):
             run_tour(p3, plan, card, attack)
-        with pytest.raises(DomainError, match="not in the network"):
+        with pytest.raises(DomainError, match=r"indices in \[0, 2\)"):
             simulate._delay_matrix(p3, [empty_attack_plan(p3), attack], 600.0)
+
+    @pytest.mark.parametrize("edges, bad", [((2,), "[2]"), ((-1,), "[-1]"), ((0, 0), "[0]"),
+                                            ((1, -1, 1, 5), "[1, -1, 5]"),
+                                            (("e0",), "['e0']")])
+    def test_attack_edges_outside_the_network_or_repeated_are_named(self, p3, edges, bad):
+        # a negative index would wrap and a repeat would hide in the delay
+        # row, so both are refused with the outside ones; so is an edge id
+        card = JobCard("c0", "A", (Stop("B", 0.0, 100.0),))
+        plan = plan_route(p3, card, "shortest", 0)
+        with pytest.raises(DomainError) as refused:
+            run_tour(p3, plan, card, AttackPlan("random", edges, 0))
+        assert str(refused.value).endswith(f"got {bad}")
 
     def test_failed_walks_score_and_reclassify_like_the_reference(self, planted32, monkeypatch):
         # with no steps allowed every walk between distinct nodes fails:
