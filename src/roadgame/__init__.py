@@ -1,5 +1,13 @@
 """Ambush-interdiction games on road networks: attacks, defenses, simulation."""
 
+import os as _os
+
+# Before any submodule loads numpy: OpenBLAS reads this once, as it loads, and
+# its idle helper threads then spin for 2**24 cycles (a few ms) instead of
+# 2**28 (about 0.1 s of a core) before they sleep; see roadgame.blas.  A
+# value the caller set wins.
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
+
 from .analysis import (CentralityScores, Partition, agglomerative_modularity,
                        centrality, flow_partition, map_equation_codelength,
                        mixing_partition, mixing_transition_matrix, modularity,

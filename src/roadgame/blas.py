@@ -13,6 +13,26 @@ do not depend on the thread count.
 Only an OpenBLAS bundled with numpy (the ``numpy.libs`` or
 ``numpy/.dylibs`` directory of a wheel) is found; with any other BLAS
 ``one_thread`` changes nothing.
+
+The one threaded call roadgame keeps, the eigenvector's dense matvec,
+gains from a second thread at scale (2.1-2.4 s against 4.3-5.0 s at
+2,048 nodes).  But after each threaded call an idle OpenBLAS helper
+spins for ``2**OPENBLAS_THREAD_TIMEOUT`` cycles, by default 2**28 (about
+0.1 s of a core), before it sleeps; numpy's own start-up wakes it, so a
+run on the default 8x8 grid spent about 30% of its CPU time there.  So
+importing ``roadgame`` sets ``OPENBLAS_THREAD_TIMEOUT=24`` in
+``os.environ`` when it is unset.  A helper then spins a few ms: long
+enough to stay awake from one power iteration's matvec to the next, so
+the matvec keeps its time, and short enough that start-up costs no
+measurable CPU.  OpenBLAS's minimum, 4, put the helper to sleep between
+matvecs and cost about 7% of the eigenvector's time at 2,048 nodes.  No
+result depends on the timeout.
+
+A value the user set wins.  OpenBLAS reads the variable once, as it
+loads, so a process that imported numpy before roadgame keeps whatever
+timeout it started with.  The variable stays in ``os.environ``: child
+processes inherit it, and so does any other OpenBLAS loaded later in
+the same process.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -408,8 +407,12 @@ def _run_rows(cfg: ExperimentConfig, axis: str) -> list[tuple]:
     analyses = _analysis_tasks(cfg, net)
     keys = [(defense, seed) for defense in cfg.defenses for seed in cfg.seeds]
     size = min(cfg.workers, max(len(analyses), len(keys)))
-    # the fork start method forks every worker at the first submit
-    pool = ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    pool = None
+    if size > 1:
+        # loaded only here, so a 1-worker run never imports multiprocessing;
+        # the fork start method forks every worker at the first submit
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=size)
     run = pool.map if pool is not None else map
     try:
         entries = _analysis_stage(net, analyses, run)

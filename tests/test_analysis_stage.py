@@ -6,6 +6,7 @@ a round task finds in its network's memo only the analysis stage's
 entries.
 """
 
+import concurrent.futures
 import functools
 import multiprocessing
 from collections import Counter
@@ -64,7 +65,7 @@ def recorded(monkeypatch):
     """(pools, detector calls as (stage, detector)) of the runs made in the test."""
     FreshWorkerPool.instances = []
     calls = []
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", FreshWorkerPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FreshWorkerPool)
 
     def stage():
         pools = FreshWorkerPool.instances

@@ -49,3 +49,24 @@ def test_one_thread_leaves_eigh_unchanged():
     with one_thread():
         pinned = np.linalg.eigh(m)
     assert np.array_equal(values, pinned[0]) and np.array_equal(vectors, pinned[1])
+
+
+@pytest.mark.parametrize("given, expected", [(None, "24"), ("28", "28")], ids=["unset", "user"])
+def test_import_sets_the_openblas_thread_timeout_before_numpy_loads(given, expected):
+    # OpenBLAS reads the variable once, as numpy loads it, so the value seen
+    # when the import of numpy starts is the one that counts
+    code = ("import os, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import roadgame\n"
+            "print(seen[:1], os.environ['OPENBLAS_THREAD_TIMEOUT'])\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if given is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = given
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"[{expected!r}] {expected}"

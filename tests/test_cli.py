@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import re
@@ -570,7 +571,7 @@ class TestRunMatrix:
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = replace(ExperimentConfig.from_file(small_cfg_file), workers=workers, **changes)
         run_matrix(cfg)
         assert sizes == ([] if size is None else [size])
@@ -1001,7 +1002,8 @@ def test_analyze_is_byte_identical_across_blas_threads(tmp_path, method):
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     # no scipy module at all: importing any of it costs set-up time and memory,
     # and the matrix game is solved without it; nor numpy.ma, which
-    # np.percentile and np.unique import (about 10 ms and 0.6 MB)
+    # np.percentile and np.unique import (about 10 ms and 0.6 MB); nor, on
+    # one worker, the process-pool machinery (about 17 ms and 1.2 MB)
     commands = [["analyze", "--method", method] for method in ANALYZE_METHODS]
     commands += [["matrix"], ["simulate", "--attack", "betweenness", "--defense", "inverse"],
                  ["--seed", "0", "sweep", "--axis", "window"],
@@ -1010,10 +1012,11 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
         "import sys, roadgame.cli\n"
         "def unwanted():\n"
         "    return sorted(m for m in sys.modules\n"
-        "                  if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])\n"
+        "                  if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
+        "                  or m.split('.')[:2] == ['numpy', 'ma'] or m == 'concurrent.futures.process')\n"
         "loaded = [unwanted()]\n"
         f"for command in {commands!r}:\n"
-        f"    assert roadgame.cli.main(['--out', {str(tmp_path)!r}, *command]) == 0\n"
+        f"    assert roadgame.cli.main(['--out', {str(tmp_path)!r}, '--workers', '1', *command]) == 0\n"
         "    loaded.append(unwanted())\n"
         "print(loaded)\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
