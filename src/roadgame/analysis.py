@@ -30,7 +30,7 @@ import numpy as np
 
 from .blas import one_thread
 from .errors import ConvergenceError, DomainError, ValidationError
-from .network import RoadNetwork, _link_arrays, _shortest_dags, memoised
+from .network import RoadNetwork, _cut_ratio, _link_arrays, _shortest_dags, memoised
 from .rng import substream
 
 CENTRALITY_KINDS = ("degree", "betweenness", "eigenvector")
@@ -746,9 +746,8 @@ def mixing_partition(net: RoadNetwork, seed: int = 0) -> Partition:
         part = Partition.from_assignment(dict(zip(net.node_ids, labels.tolist())))
         if part.num_communities < 2:
             continue
-        # a community's conductance: its cut over the smaller side's volume, 0 if that is 0
         cut, vol = _community_counts(net, part)
-        worst = max(c / (min(v, 2 * net.num_edges - v) or math.inf) for c, v in zip(cut, vol))
+        worst = max(_cut_ratio(c, v, 2 * net.num_edges) for c, v in zip(cut, vol))
         key = (worst, part.num_communities)
         if best is None or key < (best[0], best[1]):
             best = (worst, part.num_communities, part)

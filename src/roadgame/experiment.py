@@ -367,8 +367,8 @@ def _analysis_stage(net: RoadNetwork, tasks: list[tuple], run) -> tuple:
 def _rounds_task(args) -> list[list[tuple[int, float, RoundMetrics]]]:
     """Every round of one (defense, seed): per attack, its (k, window_mult, metrics) rows.
 
-    ``axis`` is ``matrix`` (k = cfg.k), ``window`` (k = cfg.k, each round
-    reclassified per window multiplier) or ``attackers`` (every attacker
+    ``axis`` is ``matrix`` (k = cfg.k), ``window`` (k = cfg.k, every round
+    reclassified at once per window multiplier) or ``attackers`` (every attacker
     count).  An attack's rows come in k order, then multiplier.  The
     analysis ``entries`` go into the network's memo first, so no round
     computes any analysis, only the rankings and weights read from them.
@@ -380,9 +380,10 @@ def _rounds_task(args) -> list[list[tuple[int, float, RoundMetrics]]]:
     rounds = run_rounds(net, fleet, cfg.attacks, defense, ks, cfg.ambush_delay_s,
                         seed, cfg.nested_plans)
     if axis == "window":
-        scaled = [(mult, apply_window_multiplier(fleet, mult)) for mult in cfg.window_multipliers]
-        return [[(k, mult, reclassify_with_windows(cards, rounds[attack, k]))
-                 for k in ks for mult, cards in scaled] for attack in cfg.attacks]
+        scaled = [(mult, reclassify_with_windows(apply_window_multiplier(fleet, mult), rounds))
+                  for mult in cfg.window_multipliers]
+        return [[(k, mult, metrics[attack, k]) for k in ks for mult, metrics in scaled]
+                for attack in cfg.attacks]
     return [[(k, 1.0, rounds[attack, k].metrics) for k in ks] for attack in cfg.attacks]
 
 

@@ -297,10 +297,8 @@ def save_network(net: RoadNetwork, nodes_file, edges_file) -> None:
 # -- shortest paths ------------------------------------------------------
 
 
-def _check_weights(net: RoadNetwork, weights: Mapping[str, float] | None) -> Sequence[float]:
-    """The weights in edge-index order; travel times when ``weights`` is None."""
-    if weights is None:
-        return net.travel
+def _check_weights(net: RoadNetwork, weights: Mapping[str, float]) -> list[float]:
+    """The weights in edge-index order, each checked finite and >= 0."""
     ordered = []
     for eid in net.edge_ids:
         w = weights.get(eid)
@@ -493,6 +491,12 @@ def _path(net: RoadNetwork, src: int, dst: int, weights: Sequence[float]) -> lis
     return path
 
 
+@memoised
+def _travel_path(net: RoadNetwork, src: int, dst: int) -> tuple[int, ...]:
+    """:func:`_path` over travel times, found once per network and index pair."""
+    return tuple(_path(net, src, dst, net.travel))
+
+
 def shortest_path(net: RoadNetwork, src: str, dst: str,
                   weights: Mapping[str, float] | None = None) -> tuple[list[str], float]:
     """Minimum-weight path from src to dst as (edge id list, total weight).
@@ -504,8 +508,12 @@ def shortest_path(net: RoadNetwork, src: str, dst: str,
     for node in (src, dst):
         if node not in net.nodes:
             raise DomainError(f"unknown node {node!r}")
-    weights = _check_weights(net, weights)
-    path = _path(net, net.node_index[src], net.node_index[dst], weights)
+    a, b = net.node_index[src], net.node_index[dst]
+    if weights is None:
+        weights, path = net.travel, _travel_path(net, a, b)
+    else:
+        weights = _check_weights(net, weights)
+        path = _path(net, a, b, weights)
     # added left to right in walking order; the builtin sum() may compensate
     total = functools.reduce(lambda acc, e: acc + float(weights[e]), path, 0.0)
     return [net.edge_ids[e] for e in path], total
@@ -579,6 +587,13 @@ def _disjoint_paths(net: RoadNetwork, source: int, target: int) -> list[list[int
 # -- conductance ----------------------------------------------------------
 
 
+def _cut_ratio(cut: int, vol: int, two_m: int) -> float:
+    """Conductance from counts: a side's cut over the smaller of its volume
+    and the rest's, 0 when that is 0."""
+    smaller = min(vol, two_m - vol)
+    return cut / smaller if smaller else 0.0
+
+
 def conductance(net: RoadNetwork, part: Iterable[str]) -> float:
     """Cut size over the smaller side's volume, in [0, 1]."""
     part_set = set(part)
@@ -590,14 +605,7 @@ def conductance(net: RoadNetwork, part: Iterable[str]) -> float:
     if len(part_set) == net.num_nodes:
         raise DomainError("part must be a proper subset of the nodes")
 
-    cut = 0
-    for eid in net.edge_ids:
-        e = net.edges[eid]
-        if (e.u in part_set) != (e.v in part_set):
-            cut += 1
-    vol = sum(net.degree(v) for v in part_set)
-    vol_rest = 2 * net.num_edges - vol
-    smaller = min(vol, vol_rest)
-    if smaller == 0:
-        return 0.0
-    return cut / smaller
+    inside = [node in part_set for node in net.node_ids]
+    cut = sum(inside[i] != inside[j] for i, j in net.ends)
+    vol = sum(inside[i] + inside[j] for i, j in net.ends)
+    return _cut_ratio(cut, vol, 2 * net.num_edges)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from .analysis import _betweenness_scores, _eigenvector_scores, _min_over_ends
 from .errors import DomainError
-from .network import RoadNetwork, _disjoint_paths, _path, memoised
+from .network import RoadNetwork, _disjoint_paths, _path, _travel_path, memoised
 from .rng import substream
 
 if TYPE_CHECKING:
@@ -75,7 +75,7 @@ def _seed_free_leg(net: RoadNetwork, strategy: str, a: int, b: int) -> tuple:
         return tuple(map(tuple, _disjoint_paths(net, a, b)))
     if strategy == "inverse":
         return tuple(_path(net, a, b, _inverse_weights(net)))
-    return tuple(_path(net, a, b, net.travel))
+    return _travel_path(net, a, b)
 
 
 def plan_route(net: RoadNetwork, card: "JobCard", strategy: str, seed: int = 0) -> RoutePlan:

@@ -14,9 +14,10 @@ one-plan form.  Its reference, the plain edge-by-edge walk, is
 
 Rounds are scored on arrays: the evaluator's plans x stops arrivals,
 ambush counts and tour times go to one scorer, ``_score``, which gives
-every plan's ``RoundMetrics`` at once, for ``metrics_from_tours`` too;
-``reclassify_with_windows`` recounts only lateness.  ``TourResult``, the
-per-tour view, is built by ``run_tour`` and by ``RoundDetails.tours``.
+every plan's ``RoundMetrics`` at once, for ``metrics_from_tours`` too.
+``reclassify_with_windows`` recounts only lateness, for every round of
+a ``run_rounds`` result in one pass.  ``TourResult``, the per-tour view,
+comes only from ``run_tour``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -157,17 +156,11 @@ def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
     legs = _compile_route(net, plan, card)
     delays = _delay_matrix(net, [attack], ambush_delay_s)
     arrivals, ambushes, tour_time = _evaluate_tours(card, legs, _travel_time_vector(net), delays)
-    return _tour_result(card, arrivals[0], ambushes[0], tour_time[0])
-
-
-def _tour_result(card: JobCard, arrivals: np.ndarray, ambushes: int,
-                 tour_time_s: float) -> TourResult:
-    """The per-tour view of one courier's row of evaluator arrays."""
-    late, critical = _lateness(arrivals[np.newaxis], card.stops)
+    late, critical = _lateness(arrivals, card.stops)
     statuses = tuple(CRITICALLY_LATE if is_critical else LATE if is_late else ON_TIME
                      for is_late, is_critical in zip(late[0].tolist(), critical[0].tolist()))
-    return TourResult(card.courier_id, tuple(arrivals.tolist()), statuses, int(ambushes),
-                      float(tour_time_s))
+    return TourResult(card.courier_id, tuple(arrivals[0].tolist()), statuses, int(ambushes[0]),
+                      float(tour_time[0]))
 
 
 def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
@@ -297,12 +290,10 @@ def metrics_from_tours(tours: Iterable[TourResult]) -> RoundMetrics:
 class RoundDetails:
     """Everything one round produced; metrics plus replayable pieces.
 
-    ``cards`` are the round's job cards in courier id order.  ``arrivals``
-    holds their stops' arrivals in that order (``inf`` at a stop a failed
-    walk never reaches), and ``ambushes`` and ``tour_times_s`` one entry
-    per card.  ``tours`` is the per-tour view of those arrays, built when
-    first read.  Rounds compare by identity, as arrays have no single
-    truth value under ``==``.
+    ``cards`` are the round's job cards in courier id order, and
+    ``arrivals`` holds their stops' arrivals in that order (``inf`` at a
+    stop a failed walk never reaches).  Rounds compare by identity, as
+    arrays have no single truth value under ``==``.
     """
 
     attack: AttackPlan
@@ -310,15 +301,6 @@ class RoundDetails:
     metrics: RoundMetrics
     cards: tuple[JobCard, ...]
     arrivals: np.ndarray
-    ambushes: np.ndarray
-    tour_times_s: np.ndarray
-
-    @cached_property
-    def tours(self) -> dict[str, TourResult]:
-        bounds = list(accumulate((len(card.stops) for card in self.cards), initial=0))
-        return {card.courier_id: _tour_result(card, self.arrivals[lo:hi], ambushes, time)
-                for card, lo, hi, ambushes, time
-                in zip(self.cards, bounds, bounds[1:], self.ambushes, self.tour_times_s)}
 
 
 def run_rounds(net: RoadNetwork, fleet: Sequence[JobCard], attacks: Sequence[str],
@@ -364,8 +346,7 @@ def run_rounds(net: RoadNetwork, fleet: Sequence[JobCard], attacks: Sequence[str
     times = np.stack(card_times, axis=1)
     stops = [stop for card in cards for stop in card.stops]
     metrics = _score(*_lateness(arrivals, stops), ambushes.sum(axis=1), times)
-    return {key: RoundDetails(plan, routes, row_metrics, cards,
-                              arrivals[row], ambushes[row], times[row])
+    return {key: RoundDetails(plan, routes, row_metrics, cards, arrivals[row])
             for row, (key, plan, row_metrics) in enumerate(zip(keys, plans, metrics))}
 
 
@@ -379,16 +360,23 @@ def run_round_details(net: RoadNetwork, fleet: Sequence[JobCard], attack_strateg
     return rounds[(attack_strategy, k)]
 
 
-def reclassify_with_windows(fleet: Sequence[JobCard], details: RoundDetails) -> RoundMetrics:
-    """Metrics the same round would yield under ``fleet``'s delivery windows.
+def reclassify_with_windows(fleet: Sequence[JobCard], rounds: dict[tuple[str, int], RoundDetails]
+                            ) -> dict[tuple[str, int], RoundMetrics]:
+    """Metrics each of ``rounds`` would yield under ``fleet``'s delivery windows.
 
-    ``fleet`` is the round's fleet with its windows scaled, as
+    ``rounds`` is one ``run_rounds`` result, so every round shares its
+    cards, and ``fleet`` is that round's fleet with its windows scaled, as
     ``apply_window_multiplier`` gives it.  Valid because arrivals and tour
     times never depend on window ends and window starts are unchanged by
     scaling; only the late and critical counts move.  The couriers are
-    taken in the round's id order, as a full rerun takes them.
+    taken in the rounds' id order, as a full rerun takes them, and every
+    round is recounted in one pass over its stacked arrivals.
     """
+    if not rounds:
+        return {}
     by_id = {card.courier_id: card for card in fleet}
-    stops = [stop for card in details.cards for stop in by_id[card.courier_id].stops]
-    late, critical = _lateness(details.arrivals[np.newaxis], stops)
-    return replace(details.metrics, **_late_fractions(late, critical)[0])
+    cards = next(iter(rounds.values())).cards
+    stops = [stop for card in cards for stop in by_id[card.courier_id].stops]
+    late, critical = _lateness(np.stack([details.arrivals for details in rounds.values()]), stops)
+    return {key: replace(details.metrics, **fractions)
+            for (key, details), fractions in zip(rounds.items(), _late_fractions(late, critical))}

@@ -724,6 +724,16 @@ def dense_eigenvector_scores(net: RoadNetwork) -> list[float]:
     return None
 
 
+def eigh_eigenvector_scores(net: RoadNetwork) -> list[float]:
+    """Eigenvector scores by numpy's dense symmetric eigensolver, an
+    algorithm independent of the power iteration: the eigenvector of
+    ``dense_adjacency``'s largest eigenvalue, scaled so that its largest
+    entry is 1."""
+    _, vectors = np.linalg.eigh(dense_adjacency(net))
+    v = vectors[:, -1]
+    return (v / v[np.argmax(np.abs(v))]).tolist()
+
+
 def classify_arrival(arrival_s: float, stop: Stop) -> str:
     """One delivery's status by the module rule of ``roadgame.simulate``:
     late after the window closes, critically late past half a window more."""

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_net, clique_edges, connected_graphs
 from oracles import (brute_best_bipartition, brute_betweenness, brute_modularity,
                      dense_eigenvector_scores, dense_mixing_kernel, dense_modularity_matrix,
-                     edge_loop_mixing_kernel, exact_modularity, float_flow_partition,
-                     float_map_equation_codelength, fraction_betweenness,
+                     edge_loop_mixing_kernel, eigh_eigenvector_scores, exact_modularity,
+                     float_flow_partition, float_map_equation_codelength, fraction_betweenness,
                      heap_betweenness_sums, incident_edges, path_counts,
                      rescan_greedy_merge, scalar_best_deltas, scalar_pass, scalar_sweep,
                      sigma_tot_hierarchical_merge, tensor_kmeans)
@@ -770,6 +770,18 @@ def check_dense_kernels(net):
     except ConvergenceError:
         scores = None
     assert scores == dense_eigenvector_scores(net)
+
+
+@pytest.mark.parametrize("city", [
+    dict(kind="grid", rows=8, cols=8), dict(kind="grid", rows=6, cols=9),
+    dict(kind="two_cluster", size_a=16, size_b=16, bridges=2, edge_time_s=60),
+    dict(kind="two_cluster", size_a=64, size_b=60, bridges=2, edge_time_s=20),
+    dict(kind="geometric", seed=3, n=80, radius_m=250.0)], ids=lambda city: city["kind"])
+def test_eigenvector_scores_match_an_eigh_reference(city):
+    # dense_eigenvector_scores runs the same power iteration, so only an
+    # independent solver can see how far its scores are from the eigenvector
+    net = generate_city(**city)
+    assert _eigenvector_scores(net) == pytest.approx(eigh_eigenvector_scores(net), rel=1e-6)
 
 
 class TestDenseKernels:

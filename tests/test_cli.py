@@ -485,6 +485,19 @@ class TestRunMatrix:
             assert mult == 1.0
             assert late == result.cell_metrics[(attack, defense, seed)].late_fraction
 
+    def test_window_sweep_rescores_once_per_task_and_multiplier(self, monkeypatch):
+        # each (defense, seed) task rescores all its rounds in one call per multiplier
+        calls = Counter()
+
+        def counted(fleet, rounds):
+            calls[len(rounds)] += 1
+            return simulate.reclassify_with_windows(fleet, rounds)
+
+        monkeypatch.setattr(experiment, "reclassify_with_windows", counted)
+        cfg = ExperimentConfig()
+        assert len(run_sweep(cfg, "window")) == 2970
+        assert calls == {len(cfg.attacks): 330}
+
     def test_matrix_axis_rows_are_the_cells_in_attack_major_order(self, small_cfg_file):
         cfg = ExperimentConfig.from_file(small_cfg_file)
         result = run_matrix(cfg)

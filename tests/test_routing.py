@@ -241,3 +241,19 @@ class TestFastPathMatchesSlowPath:
                 assert calls == ["_dijkstra"] * 4
             else:
                 assert calls == []
+
+    def test_shortest_legs_reuse_the_fleets_searches(self, monkeypatch):
+        # make_fleet's shortest_path calls memoise the legs that shortest
+        # routes walk; only the legs back to the warehouse are new searches
+        from roadgame.synth import generate_city
+        net = generate_city("two_cluster", size_a=16, size_b=16, bridges=2, edge_time_s=60)
+        fleet = make_fleet(net, 6, 3, 500.0, seed=6)
+        searches = mock.Mock(wraps=network._dijkstra)
+        monkeypatch.setattr(network, "_dijkstra", searches)
+        plans = [plan_route(net, jc, "shortest") for jc in fleet]
+        assert searches.call_count == len({jc.stops[-1].node_id for jc in fleet})
+        times = {eid: e.travel_time_s for eid, e in net.edges.items()}  # bypasses the memo
+        for jc, plan in zip(fleet, plans):
+            stops = [jc.warehouse] + [stop.node_id for stop in jc.stops]
+            assert [ids(net, leg) for leg in plan.legs[:-1]] == [
+                tuple(shortest_path(net, a, b, times)[0]) for a, b in zip(stops, stops[1:])]

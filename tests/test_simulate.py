@@ -204,13 +204,14 @@ class TestRunRound:
     def test_reclassify_matches_full_rerun(self, planted32):
         from roadgame.synth import make_fleet
         fleet = make_fleet(planted32, 5, 3, 300.0, seed=4)
-        details = run_round_details(planted32, fleet, "betweenness", "shortest",
-                                    6, 600.0, 1)
+        args = (("betweenness", "degree", "random"), "shortest", (2, 6), 600.0, 1)
+        rounds = run_rounds(planted32, fleet, *args)
         for mult in (1.0, 1.75, 3.5):
             scaled = apply_window_multiplier(fleet, mult)
-            direct = run_round_details(planted32, scaled, "betweenness", "shortest",
-                                       6, 600.0, 1).metrics
-            assert reclassify_with_windows(scaled, details) == direct
+            direct = run_rounds(planted32, scaled, *args)
+            assert reclassify_with_windows(scaled, rounds) == {
+                key: details.metrics for key, details in direct.items()}
+        assert reclassify_with_windows(fleet, {}) == {}
 
 
 class TestMetrics:
@@ -419,7 +420,7 @@ class TestRoundEngine:
             assert details.attack == plan
             tours = [reference_tour(planted32, details.routes[c.courier_id], c, plan, 450.0)
                      for c in sorted(fleet, key=lambda c: c.courier_id)]
-            assert list(details.tours.values()) == tours
+            assert details.arrivals.tolist() == [a for tour in tours for a in tour.arrivals]
             assert details.metrics == metrics_from_tours(tours)
 
     def test_structural_mismatch_raises_like_run_tour(self, p3):
@@ -494,8 +495,8 @@ class TestRoundEngine:
         for mult in (1.0, 1.75, 3.5):
             scaled = apply_window_multiplier(fleet, mult)
             direct = run_rounds(planted32, scaled, attacks, "random_walk", ks, 600.0, 2)
-            for key, details in rounds.items():
-                assert reclassify_with_windows(scaled, details) == direct[key].metrics
+            assert reclassify_with_windows(scaled, rounds) == {
+                key: details.metrics for key, details in direct.items()}
         # at 3.5 only the unreached stops (c0's second, c2's) stay late
         assert {d.metrics.late_fraction for d in direct.values()} == {0.4}
 
@@ -512,9 +513,8 @@ class TestRoundEngine:
         rounds = run_rounds(*args)
         assert {key: details.metrics for key, details in rounds.items()} == expected
         scaled = apply_window_multiplier(fleet, 2.0)
-        assert reclassify_with_windows(scaled, rounds["degree", 4]).total_deliveries == 12
-        with pytest.raises(AssertionError, match="per-tour objects"):
-            rounds["degree", 4].tours
+        reclassified = reclassify_with_windows(scaled, rounds)
+        assert [metrics.total_deliveries for metrics in reclassified.values()] == [12] * 4
 
     @pytest.mark.parametrize("defense", DEFENSE_STRATEGIES)
     def test_rounds_do_not_recheck_the_routes_they_plan(self, planted32, monkeypatch, defense):
