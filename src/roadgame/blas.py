@@ -14,10 +14,12 @@ Only an OpenBLAS bundled with numpy (the ``numpy.libs`` or
 ``numpy/.dylibs`` directory of a wheel) is found; with any other BLAS
 ``one_thread`` changes nothing.
 
-The one threaded call roadgame keeps, the eigenvector's dense matvec,
-gains from a second thread at scale (2.1-2.4 s against 4.3-5.0 s at
-2,048 nodes).  But after each threaded call an idle OpenBLAS helper
-spins for ``2**OPENBLAS_THREAD_TIMEOUT`` cycles, by default 2**28 (about
+Two calls stay threaded: the eigenvector's dense matvec, which gains
+from a second thread at scale (2.1-2.4 s against 4.3-5.0 s at 2,048
+nodes), and botgrep's P^t products in ``analysis._matrix_power``, which
+``mixing_partition`` runs outside ``one_thread``.  But after each
+threaded call an idle OpenBLAS helper spins for
+``2**OPENBLAS_THREAD_TIMEOUT`` cycles, by default 2**28 (about
 0.1 s of a core), before it sleeps; numpy's own start-up wakes it, so a
 run on the default 8x8 grid spent about 30% of its CPU time there.  So
 importing ``roadgame`` sets ``OPENBLAS_THREAD_TIMEOUT=24`` in

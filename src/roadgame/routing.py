@@ -4,13 +4,19 @@ A route is a sequence of legs, one per consecutive stop pair
 (warehouse -> stops... -> warehouse), each leg a tuple of edge indices.
 All strategies are deterministic given their seed; the caller keys that
 seed by (courier, round) so fleet routing is order-insensitive, and legs
-that no seed changes are found once per network.
+that no seed changes are found once per network.  A random walk reads
+its generator's 32-bit words in batches and applies numpy's bounded-draw
+rule to them, so it walks the stream one ``rng.integers`` call per step
+would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .analysis import _betweenness_scores, _eigenvector_scores, _min_over_ends
 from .errors import DomainError
@@ -25,6 +31,9 @@ DEFENSE_STRATEGIES = ("shortest", "random_walk", "disjoint", "inverse", "mixnet"
 # A random walk that has not reached its leg target within this many
 # steps per node is abandoned; the tour is then marked failed.
 WALK_STEP_CAP_FACTOR = 50
+
+# Walks read their generator's 32-bit stream words this many at a time.
+_WORD_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,32 @@ def _inverse_weights(net: RoadNetwork) -> list[float]:
         return (c_deg * betw[j] * eig[j]) / denom
 
     return _min_over_ends(net, [oriented(j) for j in range(net.num_nodes)])
+
+
+def _step_draws(rng: np.random.Generator):
+    """``draw(d)``, which gives what ``int(rng.integers(d))`` would, call for
+    call, for 1 <= d <= 2**32, from words fetched in chunks of ``_WORD_CHUNK``.
+
+    numpy's bounded draw is Lemire's rule on the generator's 32-bit words,
+    ``rng.integers(0, 2**32, dtype=np.uint32)``'s stream: d == 1 reads no
+    word; otherwise m = w * d is accepted when its low 32 bits are at least
+    2**32 mod d, and the draw is m >> 32.  The words left unread in the last
+    chunk are dropped with ``rng``, so ``rng`` must not be drawn from again.
+    """
+    words = chain.from_iterable(iter(
+        lambda: rng.integers(0, 1 << 32, _WORD_CHUNK, dtype=np.uint32).tolist(), None))
+
+    def draw(d: int) -> int:
+        if d == 1:
+            return 0
+        m = next(words) * d
+        if m & 0xFFFFFFFF < d:  # the threshold is below d: only now can w be rejected
+            threshold = (1 << 32) % d
+            while m & 0xFFFFFFFF < threshold:
+                m = next(words) * d
+        return m >> 32
+
+    return draw
 
 
 @memoised
@@ -110,13 +145,13 @@ def plan_route(net: RoadNetwork, card: "JobCard", strategy: str, seed: int = 0) 
             options = _seed_free_leg(net, strategy, a, b)
             legs.append(options[int(rng.integers(len(options)))])
     else:  # random_walk: uniform steps over incident edges, abandoned at the cap
-        rng = substream(seed, "random-walk")
+        draw = _step_draws(substream(seed, "random-walk"))
         step_cap = WALK_STEP_CAP_FACTOR * net.num_nodes
         for i, (node, target) in enumerate(pairs):
             path = []
             while node != target and len(path) < step_cap:
                 incident = net.links[node]
-                node, e = incident[int(rng.integers(len(incident)))]
+                node, e = incident[draw(len(incident))]
                 path.append(e)
             if node != target:
                 failed_leg = i

@@ -9,7 +9,9 @@ window size.
 
 One evaluator, ``_evaluate_tours``, applies these rules to a courier's
 tour under every attack plan of a round at once; ``run_tour`` is its
-one-plan form.  Its reference, the plain edge-by-edge walk, is
+one-plan form.  It accumulates each leg in chunks of edges, so a tour's
+arrays are bounded per chunk, not per leg, however long a random walk
+grows.  Its reference, the plain edge-by-edge walk, is
 ``tests/oracles.py::reference_tour``.
 
 Rounds are scored on arrays: the evaluator's plans x stops arrivals,
@@ -40,6 +42,9 @@ LATE = "late"
 CRITICALLY_LATE = "critically_late"
 
 DEFAULT_AMBUSH_DELAY_S = 600.0
+
+# Edges per accumulate in a tour leg: 63 plans' arrays stay under 1 MB.
+_TOUR_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -192,7 +197,10 @@ def _evaluate_tours(card: JobCard, legs: Sequence[np.ndarray], travel: np.ndarra
     exact) to the clock: ``np.add.accumulate`` over
     ``[clock, t1, d1, t2, d2, ...]`` performs those IEEE additions one
     after another, unlike a pairwise sum, so the result equals an
-    edge-by-edge walk bit for bit.
+    edge-by-edge walk bit for bit.  A leg is accumulated in chunks of at
+    most ``_TOUR_CHUNK`` edges, each starting from the last one's clock,
+    which is the same float, so the arrays stay bounded however long a
+    random walk's leg grows.
     """
     plans = delays.shape[0]
     clock = np.full(plans, card.day_start_s, dtype=float)
@@ -200,14 +208,16 @@ def _evaluate_tours(card: JobCard, legs: Sequence[np.ndarray], travel: np.ndarra
     arrivals = np.full((plans, len(card.stops)), math.inf)
     tour_time = np.full(plans, math.inf)
     for i, idx in enumerate(legs):
-        leg_delays = delays[:, idx]
-        steps = np.empty((plans, 2 * len(idx) + 1))
-        steps[:, 0] = clock
-        steps[:, 1::2] = travel[idx]
-        steps[:, 2::2] = leg_delays
-        with np.errstate(over="ignore"):  # an overflowed clock is +inf
-            clock = np.add.accumulate(steps, axis=1)[:, -1]
-        ambushes += np.count_nonzero(leg_delays, axis=1)
+        for lo in range(0, len(idx), _TOUR_CHUNK):
+            chunk = idx[lo:lo + _TOUR_CHUNK]
+            chunk_delays = delays[:, chunk]
+            steps = np.empty((plans, 2 * len(chunk) + 1))
+            steps[:, 0] = clock
+            steps[:, 1::2] = travel[chunk]
+            steps[:, 2::2] = chunk_delays
+            with np.errstate(over="ignore"):  # an overflowed clock is +inf
+                clock = np.add.accumulate(steps, axis=1)[:, -1]
+            ambushes += np.count_nonzero(chunk_delays, axis=1)
         if i < len(card.stops):
             start = card.stops[i].window_start_s
             clock = np.where(start > clock, start, clock)  # max(clock, start)

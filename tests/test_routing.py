@@ -2,7 +2,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import roadgame.network as network
 import roadgame.routing as routing
@@ -33,6 +33,14 @@ def walk_cases(draw):
     net = draw(connected_graphs())
     nodes = st.sampled_from(net.node_ids)
     return net, card(draw(nodes), draw(st.lists(nodes, min_size=1, max_size=4)))
+
+
+# a 4-cycle with a spur of two edges at each of two corners: a walk
+# steps off a spur end, of degree 1, without drawing a word
+SPURS = build_net([("c0", "A", "B"), ("c1", "B", "C"), ("c2", "C", "D"), ("c3", "D", "A"),
+                   ("s0", "A", "P"), ("s1", "P", "Q"), ("s2", "C", "R"), ("s3", "R", "S")])
+# a path of 12 nodes: at one step per node, the walk from n01 to n11 hits the cap
+PATH12 = build_net([(f"e{i:02d}", f"n{i:02d}", f"n{i + 1:02d}") for i in range(11)])
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +176,8 @@ class TestPlanRoute:
 
     @settings(max_examples=40, deadline=None)
     @given(walk_cases(), st.sampled_from([1, routing.WALK_STEP_CAP_FACTOR]))
+    @example((SPURS, card("Q", ["S", "B", "Q"])), routing.WALK_STEP_CAP_FACTOR)
+    @example((PATH12, card("n00", ["n01", "n11"])), 1)
     def test_random_walk_equals_reference(self, case, factor):
         # a cap of one step per node makes some walks fail part-way
         net, jc = case
@@ -175,6 +185,21 @@ class TestPlanRoute:
             for seed in range(4):
                 expected = reference_random_walk(net, jc, seed)
                 assert plan_route(net, jc, "random_walk", seed) == expected
+
+    def test_pinned_path_walk_fails_after_its_first_leg(self):
+        with mock.patch.object(routing, "WALK_STEP_CAP_FACTOR", 1):
+            for seed in range(4):
+                plan = plan_route(PATH12, card("n00", ["n01", "n11"]), "random_walk", seed)
+                assert plan.failed_leg == 1 and len(plan.legs[0]) == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_step_draws_equal_bounded_integers(self, seed):
+        # 2**31 + 1, 3 * 2**30 + 1 and 2**32 - 1 reject many words; 2**32 takes one whole
+        bounds = [1, 2, 3, 5, 7, 8, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32]
+        picks = substream(seed, "bounds").integers(len(bounds), size=20_000).tolist()
+        draw = routing._step_draws(substream(seed, "random-walk"))
+        rng = substream(seed, "random-walk")
+        assert [draw(bounds[i]) for i in picks] == [int(rng.integers(bounds[i])) for i in picks]
 
     def test_unknown_stop_and_strategy(self, p3):
         with pytest.raises(DomainError):

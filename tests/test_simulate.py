@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,51 @@ class TestRoundEngine:
         assert ambushes.tolist() == [tour.ambush_count for tour in reference]
         assert tour_times.tolist() == [tour.tour_time_s for tour in reference]
         assert [run_tour(net, plan, card, attack, delay) for attack in attacks] == reference
+
+    @pytest.mark.parametrize("e0_time", [0.1, 4e305])
+    def test_legs_across_chunk_boundaries_equal_the_reference(self, e0_time):
+        # round and round a triangle, leg lengths around _TOUR_CHUNK = 256;
+        # at 4e305 s per e0 the clock overflows inside the 773-edge leg's
+        # third chunk and inf carries into its fourth
+        net = build_net([("e0", "A", "B"), ("e1", "B", "C"), ("e2", "C", "A")],
+                        times={"e0": e0_time, "e1": 0.7, "e2": 1e-3})
+        lengths, legs, stops, node = [0, 1, 255, 256, 257, 773, 3], [], [], 0
+        for i, length in enumerate(lengths):
+            legs.append(tuple((node + j) % 3 for j in range(length)))
+            node = (node + length) % 3
+            if i < len(lengths) - 1:
+                stops.append(Stop("ABC"[node], 300.0 * i, 1e6))
+        card = JobCard("c0", "A", tuple(stops), 12.5)
+        plan = RoutePlan("random_walk", tuple(legs), 0)
+        # the last plan ambushes both sides of every chunk boundary
+        attacks = [manual_attack(net, edges) for edges in
+                   ([], ["e0"], ["e1", "e2"], ["e0", "e1", "e2"])]
+        arrivals, ambushes, tour_times = simulate._evaluate_tours(
+            card, simulate._compile_route(net, plan, card), simulate._travel_time_vector(net),
+            simulate._delay_matrix(net, attacks, 600.0))
+        reference = [reference_tour(net, plan, card, attack, 600.0) for attack in attacks]
+        assert arrivals.tolist() == [list(tour.arrivals) for tour in reference]
+        assert ambushes.tolist() == [tour.ambush_count for tour in reference]
+        assert tour_times.tolist() == [tour.tour_time_s for tour in reference]
+        assert (tour_times == math.inf).all() == (e0_time > 1)
+
+    def test_a_long_leg_peaks_in_bounded_memory(self):
+        # 63 plans and one 20,000-edge leg, as a long random walk gives;
+        # accumulated whole, the leg's arrays took about 49 MB
+        net = build_net([("e0", "A", "B"), ("e1", "B", "C"), ("e2", "C", "A")])
+        card = JobCard("c0", "A", (Stop("C", 0.0, 1e6),))
+        legs = [np.arange(20_000, dtype=np.intp) % 3]
+        travel = simulate._travel_time_vector(net)
+        delays = simulate._delay_matrix(
+            net, [manual_attack(net, ["e0", "e1", "e2"][:i % 4]) for i in range(63)], 600.0)
+        tracemalloc.start()
+        try:
+            arrivals, _, _ = simulate._evaluate_tours(card, legs, travel, delays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arrivals[3, 0] == 20_000 + 600.0 * 20_000
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("nested", [False, True])
     def test_rounds_match_reference_per_attack_and_k(self, planted32, nested):
