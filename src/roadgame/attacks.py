@@ -20,7 +20,7 @@ from .analysis import (Partition, _betweenness_scores, _cut_edges, _eigenvector_
                        _min_over_ends, agglomerative_modularity, flow_partition,
                        mixing_partition, spectral_bisect)
 from .errors import DomainError
-from .network import RoadNetwork, memoised
+from .network import RoadNetwork, _write_rows, memoised
 from .rng import substream
 
 logger = logging.getLogger(__name__)
@@ -122,8 +122,5 @@ def empty_attack_plan(net: RoadNetwork) -> AttackPlan:
 
 
 def write_attack_plan(net: RoadNetwork, plan: AttackPlan, path) -> None:
-    """The plan's edge ids, sorted, one a line under an ``edge_id`` header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("edge_id\n")
-        for eid in sorted(net.edge_ids[e] for e in plan.edges):
-            fh.write(f"{eid}\n")
+    """The plan's edge ids, sorted, one a row under an ``edge_id`` header."""
+    _write_rows(path, ("edge_id",), sorted((net.edge_ids[e],) for e in plan.edges))

@@ -3,9 +3,9 @@
 Subcommands: simulate, matrix, sweep, attack, analyze, synth, gen-city.
 simulate, matrix and sweep run their rounds through the experiment's one
 runner, so all three honour ``workers`` and write the same bytes for any
-worker count.  All outputs are UTF-8 text with headers; a run is fully
-determined by its config and seeds, so repeated invocations are
-byte-identical.
+worker count.  All outputs are UTF-8 text with headers, every CSV file
+written by ``network._write_rows``; a run is fully determined by its
+config and seeds, so repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .attacks import (ATTACK_STRATEGIES, PARTITION_STRATEGIES, _partition_for,
 from .errors import RoadGameError
 from .experiment import (_DEFAULTS, ROUND_HEADER, ExperimentConfig, _render, emit_reports,
                          format_row, placed, read_config, run_matrix, run_sweep)
-from .network import load_network, save_network
+from .network import _write_rows, load_network, save_network
 from .routing import DEFENSE_STRATEGIES
 from .synth import (TraceTolerance, check_cards_on_network, parse_jobcards,
                     synthesize_traces, write_jobcards, write_leg_audit)
@@ -101,8 +101,8 @@ def _load_config(args) -> tuple[ExperimentConfig, dict[str, int]]:
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     rows = run_sweep(replace(cfg, attacks=(args.attack,), defenses=(args.defense,)), "matrix")
     out = _out_dir(cfg, args)
-    lines = [ROUND_HEADER] + [format_row(cfg, row, seed_column=False) for row in rows]
-    (out / "round_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(out / "round_metrics.csv", ROUND_HEADER,
+                (format_row(cfg, row, seed_column=False) for row in rows))
     late = [row[5] for row in rows]
     print(f"{args.attack} vs {args.defense}: mean late fraction "
           f"{sum(late) / len(late):.3f} over {len(late)} seeds")
@@ -145,9 +145,8 @@ def _cmd_analyze(cfg: ExperimentConfig, args) -> int:
     part = _partition_for(net, args.method)
     out = _out_dir(cfg, args)
     path = out / f"partition_{args.method}.csv"
-    lines = ["node_id,community"]
-    lines.extend(f"{node},{part.label(node)}" for node in net.node_ids)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, ("node_id", "community"),
+                ((node, part.label(node)) for node in net.node_ids))
     print(f"{args.method}: {part.num_communities} communities -> {path}")
     return 0
 

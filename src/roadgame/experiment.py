@@ -33,7 +33,8 @@ from .analysis import (_betweenness_scores, _betweenness_sums, _eigenvector_scor
 from .attacks import ATTACK_STRATEGIES, PARTITION_STRATEGIES, _partition_for
 from .errors import DomainError, ParseError, ValidationError
 from .game import Equilibrium, PayoffMatrix, find_pure_nash, solve_zero_sum
-from .network import RoadNetwork, _read_utf8, load_network, preload
+from .network import (RoadNetwork, _exact, _fmt, _read_utf8, _write_rows, load_network,
+                      preload)
 from .routing import DEFENSE_STRATEGIES
 from .simulate import (JobCard, RoundMetrics, apply_window_multiplier,
                        reclassify_with_windows, run_rounds)
@@ -45,9 +46,9 @@ DEFAULT_WINDOW_MULTIPLIERS = tuple(round(1.0 + 0.25 * i, 2) for i in range(11)) 
 DEFAULT_ATTACKER_COUNTS = (1, 5, 10, 20, 30, 40, 50)
 DEFAULT_SEEDS = tuple(range(10))
 
-SWEEP_HEADER = ("attack,defense,k,M,window_mult,seed,late_frac,crit_frac_of_late,"
-                "mean_tour_s,p95_tour_s,ambushes")
-ROUND_HEADER = SWEEP_HEADER.replace(",seed,", ",")
+SWEEP_HEADER = ("attack", "defense", "k", "M", "window_mult", "seed", "late_frac",
+                "crit_frac_of_late", "mean_tour_s", "p95_tour_s", "ambushes")
+ROUND_HEADER = tuple(name for name in SWEEP_HEADER if name != "seed")
 
 
 # list keys that must be nonempty and free of repeats
@@ -60,10 +61,6 @@ _SOURCES = {"network_kind": {"files": ("nodes_file", "edges_file"), "grid": (),
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
              "false": False, "0": False, "no": False, "off": False}
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def _parse(text: str, like):
@@ -83,15 +80,14 @@ def _parse(text: str, like):
 
 
 def _render(value) -> str:
-    """The text ``_parse`` reads back as ``value``: a float in ``_fmt``'s
-    nine digits when they are exact, else its shortest exact form."""
+    """The text ``_parse`` reads back as ``value``, a float in
+    :func:`~roadgame.network._exact`'s form."""
     if isinstance(value, tuple):
         return ",".join(map(_render, value))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        text = _fmt(value)
-        return text if float(text) == value else repr(value)
+        return _exact(value)
     return str(value)
 
 
@@ -462,17 +458,13 @@ def run_sweep(cfg: ExperimentConfig, axis: str) -> list[tuple]:
 # -- report emission -----------------------------------------------------------
 
 
-def format_row(cfg: ExperimentConfig, row: tuple, seed_column: bool = True) -> str:
-    """One ``SWEEP_HEADER`` line for a sweep row, or a ``ROUND_HEADER`` line
-    without the seed column."""
+def format_row(cfg: ExperimentConfig, row: tuple, seed_column: bool = True) -> list:
+    """The ``SWEEP_HEADER`` fields of a sweep row, or its ``ROUND_HEADER``
+    fields, without the seed."""
     attack, defense, k, mult, seed, late, crit, mean_t, p95_t, _, ambushes = row
-    seed_field = f"{seed}," if seed_column else ""
-    return (f"{attack},{defense},{k},{_fmt(cfg.ambush_delay_s)},{_fmt(mult)},{seed_field}"
-            f"{_fmt(late)},{_fmt(crit)},{_fmt(mean_t)},{_fmt(p95_t)},{ambushes}")
-
-
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return [attack, defense, k, _fmt(cfg.ambush_delay_s), _fmt(mult),
+            *((seed,) if seed_column else ()),
+            _fmt(late), _fmt(crit), _fmt(mean_t), _fmt(p95_t), ambushes]
 
 
 def emit_reports(cfg: ExperimentConfig, out_dir,
@@ -483,42 +475,39 @@ def emit_reports(cfg: ExperimentConfig, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    payoff_lines = ["attack,defense,payoff_mean,payoff_std,n"]
-    critical_lines = ["attack,defense,critical_pct_of_late"]
-    equilibria_lines = ["kind,player,strategy,probability,value,epsilon"]
+    payoff_rows, critical_rows, equilibria_rows = [], [], []
     if matrix is not None:
         pm = matrix.payoff
         for i, attack in enumerate(pm.attacks):
             for j, defense in enumerate(pm.defenses):
                 samples = pm.per_seed[i, j]
-                payoff_lines.append(
-                    f"{attack},{defense},{_fmt(pm.payoff[i, j])},"
-                    f"{_fmt(float(samples.std()))},{len(samples)}")
+                payoff_rows.append((attack, defense, _fmt(pm.payoff[i, j]),
+                                    _fmt(float(samples.std())), len(samples)))
                 crit = [matrix.cell_metrics[(attack, defense, seed)].critical_fraction_of_late
                         for seed in cfg.seeds]
-                critical_lines.append(
-                    f"{attack},{defense},{_fmt(100.0 * sum(crit) / len(crit))}")
+                critical_rows.append((attack, defense, _fmt(100.0 * sum(crit) / len(crit))))
         for i, j in matrix.pure_equilibria:
             value = _fmt(pm.payoff[i, j])
-            equilibria_lines.append(f"pure,attacker,{pm.attacks[i]},1,{value},0")
-            equilibria_lines.append(f"pure,defender,{pm.defenses[j]},1,{value},0")
+            equilibria_rows.append(("pure", "attacker", pm.attacks[i], 1, value, 0))
+            equilibria_rows.append(("pure", "defender", pm.defenses[j], 1, value, 0))
         mixed = matrix.mixed
-        for i, attack in enumerate(pm.attacks):
-            equilibria_lines.append(
-                f"mixed,attacker,{attack},{_fmt(float(mixed.attacker_strategy[i]))},"
-                f"{_fmt(mixed.value)},{_fmt(mixed.epsilon)}")
-        for j, defense in enumerate(pm.defenses):
-            equilibria_lines.append(
-                f"mixed,defender,{defense},{_fmt(float(mixed.defender_strategy[j]))},"
-                f"{_fmt(mixed.value)},{_fmt(mixed.epsilon)}")
+        for player, strategies, probabilities in (
+                ("attacker", pm.attacks, mixed.attacker_strategy),
+                ("defender", pm.defenses, mixed.defender_strategy)):
+            for strategy, p in zip(strategies, probabilities):
+                equilibria_rows.append(("mixed", player, strategy, _fmt(float(p)),
+                                        _fmt(mixed.value), _fmt(mixed.epsilon)))
 
-    _write_lines(out / "payoff_matrix.csv", payoff_lines)
-    _write_lines(out / "critical_delays.csv", critical_lines)
-    _write_lines(out / "equilibria.csv", equilibria_lines)
+    _write_rows(out / "payoff_matrix.csv",
+                ("attack", "defense", "payoff_mean", "payoff_std", "n"), payoff_rows)
+    _write_rows(out / "critical_delays.csv",
+                ("attack", "defense", "critical_pct_of_late"), critical_rows)
+    _write_rows(out / "equilibria.csv",
+                ("kind", "player", "strategy", "probability", "value", "epsilon"), equilibria_rows)
     for name, rows in (("sweep_window.csv", window_rows), ("sweep_attackers.csv", attacker_rows)):
-        _write_lines(out / name, [SWEEP_HEADER] + [format_row(cfg, row) for row in rows or []])
+        _write_rows(out / name, SWEEP_HEADER, (format_row(cfg, row) for row in rows or ()))
 
     manifest = [f"config_hash = {cfg.config_hash()}",
-                f"seeds = {','.join(str(s) for s in cfg.seeds)}"]
-    manifest.extend(cfg.resolved_lines())
-    _write_lines(out / "manifest.txt", manifest)
+                f"seeds = {','.join(str(s) for s in cfg.seeds)}", *cfg.resolved_lines()]
+    with open(out / "manifest.txt", "w", newline="", encoding="utf-8") as fh:  # not CSV
+        fh.writelines(f"{line}\n" for line in manifest)

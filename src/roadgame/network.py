@@ -1,4 +1,4 @@
-"""Road-network model, file ingestion, and core path/cut queries.
+"""Road-network model, file formats, and core path/cut queries.
 
 The graph is undirected and simple.  Edge travel time is derived as
 length / speed and is the default routing weight; :func:`shortest_path`
@@ -14,6 +14,11 @@ predecessors bit for bit; exact betweenness and the fleet's central node
 read it through :func:`_shortest_dags`, one pair of arrays per source,
 which falls back to :func:`_dijkstra` for a block the certificate
 refuses.  The memo holds no n x n array; a dense one lives for one call.
+
+Files have one reader, :func:`_read_rows`, and one writer,
+:func:`_write_rows`: UTF-8, ``"\n"`` line ends, a field quoted only when
+it holds a comma or a quote.  Floats have two text forms, :func:`_fmt`
+for report figures and :func:`_exact` for every float a reader reads back.
 """
 
 from __future__ import annotations
@@ -93,8 +98,9 @@ def preload(net: "RoadNetwork", entries) -> None:
 class RoadNetwork:
     """Validated, immutable undirected road graph.
 
-    Construction checks the structural invariants (simple graph, positive
-    lengths, speeds and travel times, endpoints present, connectivity);
+    Construction checks the structural invariants (ids without line breaks,
+    simple graph, positive lengths, speeds and travel times, endpoints
+    present, connectivity);
     afterwards the object is safe for concurrent read access.  Derived
     quantities are memoised per network by :func:`memoised`.
     """
@@ -112,6 +118,8 @@ class RoadNetwork:
 
         node_map: dict[str, Node] = {}
         for node, place in itertools.zip_longest(nodes, node_places, fillvalue=""):
+            if _breaks_line(node.node_id):
+                raise refuse(place, f"node id {node.node_id!r} holds a line break")
             if node.node_id in node_map:
                 raise refuse(place, f"duplicate node id {node.node_id!r}")
             if not (math.isfinite(node.x) and math.isfinite(node.y)):
@@ -121,6 +129,8 @@ class RoadNetwork:
         edge_map: dict[str, Edge] = {}
         seen_pairs: dict[tuple[str, str], str] = {}
         for edge, place in itertools.zip_longest(edges, edge_places, fillvalue=""):
+            if _breaks_line(edge.edge_id):
+                raise refuse(place, f"edge id {edge.edge_id!r} holds a line break")
             if edge.edge_id in edge_map:
                 raise refuse(place, f"duplicate edge id {edge.edge_id!r}")
             if edge.u == edge.v:
@@ -197,7 +207,13 @@ class RoadNetwork:
         return len(seen) == self.num_nodes
 
 
-# -- file ingestion ------------------------------------------------------
+# -- file formats --------------------------------------------------------
+
+
+def _breaks_line(text: str) -> bool:
+    """Whether ``text`` holds a line break, which no written field may:
+    the writer leaves a ``"\r"`` unquoted and the reader splits there."""
+    return "\r" in text or "\n" in text
 
 
 def _read_utf8(path, newline: str | None = None) -> io.StringIO:
@@ -245,6 +261,25 @@ def _parse_float(path, lineno: int, name: str, raw: str, invalid: str | None = N
     return value
 
 
+def _fmt(x: float) -> str:
+    """``x`` in nine significant digits, the form of report figures."""
+    return f"{x:.9g}"
+
+
+def _exact(x: float) -> str:
+    """``x`` as text ``float`` reads back exactly: :func:`_fmt`'s digits, else ``repr``."""
+    text = _fmt(x)
+    return text if float(text) == x else repr(x)
+
+
+def _write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as the CSV file :func:`_read_rows` reads."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_network(nodes_file, edges_file) -> RoadNetwork:
     """Load and validate a network from node and edge files.
 
@@ -276,22 +311,15 @@ def load_network(nodes_file, edges_file) -> RoadNetwork:
 
 
 def save_network(net: RoadNetwork, nodes_file, edges_file) -> None:
-    """Write a network in the same format accepted by :func:`load_network`.
-
-    Floats use repr (shortest round-trip form) so save/load is lossless.
-    """
-    with open(nodes_file, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(NODES_HEADER)
-        for nid in net.node_ids:
-            node = net.nodes[nid]
-            writer.writerow([node.node_id, repr(node.x), repr(node.y)])
-    with open(edges_file, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EDGES_HEADER)
-        for eid in net.edge_ids:
-            e = net.edges[eid]
-            writer.writerow([e.edge_id, e.u, e.v, repr(e.length_m), repr(e.speed_mps)])
+    """Write a network in the format :func:`load_network` reads, through
+    :func:`_write_rows`: ids quoted when they hold a comma or a quote, and
+    floats in :func:`_exact`'s form, so save then load is lossless."""
+    _write_rows(nodes_file, NODES_HEADER,
+                ((node.node_id, _exact(node.x), _exact(node.y))
+                 for node in map(net.nodes.get, net.node_ids)))
+    _write_rows(edges_file, EDGES_HEADER,
+                ((e.edge_id, e.u, e.v, _exact(e.length_m), _exact(e.speed_mps))
+                 for e in map(net.edges.get, net.edge_ids)))
 
 
 # -- shortest paths ------------------------------------------------------

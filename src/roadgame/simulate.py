@@ -380,12 +380,24 @@ def reclassify_with_windows(fleet: Sequence[JobCard], rounds: dict[tuple[str, in
     times never depend on window ends and window starts are unchanged by
     scaling; only the late and critical counts move.  The couriers are
     taken in the rounds' id order, as a full rerun takes them, and every
-    round is recounted in one pass over its stacked arrivals.
+    round is recounted in one pass over its stacked arrivals.  Raises
+    DomainError naming the first courier, in id order, whose card in
+    ``fleet`` differs from the rounds' in anything but its window ends.
     """
     if not rounds:
         return {}
     by_id = {card.courier_id: card for card in fleet}
     cards = next(iter(rounds.values())).cards
+
+    def unscaled(card: JobCard) -> tuple:  # the card less its window ends
+        return (card.warehouse, card.day_start_s,
+                tuple((stop.node_id, stop.window_start_s) for stop in card.stops))
+    given = {courier: unscaled(card) for courier, card in by_id.items()}
+    played = {card.courier_id: unscaled(card) for card in cards}
+    if given != played:
+        courier = min(c for c in given.keys() | played.keys() if given.get(c) != played.get(c))
+        raise DomainError(f"courier {courier!r}: the fleet's card is not the rounds' card "
+                          "with other window ends")
     stops = [stop for card in cards for stop in by_id[card.courier_id].stops]
     late, critical = _lateness(np.stack([details.arrivals for details in rounds.values()]), stops)
     return {key: replace(details.metrics, **fractions)

@@ -9,14 +9,13 @@ no candidate exists).  Window sizes and start times are copied verbatim.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, ParseError, ValidationError
-from .network import (Edge, Node, RoadNetwork, _dijkstra, _parse_float, _read_rows,
-                      _shortest_dags, shortest_path)
+from .network import (Edge, Node, RoadNetwork, _breaks_line, _dijkstra, _exact, _fmt,
+                      _parse_float, _read_rows, _shortest_dags, _write_rows, shortest_path)
 from .rng import substream
 from .simulate import JobCard, Stop
 
@@ -60,6 +59,8 @@ def parse_jobcards(path) -> list[JobCard]:
     """
     rows_by_courier: dict[str, list[tuple[int, int, str, str, str]]] = {}
     for lineno, (courier, seq_raw, node_id, ws_raw, we_raw) in _read_rows(path, JOBCARDS_HEADER):
+        if _breaks_line(courier):
+            raise ValidationError(f"{path}:{lineno}: courier id {courier!r} holds a line break")
         try:
             seq = int(seq_raw)
         except ValueError:
@@ -104,24 +105,21 @@ def check_cards_on_network(cards: Sequence[JobCard], net: RoadNetwork, path) -> 
 
 
 def write_jobcards(fleet: Sequence[JobCard], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(JOBCARDS_HEADER)
-        for card in sorted(fleet, key=lambda c: c.courier_id):
-            day_start = f"{card.day_start_s:.9g}" if card.day_start_s else ""
-            writer.writerow([card.courier_id, 0, card.warehouse, day_start, ""])
-            for seq, stop in enumerate(card.stops, start=1):
-                writer.writerow([card.courier_id, seq, stop.node_id,
-                                 f"{stop.window_start_s:.9g}", f"{stop.window_end_s:.9g}"])
+    """Write a fleet as :func:`parse_jobcards` reads it, through ``network._write_rows``;
+    windows and day starts take ``network._exact``'s form, so they read back exactly."""
+    rows = []
+    for card in sorted(fleet, key=lambda c: c.courier_id):
+        rows.append((card.courier_id, 0, card.warehouse,
+                     _exact(card.day_start_s) if card.day_start_s else "", ""))
+        rows += [(card.courier_id, seq, stop.node_id, _exact(stop.window_start_s),
+                  _exact(stop.window_end_s)) for seq, stop in enumerate(card.stops, start=1)]
+    _write_rows(path, JOBCARDS_HEADER, rows)
 
 
 def write_leg_audit(audits: Sequence[LegAudit], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AUDIT_HEADER)
-        for audit in audits:
-            writer.writerow([audit.courier_id, audit.seq, f"{audit.base_leg_s:.9g}",
-                             f"{audit.synth_leg_s:.9g}", f"{audit.tolerance_used:.9g}"])
+    _write_rows(path, AUDIT_HEADER,
+                ((a.courier_id, a.seq, _fmt(a.base_leg_s), _fmt(a.synth_leg_s),
+                  _fmt(a.tolerance_used)) for a in audits))
 
 
 # -- distance-preserving trace synthesis --------------------------------------

@@ -4,6 +4,10 @@ from hypothesis import strategies as st
 from roadgame.network import Edge, Node, RoadNetwork
 from roadgame.synth import generate_city
 
+# ids holding the characters a CSV writer must quote, spaces and non-ASCII
+# text; the readers strip each field, so no id begins or ends with a space
+IDS = st.text(alphabet=' ,"xé中', min_size=1, max_size=5).filter(lambda s: s == s.strip())
+
 
 def build_net(edges, times=None, require_connected=True) -> RoadNetwork:
     """Small test network from (edge_id, u, v) triples; unit travel time

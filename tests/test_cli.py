@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import math
 import os
 import re
@@ -659,6 +660,27 @@ class TestCliCommands:
                            "attack", "--strategy", "betweenness", "--k", "2"])
         assert result2.returncode == 0, result2.stderr
 
+    def test_ids_that_need_quoting_come_back_from_attack_and_analyze(self, tmp_path):
+        # both used to join fields by hand: "e,0" and 'c"q' came out unquoted
+        (tmp_path / "nodes.csv").write_text('node_id,x,y\n"a,1",0,0\nb,1,0\n"c""q",2,0\n')
+        (tmp_path / "edges.csv").write_text('edge_id,u,v,length_m,speed_mps\n'
+                                            '"e,0","a,1",b,10,1\n"e""1",b,"c""q",10,1\n')
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"network_kind = files\nnodes_file = {tmp_path / 'nodes.csv'}\n"
+                       f"edges_file = {tmp_path / 'edges.csv'}\n")
+        out = tmp_path / "out"
+        run = ["--config", str(cfg), "--out", str(out)]
+        assert cli_main([*run, "attack", "--strategy", "betweenness", "--k", "2"]) == 0
+
+        def rows(name):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                return list(csv.reader(fh))
+        assert rows("attack_betweenness.csv") == [["edge_id"], ['e"1'], ["e,0"]]
+        for method in ANALYZE_METHODS:
+            assert cli_main([*run, "analyze", "--method", method]) == 0
+            assert [row[0] for row in rows(f"partition_{method}.csv")] == [
+                "node_id", "a,1", "b", 'c"q']
+
     def test_simulate_subcommand(self, small_cfg_file, tmp_path):
         out = tmp_path / "sim"
         result = run_cli(["--config", str(small_cfg_file), "--out", str(out),
@@ -755,6 +777,32 @@ class TestCliCommands:
                           "gen-city"])
         assert result.returncode == 1
         assert "error" in result.stderr
+
+
+def test_no_output_file_holds_a_carriage_return(small_cfg_file, tmp_path):
+    # every file goes through one writer with "\n" line ends; gen-city and
+    # synth used to end their lines in "\r\n"
+    from roadgame.network import load_network
+    from roadgame.synth import make_fleet, write_jobcards
+    run = ["--config", str(small_cfg_file), "--out"]
+    base = tmp_path / "gen-city"
+    assert cli_main([*run, str(base), "gen-city"]) == 0
+    write_jobcards(make_fleet(load_network(base / "nodes.csv", base / "edges.csv"), 3, 2, 600.0),
+                   base / "cards.csv")
+    for name, command in [
+            ("matrix", ["matrix"]), ("window", ["sweep", "--axis", "window"]),
+            ("attackers", ["sweep", "--axis", "attackers"]),
+            ("simulate", ["simulate", "--attack", "betweenness", "--defense", "mixnet"]),
+            ("attack", ["attack", "--strategy", "greedy_mod", "--k", "2"]),
+            ("analyze", ["analyze", "--method", "greedy_mod"]),
+            ("synth", ["synth", "--base-nodes", str(base / "nodes.csv"),
+                       "--base-edges", str(base / "edges.csv"),
+                       "--base-cards", str(base / "cards.csv")])]:
+        assert cli_main([*run, str(tmp_path / name), *command]) == 0
+    written = sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*.*")
+                     if path.parent != tmp_path)
+    assert len(written) == 26  # 25 command outputs and the base cards
+    assert [name for name in written if b"\r" in (tmp_path / name).read_bytes()] == []
 
 
 @pytest.mark.parametrize("case", ["config", "nodes_file", "edges_file", "jobcards_file",

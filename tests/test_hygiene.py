@@ -145,3 +145,19 @@ def test_stages_pass_indices_not_ids():
     assert [name for name, count in counts.items() if count["edge_index"]] == ["network.py"]
     assert counts["analysis.py"]["node_index"] == 0
     assert counts["routing.py"]["node_index"] == 1
+
+
+def test_one_module_writes_files():
+    # every CSV file goes through network._write_rows, beside the one reader;
+    # no other module imports csv or writes text past it
+    def imports_csv(tree):
+        return any(alias.name == "csv" for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names) or any(
+            isinstance(node, ast.ImportFrom) and node.module == "csv" for node in ast.walk(tree))
+
+    def calls_write_text(tree):
+        return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "write_text" for node in ast.walk(tree))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert [name for name, tree in trees.items() if imports_csv(tree)] == ["network.py"]
+    assert [name for name, tree in trees.items() if calls_write_text(tree)] == []

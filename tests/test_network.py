@@ -1,9 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_net, connected_graphs
+from conftest import IDS, build_net, connected_graphs
 from oracles import brute_min_edge_cut, enumerate_simple_paths, incident_edges
 from roadgame.errors import DomainError, ParseError, ValidationError
 from roadgame.network import (Edge, Node, RoadNetwork, _dijkstra, conductance,
@@ -112,7 +114,12 @@ class TestLoadNetwork:
          "edges.csv:2", "edge 'e0' references unknown node 'Z'"),
         ("A,0,0\nB,1,0\nC,2,0\nD,3,0\n", "e0,A,B,10,1\ne1,C,D,10,1\n",
          "edges.csv", "graph is not connected"),
-    ], ids=["node-id", "edge-id", "self-loop", "pair", "endpoint", "disconnected"])
+        ('"a\nb",0,0\nB,1,0\n', "e0,a,B,10,1\n",
+         "nodes.csv:2", "node id 'a\\nb' holds a line break"),
+        ("A,0,0\nB,1,0\n", 'e0,A,B,10,1\n"e\r1",B,A,10,1\n',
+         "edges.csv:3", "edge id 'e\\r1' holds a line break"),
+    ], ids=["node-id", "edge-id", "self-loop", "pair", "endpoint", "disconnected",
+            "node-line-break", "edge-line-break"])
     def test_structural_error_names_file_and_line(self, tmp_path, nodes_text, edges_text,
                                                   place, message):
         nodes, edges = write_files(tmp_path, "node_id,x,y\n" + nodes_text,
@@ -161,6 +168,24 @@ class TestLoadNetwork:
         again = load_network(nodes, edges)
         assert again.nodes == planted32.nodes
         assert again.edges == planted32.edges
+
+    @settings(max_examples=50, deadline=None)
+    @given(node_ids=st.lists(IDS, min_size=2, max_size=5, unique=True), data=st.data())
+    def test_save_then_load_gives_back_every_id_and_float(self, node_ids, data):
+        # ids with commas and quotes come out quoted, and floats exact
+        edge_ids = data.draw(st.lists(IDS, min_size=len(node_ids) - 1,
+                                      max_size=len(node_ids) - 1, unique=True))
+        coords, positive = st.floats(allow_nan=False, allow_infinity=False), st.floats(1e-3, 1e6)
+        net = RoadNetwork([Node(v, data.draw(coords), data.draw(coords)) for v in node_ids],
+                          [Edge(e, node_ids[k], node_ids[k + 1], data.draw(positive),
+                                data.draw(positive)) for k, e in enumerate(edge_ids)])
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = Path(tmp) / "nodes.csv", Path(tmp) / "edges.csv"
+            save_network(net, *paths)
+            again = load_network(*paths)
+        assert (again.node_ids, again.edge_ids) == (net.node_ids, net.edge_ids)
+        assert again.nodes == net.nodes and again.edges == net.edges
+        assert again.ends == net.ends and again.travel == net.travel
 
 
 class TestShortestPath:

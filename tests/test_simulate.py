@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +214,40 @@ class TestRunRound:
             assert reclassify_with_windows(scaled, rounds) == {
                 key: details.metrics for key, details in direct.items()}
         assert reclassify_with_windows(fleet, {}) == {}
+
+    @pytest.mark.parametrize("change, courier", [
+        ("stops", "c000"), ("lacks", "c002"), ("extra", "c004"), ("more-stops", "c001"),
+        ("warehouse", "c003"), ("day-start", "c000"), ("window-start", "c001")])
+    def test_reclassify_refuses_a_fleet_that_is_not_the_rounds(self, change, courier):
+        # every stop moved 7 nodes on used to score 1/6 late against the
+        # rounds' arrivals, where a rerun scores 0; a missing courier raised
+        # KeyError and a longer card a numpy broadcast ValueError
+        from roadgame.synth import generate_city, make_fleet
+        net = generate_city("grid", rows=6, cols=6, edge_time_s=60.0)
+        fleet = make_fleet(net, 4, 3, 900.0, seed=0)
+        rounds = run_rounds(net, fleet, ("betweenness",), "shortest", (1,))
+        card = fleet[int(courier[1:]) % len(fleet)]
+        first = card.stops[0]
+
+        def with_card(**changes):
+            return [replace(c, **changes) if c is card else c for c in fleet]
+
+        def moved(stop):
+            return replace(stop, node_id=net.node_ids[(net.node_index[stop.node_id] + 7)
+                                                      % net.num_nodes])
+        other = {
+            "stops": [replace(c, stops=tuple(map(moved, c.stops))) for c in fleet],
+            "lacks": [c for c in fleet if c is not card],
+            "extra": fleet + [replace(card, courier_id=courier)],
+            "more-stops": with_card(stops=card.stops * 2),
+            "warehouse": with_card(warehouse=first.node_id),
+            "day-start": with_card(day_start_s=-1.0),
+            "window-start": with_card(stops=(replace(first, window_start_s=first.window_start_s
+                                                     - 1.0), *card.stops[1:])),
+        }[change]
+        with pytest.raises(DomainError, match=f"^courier '{courier}': the fleet's card is not "
+                                              "the rounds' card with other window ends$"):
+            reclassify_with_windows(apply_window_multiplier(other, 2.0), rounds)
 
 
 class TestMetrics:

@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import IDS
 from roadgame.errors import DomainError, ParseError, ValidationError
 from roadgame.network import _block_search, _dijkstra, edge_disjoint_paths, shortest_path
 from roadgame.simulate import JobCard, Stop
@@ -22,6 +26,34 @@ class TestJobcardFiles:
         assert [c.courier_id for c in cards] == ["c0", "c1"]
         assert cards[1].stops == fleet[0].stops
         assert cards[1].day_start_s == 50.0
+
+    def test_epoch_windows_read_back_exactly(self, tmp_path):
+        # nine digits wrote the first window as [1546301000, 1546301000],
+        # which the reader refused as empty, and moved both ends of the second
+        fleet = [JobCard("a,1", 'w"0', (Stop("s 1", 1546301000.25, 1546301000.75),
+                                        Stop("s 2", 1546301000.25, 1546304600.5)),
+                         1546300000.125)]
+        write_jobcards(fleet, tmp_path / "cards.csv")
+        assert parse_jobcards(tmp_path / "cards.csv") == fleet
+
+    @settings(max_examples=50, deadline=None)
+    @given(couriers=st.lists(IDS, min_size=1, max_size=4, unique=True), data=st.data())
+    def test_write_then_parse_gives_back_every_card(self, couriers, data):
+        epoch = st.floats(1.5e9, 1.7e9)
+        fleet = []
+        for courier in couriers:
+            stops = []
+            for node in data.draw(st.lists(IDS, min_size=1, max_size=3)):
+                start = data.draw(epoch)
+                stops.append(Stop(node, start, start + data.draw(st.floats(1e-3, 5e3))))
+            fleet.append(JobCard(courier, data.draw(IDS), tuple(stops),
+                                 data.draw(st.just(0.0) | epoch)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cards.csv"
+            write_jobcards(fleet, path)
+            assert b"\r" not in path.read_bytes()
+            cards = parse_jobcards(path)
+        assert cards == sorted(fleet, key=lambda card: card.courier_id)
 
     def test_out_of_order_rows_sorted_by_seq(self, tmp_path):
         path = tmp_path / "cards.csv"
@@ -55,7 +87,8 @@ class TestJobcardFiles:
         ("c0,1,A,0,10\n", "cards.csv:2: courier 'c0': missing warehouse row (seq 0)"),
         ("c0,0,W,,\nc0,1,A,0,10\nc0,1,B,0,10\n", "cards.csv:4: courier 'c0': duplicate seq 1"),
         ("c1,1,A,0,10\nc0,0,W,,\n", "cards.csv:3: courier 'c0': no delivery stops"),
-    ], ids=["window", "no-warehouse", "duplicate-seq", "no-stops"])
+        ('"c\r0",0,W,,\n', "cards.csv:2: courier id 'c\\r0' holds a line break"),
+    ], ids=["window", "no-warehouse", "duplicate-seq", "no-stops", "line-break"])
     def test_errors_name_the_file_and_line(self, tmp_path, rows, message):
         path = tmp_path / "cards.csv"
         path.write_text("courier_id,seq,node_id,window_start_s,window_end_s\n" + rows)
