@@ -103,7 +103,7 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     _write_rows(out / "round_metrics.csv", ROUND_HEADER,
                 (format_row(cfg, row, seed_column=False) for row in rows))
-    late = [row[5] for row in rows]
+    late = [row[5].late_fraction for row in rows]
     print(f"{args.attack} vs {args.defense}: mean late fraction "
           f"{sum(late) / len(late):.3f} over {len(late)} seeds")
     return 0

@@ -13,9 +13,10 @@ fallback, each partition detector and the eigenvector.  Those results
 travel with every round task, and each process builds the rankings and
 ``inverse`` weights from them.  Rounds are scheduled per (defense,
 seed): a route depends on neither the attack nor k, so each task plans
-every courier's route once and scores every attack and k against it.
-Rows are returned in attack-major order, so worker count never changes
-any output byte.
+every courier's route once and scores every attack and k against it,
+then rescores those rounds per window multiplier.  Each row carries its
+round's ``RoundMetrics``; rows are returned in attack-major order, so
+worker count never changes any output byte.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,7 @@ from .game import Equilibrium, PayoffMatrix, find_pure_nash, solve_zero_sum
 from .network import (RoadNetwork, _exact, _fmt, _read_utf8, _write_rows, load_network,
                       preload)
 from .routing import DEFENSE_STRATEGIES
-from .simulate import (JobCard, RoundMetrics, apply_window_multiplier,
-                       reclassify_with_windows, run_rounds)
+from .simulate import JobCard, RoundMetrics, reclassify_with_windows, run_rounds
 from .synth import (_stop_pools, central_node, check_cards_on_network, generate_city,
                     make_fleet, parse_jobcards)
 
@@ -376,8 +375,7 @@ def _rounds_task(args) -> list[list[tuple[int, float, RoundMetrics]]]:
     rounds = run_rounds(net, fleet, cfg.attacks, defense, ks, cfg.ambush_delay_s,
                         seed, cfg.nested_plans)
     if axis == "window":
-        scaled = [(mult, reclassify_with_windows(apply_window_multiplier(fleet, mult), rounds))
-                  for mult in cfg.window_multipliers]
+        scaled = [(mult, reclassify_with_windows(rounds, mult)) for mult in cfg.window_multipliers]
         return [[(k, mult, metrics[attack, k]) for k in ks for mult, metrics in scaled]
                 for attack in cfg.attacks]
     return [[(k, 1.0, rounds[attack, k].metrics) for k in ks] for attack in cfg.attacks]
@@ -449,10 +447,9 @@ def run_matrix(cfg: ExperimentConfig) -> MatrixResult:
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str) -> list[tuple]:
-    """Rows (attack, defense, k, window_mult, seed, metrics...) along ``axis``:
+    """Rows (attack, defense, k, window_mult, seed, metrics) along ``axis``:
     ``window``, ``attackers``, or ``matrix`` (one round per cell, at k)."""
-    values = attrgetter(*(f.name for f in fields(RoundMetrics)))  # a shallow astuple
-    return [row[:5] + values(row[5]) for row in _run_rows(cfg, axis)]
+    return _run_rows(cfg, axis)
 
 
 # -- report emission -----------------------------------------------------------
@@ -461,10 +458,12 @@ def run_sweep(cfg: ExperimentConfig, axis: str) -> list[tuple]:
 def format_row(cfg: ExperimentConfig, row: tuple, seed_column: bool = True) -> list:
     """The ``SWEEP_HEADER`` fields of a sweep row, or its ``ROUND_HEADER``
     fields, without the seed."""
-    attack, defense, k, mult, seed, late, crit, mean_t, p95_t, _, ambushes = row
+    attack, defense, k, mult, seed, metrics = row
     return [attack, defense, k, _fmt(cfg.ambush_delay_s), _fmt(mult),
             *((seed,) if seed_column else ()),
-            _fmt(late), _fmt(crit), _fmt(mean_t), _fmt(p95_t), ambushes]
+            _fmt(metrics.late_fraction), _fmt(metrics.critical_fraction_of_late),
+            _fmt(metrics.mean_tour_time_s), _fmt(metrics.p95_tour_time_s),
+            metrics.total_ambushes]
 
 
 def emit_reports(cfg: ExperimentConfig, out_dir,

@@ -98,11 +98,11 @@ def preload(net: "RoadNetwork", entries) -> None:
 class RoadNetwork:
     """Validated, immutable undirected road graph.
 
-    Construction checks the structural invariants (ids without line breaks,
-    simple graph, positive lengths, speeds and travel times, endpoints
-    present, connectivity);
-    afterwards the object is safe for concurrent read access.  Derived
-    quantities are memoised per network by :func:`memoised`.
+    Construction checks the structural invariants (ids without line breaks
+    or surrounding whitespace, simple graph, positive lengths, speeds and
+    travel times, endpoints present, connectivity); afterwards the object
+    is safe for concurrent read access.  Derived quantities are memoised
+    per network by :func:`memoised`.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge],
@@ -120,6 +120,8 @@ class RoadNetwork:
         for node, place in itertools.zip_longest(nodes, node_places, fillvalue=""):
             if _breaks_line(node.node_id):
                 raise refuse(place, f"node id {node.node_id!r} holds a line break")
+            if _pads(node.node_id):
+                raise refuse(place, f"node id {node.node_id!r} has leading or trailing whitespace")
             if node.node_id in node_map:
                 raise refuse(place, f"duplicate node id {node.node_id!r}")
             if not (math.isfinite(node.x) and math.isfinite(node.y)):
@@ -131,6 +133,8 @@ class RoadNetwork:
         for edge, place in itertools.zip_longest(edges, edge_places, fillvalue=""):
             if _breaks_line(edge.edge_id):
                 raise refuse(place, f"edge id {edge.edge_id!r} holds a line break")
+            if _pads(edge.edge_id):
+                raise refuse(place, f"edge id {edge.edge_id!r} has leading or trailing whitespace")
             if edge.edge_id in edge_map:
                 raise refuse(place, f"duplicate edge id {edge.edge_id!r}")
             if edge.u == edge.v:
@@ -216,6 +220,11 @@ def _breaks_line(text: str) -> bool:
     return "\r" in text or "\n" in text
 
 
+def _pads(text: str) -> bool:
+    """Whether ``text`` has leading or trailing whitespace, which the reader strips."""
+    return text != text.strip()
+
+
 def _read_utf8(path, newline: str | None = None) -> io.StringIO:
     """The file's text, readable like ``open(path, newline=newline)``.
 
@@ -239,7 +248,9 @@ def _read_rows(path, expected_header: tuple[str, ...]) -> list[tuple[int, list[s
     if header is None or [h.strip() for h in header] != list(expected_header):
         raise ParseError(
             f"{path}:1: expected header {','.join(expected_header)!r}")
-    for lineno, row in enumerate(reader, start=2):
+    # each row's first line, taken before zip (left to right) reads the row
+    starts = iter(lambda: reader.line_num + 1, None)
+    for lineno, row in zip(starts, reader):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(expected_header):

@@ -18,8 +18,9 @@ Rounds are scored on arrays: the evaluator's plans x stops arrivals,
 ambush counts and tour times go to one scorer, ``_score``, which gives
 every plan's ``RoundMetrics`` at once, for ``metrics_from_tours`` too.
 ``reclassify_with_windows`` recounts only lateness, for every round of
-a ``run_rounds`` result in one pass.  ``TourResult``, the per-tour view,
-comes only from ``run_tour``.
+a ``run_rounds`` result in one pass, against the rounds' own cards.
+``TourResult``, the per-tour view, comes only from ``run_tour``, which
+alone checks a caller's route and attack plan.
 """
 
 from __future__ import annotations
@@ -159,6 +160,10 @@ def run_tour(net: RoadNetwork, plan: RoutePlan, card: JobCard,
     if not ambush_delay_s > 0:
         raise DomainError("ambush delay must be > 0")
     legs = _compile_route(net, plan, card)
+    m = net.num_edges
+    bad = [e for e, n in Counter(attack.edges).items() if n > 1 or e not in range(m)]
+    if bad:
+        raise DomainError(f"attack plan edges must be distinct indices in [0, {m}), got {bad}")
     delays = _delay_matrix(net, [attack], ambush_delay_s)
     arrivals, ambushes, tour_time = _evaluate_tours(card, legs, _travel_time_vector(net), delays)
     late, critical = _lateness(arrivals, card.stops)
@@ -172,16 +177,11 @@ def _delay_matrix(net: RoadNetwork, plans: Sequence[AttackPlan],
                   ambush_delay_s: float) -> np.ndarray:
     """Plans x edges: the ambush delay on each plan's edges, 0.0 elsewhere.
 
-    Raises DomainError naming, in plan order, each entry of a plan that
-    is not an edge index in ``[0, m)`` or that repeats.
+    The plans' edges are distinct edge indices, as ``select_attack_edges``
+    gives them; ``run_tour`` checks a caller's plan.
     """
-    m = net.num_edges
-    delays = np.zeros((len(plans), m))
+    delays = np.zeros((len(plans), net.num_edges))
     for row, plan in enumerate(plans):
-        bad = [e for e, n in Counter(plan.edges).items() if n > 1 or e not in range(m)]
-        if bad:
-            raise DomainError(f"attack plan edges must be distinct indices in [0, {m}), "
-                              f"got {bad}")
         delays[row, list(plan.edges)] = ambush_delay_s
     return delays
 
@@ -370,35 +370,22 @@ def run_round_details(net: RoadNetwork, fleet: Sequence[JobCard], attack_strateg
     return rounds[(attack_strategy, k)]
 
 
-def reclassify_with_windows(fleet: Sequence[JobCard], rounds: dict[tuple[str, int], RoundDetails]
+def reclassify_with_windows(rounds: dict[tuple[str, int], RoundDetails], multiplier: float
                             ) -> dict[tuple[str, int], RoundMetrics]:
-    """Metrics each of ``rounds`` would yield under ``fleet``'s delivery windows.
+    """Metrics each of ``rounds`` would yield with its windows scaled by ``multiplier``.
 
     ``rounds`` is one ``run_rounds`` result, so every round shares its
-    cards, and ``fleet`` is that round's fleet with its windows scaled, as
-    ``apply_window_multiplier`` gives it.  Valid because arrivals and tour
-    times never depend on window ends and window starts are unchanged by
-    scaling; only the late and critical counts move.  The couriers are
-    taken in the rounds' id order, as a full rerun takes them, and every
-    round is recounted in one pass over its stacked arrivals.  Raises
-    DomainError naming the first courier, in id order, whose card in
-    ``fleet`` differs from the rounds' in anything but its window ends.
+    cards, which are scaled as ``apply_window_multiplier`` scales a fleet
+    (a multiplier below 1 is refused, whatever the rounds).  Valid because
+    arrivals and tour times never depend on window ends and window starts
+    are unchanged by scaling; only the late and critical counts move.
+    Every round is recounted in one pass over its stacked arrivals.
     """
+    cards = apply_window_multiplier(next(iter(rounds.values())).cards if rounds else (),
+                                    multiplier)
     if not rounds:
         return {}
-    by_id = {card.courier_id: card for card in fleet}
-    cards = next(iter(rounds.values())).cards
-
-    def unscaled(card: JobCard) -> tuple:  # the card less its window ends
-        return (card.warehouse, card.day_start_s,
-                tuple((stop.node_id, stop.window_start_s) for stop in card.stops))
-    given = {courier: unscaled(card) for courier, card in by_id.items()}
-    played = {card.courier_id: unscaled(card) for card in cards}
-    if given != played:
-        courier = min(c for c in given.keys() | played.keys() if given.get(c) != played.get(c))
-        raise DomainError(f"courier {courier!r}: the fleet's card is not the rounds' card "
-                          "with other window ends")
-    stops = [stop for card in cards for stop in by_id[card.courier_id].stops]
+    stops = [stop for card in cards for stop in card.stops]
     late, critical = _lateness(np.stack([details.arrivals for details in rounds.values()]), stops)
     return {key: replace(details.metrics, **fractions)
             for (key, details), fractions in zip(rounds.items(), _late_fractions(late, critical))}

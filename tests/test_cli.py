@@ -8,7 +8,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -481,18 +481,17 @@ class TestRunMatrix:
             {"window_multipliers": "1.0"})
         rows = run_sweep(cfg, "window")
         result = run_matrix(cfg)
-        for row in rows:
-            attack, defense, _, mult, seed, late = row[:6]
+        for attack, defense, _, mult, seed, metrics in rows:
             assert mult == 1.0
-            assert late == result.cell_metrics[(attack, defense, seed)].late_fraction
+            assert metrics.late_fraction == result.cell_metrics[attack, defense, seed].late_fraction
 
     def test_window_sweep_rescores_once_per_task_and_multiplier(self, monkeypatch):
         # each (defense, seed) task rescores all its rounds in one call per multiplier
         calls = Counter()
 
-        def counted(fleet, rounds):
+        def counted(rounds, multiplier):
             calls[len(rounds)] += 1
-            return simulate.reclassify_with_windows(fleet, rounds)
+            return simulate.reclassify_with_windows(rounds, multiplier)
 
         monkeypatch.setattr(experiment, "reclassify_with_windows", counted)
         cfg = ExperimentConfig()
@@ -504,7 +503,7 @@ class TestRunMatrix:
         result = run_matrix(cfg)
         rows = run_sweep(cfg, "matrix")
         cells = [(a, d, s) for a in cfg.attacks for d in cfg.defenses for s in cfg.seeds]
-        assert rows == [(a, d, cfg.k, 1.0, s) + astuple(result.cell_metrics[a, d, s])
+        assert rows == [(a, d, cfg.k, 1.0, s, result.cell_metrics[a, d, s])
                         for a, d, s in cells]
         assert result.payoff.per_seed.tolist() == [
             [[result.cell_metrics[a, d, s].late_fraction for s in cfg.seeds]

@@ -118,8 +118,11 @@ class TestLoadNetwork:
          "nodes.csv:2", "node id 'a\\nb' holds a line break"),
         ("A,0,0\nB,1,0\n", 'e0,A,B,10,1\n"e\r1",B,A,10,1\n',
          "edges.csv:3", "edge id 'e\\r1' holds a line break"),
+        # a quoted field spans lines 2 and 3, so the repeat is on line 5
+        ('A,"1\n",0\nB,1,0\nB,2,0\n', "e0,A,B,10,1\n",
+         "nodes.csv:5", "duplicate node id 'B'"),
     ], ids=["node-id", "edge-id", "self-loop", "pair", "endpoint", "disconnected",
-            "node-line-break", "edge-line-break"])
+            "node-line-break", "edge-line-break", "row-after-a-multi-line-field"])
     def test_structural_error_names_file_and_line(self, tmp_path, nodes_text, edges_text,
                                                   place, message):
         nodes, edges = write_files(tmp_path, "node_id,x,y\n" + nodes_text,
@@ -186,6 +189,29 @@ class TestLoadNetwork:
         assert (again.node_ids, again.edge_ids) == (net.node_ids, net.edge_ids)
         assert again.nodes == net.nodes and again.edges == net.edges
         assert again.ends == net.ends and again.travel == net.travel
+
+    @settings(max_examples=100, deadline=None)
+    @given(node_id=st.text(alphabet=' \t\xa0,"x中', min_size=1, max_size=4),
+           edge_id=st.text(alphabet=' \t\xa0,"x中', min_size=1, max_size=4))
+    def test_only_ids_that_read_back_are_accepted(self, node_id, edge_id):
+        # the reader strips every field, so an id with leading or trailing
+        # whitespace would read back as another id; it is refused by name
+        def build():
+            return RoadNetwork([Node(node_id, 0.0, 0.0), Node("z", 1.0, 0.0)],
+                               [Edge(edge_id, node_id, "z", 10.0, 1.0)])
+        for kind, padded in (("node", node_id), ("edge", edge_id)):
+            if padded != padded.strip():
+                with pytest.raises(ValidationError) as exc:
+                    build()
+                assert str(exc.value) == f"{kind} id {padded!r} has leading or trailing whitespace"
+                return
+        net = build()
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = Path(tmp) / "nodes.csv", Path(tmp) / "edges.csv"
+            save_network(net, *paths)
+            again = load_network(*paths)
+        assert (again.node_ids, again.edge_ids) == (net.node_ids, net.edge_ids)
+        assert again.nodes == net.nodes and again.edges == net.edges
 
 
 class TestShortestPath:

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -211,43 +211,11 @@ class TestRunRound:
         for mult in (1.0, 1.75, 3.5):
             scaled = apply_window_multiplier(fleet, mult)
             direct = run_rounds(planted32, scaled, *args)
-            assert reclassify_with_windows(scaled, rounds) == {
+            assert reclassify_with_windows(rounds, mult) == {
                 key: details.metrics for key, details in direct.items()}
-        assert reclassify_with_windows(fleet, {}) == {}
-
-    @pytest.mark.parametrize("change, courier", [
-        ("stops", "c000"), ("lacks", "c002"), ("extra", "c004"), ("more-stops", "c001"),
-        ("warehouse", "c003"), ("day-start", "c000"), ("window-start", "c001")])
-    def test_reclassify_refuses_a_fleet_that_is_not_the_rounds(self, change, courier):
-        # every stop moved 7 nodes on used to score 1/6 late against the
-        # rounds' arrivals, where a rerun scores 0; a missing courier raised
-        # KeyError and a longer card a numpy broadcast ValueError
-        from roadgame.synth import generate_city, make_fleet
-        net = generate_city("grid", rows=6, cols=6, edge_time_s=60.0)
-        fleet = make_fleet(net, 4, 3, 900.0, seed=0)
-        rounds = run_rounds(net, fleet, ("betweenness",), "shortest", (1,))
-        card = fleet[int(courier[1:]) % len(fleet)]
-        first = card.stops[0]
-
-        def with_card(**changes):
-            return [replace(c, **changes) if c is card else c for c in fleet]
-
-        def moved(stop):
-            return replace(stop, node_id=net.node_ids[(net.node_index[stop.node_id] + 7)
-                                                      % net.num_nodes])
-        other = {
-            "stops": [replace(c, stops=tuple(map(moved, c.stops))) for c in fleet],
-            "lacks": [c for c in fleet if c is not card],
-            "extra": fleet + [replace(card, courier_id=courier)],
-            "more-stops": with_card(stops=card.stops * 2),
-            "warehouse": with_card(warehouse=first.node_id),
-            "day-start": with_card(day_start_s=-1.0),
-            "window-start": with_card(stops=(replace(first, window_start_s=first.window_start_s
-                                                     - 1.0), *card.stops[1:])),
-        }[change]
-        with pytest.raises(DomainError, match=f"^courier '{courier}': the fleet's card is not "
-                                              "the rounds' card with other window ends$"):
-            reclassify_with_windows(apply_window_multiplier(other, 2.0), rounds)
+        assert reclassify_with_windows({}, 1.5) == {}
+        with pytest.raises(DomainError, match="window multiplier must be >= 1, got 0.5"):
+            reclassify_with_windows({}, 0.5)
 
 
 class TestMetrics:
@@ -427,6 +395,11 @@ def tour_cases(draw):
     return net, card, plan, attacks, delay
 
 
+# attack plans p3 (edges 0 and 1) refuses, and the entries each refusal names
+BAD_ATTACK_EDGES = [((2,), "[2]"), ((-1,), "[-1]"), ((0, 0), "[0]"),
+                    ((1, -1, 1, 5), "[1, -1, 5]"), (("e0",), "['e0']")]
+
+
 class TestRoundEngine:
     @settings(max_examples=150, deadline=None)
     @given(tour_cases())
@@ -537,12 +510,8 @@ class TestRoundEngine:
         attack = AttackPlan("random", (0, 2), 0)
         with pytest.raises(DomainError, match=r"indices in \[0, 2\), got \[2\]$"):
             run_tour(p3, plan, card, attack)
-        with pytest.raises(DomainError, match=r"indices in \[0, 2\)"):
-            simulate._delay_matrix(p3, [empty_attack_plan(p3), attack], 600.0)
 
-    @pytest.mark.parametrize("edges, bad", [((2,), "[2]"), ((-1,), "[-1]"), ((0, 0), "[0]"),
-                                            ((1, -1, 1, 5), "[1, -1, 5]"),
-                                            (("e0",), "['e0']")])
+    @pytest.mark.parametrize("edges, bad", BAD_ATTACK_EDGES)
     def test_attack_edges_outside_the_network_or_repeated_are_named(self, p3, edges, bad):
         # a negative index would wrap and a repeat would hide in the delay
         # row, so both are refused with the outside ones; so is an edge id
@@ -576,7 +545,7 @@ class TestRoundEngine:
         for mult in (1.0, 1.75, 3.5):
             scaled = apply_window_multiplier(fleet, mult)
             direct = run_rounds(planted32, scaled, attacks, "random_walk", ks, 600.0, 2)
-            assert reclassify_with_windows(scaled, rounds) == {
+            assert reclassify_with_windows(rounds, mult) == {
                 key: details.metrics for key, details in direct.items()}
         # at 3.5 only the unreached stops (c0's second, c2's) stay late
         assert {d.metrics.late_fraction for d in direct.values()} == {0.4}
@@ -593,8 +562,7 @@ class TestRoundEngine:
         monkeypatch.setattr(simulate, "TourResult", refuse)
         rounds = run_rounds(*args)
         assert {key: details.metrics for key, details in rounds.items()} == expected
-        scaled = apply_window_multiplier(fleet, 2.0)
-        reclassified = reclassify_with_windows(scaled, rounds)
+        reclassified = reclassify_with_windows(rounds, 2.0)
         assert [metrics.total_deliveries for metrics in reclassified.values()] == [12] * 4
 
     @pytest.mark.parametrize("defense", DEFENSE_STRATEGIES)
@@ -611,3 +579,30 @@ class TestRoundEngine:
         monkeypatch.setattr(simulate, "_compile_route", refuse)
         rounds = run_rounds(*args)
         assert {key: details.metrics for key, details in rounds.items()} == expected
+
+    @pytest.mark.parametrize("defense", DEFENSE_STRATEGIES)
+    def test_rounds_do_not_recheck_the_plans_they_select(self, planted32, p3, monkeypatch,
+                                                         defense):
+        # select_attack_edges gives distinct edge indices by construction;
+        # only run_tour checks a caller's plan, counting its entries once
+        from roadgame.synth import make_fleet
+        fleet = make_fleet(planted32, 4, 3, 500.0, seed=6)
+        args = (planted32, fleet, ("random", "degree"), defense, (1, 4), 450.0, 3)
+        expected = {key: details.metrics for key, details in run_rounds(*args).items()}
+        counted = []
+
+        def recording(entries):
+            counted.append(tuple(entries))
+            return Counter(counted[-1])
+
+        monkeypatch.setattr(simulate, "Counter", recording)
+        rounds = run_rounds(*args)
+        assert {key: details.metrics for key, details in rounds.items()} == expected
+        assert counted == [], "a round re-checked the attack plans it selected"
+        card = JobCard("c0", "A", (Stop("B", 0.0, 100.0),))
+        plan = plan_route(p3, card, "shortest", 0)
+        for edges, bad in BAD_ATTACK_EDGES:
+            with pytest.raises(DomainError) as refused:
+                run_tour(p3, plan, card, AttackPlan("random", edges, 0))
+            assert str(refused.value).endswith(f"got {bad}")
+        assert counted == [edges for edges, _ in BAD_ATTACK_EDGES]
